@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import coding, dpv, networks, qsar, signals, spikes
+from . import _csvio, coding, dpv, networks, qsar, signals, spikes
 from .config import RunConfig, derive_seed, load_config, load_manifest
 from .errors import NumericError, ValidationError
 
@@ -231,16 +231,21 @@ def _read_stream_csv(path, expected_rows=None):
     width = len(lines[0].split(",")) - 1
     if width < 1:
         raise ValidationError(f"{path}: header lists no channels")
-    rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")[1:]
-        if len(parts) != width:
-            raise ValidationError(f"{path}: line {lineno}: expected {width} channels")
-        try:
-            rows.append([float(x) for x in parts])
-        except ValueError as exc:
-            raise ValidationError(f"{path}: line {lineno}: {exc}") from None
-    arr = np.asarray(rows, dtype=np.float64).T if rows else np.empty((width, 0))
+    block = _csvio.parse_rows(lines[1:], width + 1)
+    if block is not None:
+        # Same (steps, d).T layout as the loop's array, so matmuls add in the same order.
+        arr = np.ascontiguousarray(block[:, 1:]).T
+    else:
+        rows = []
+        for lineno, ln in enumerate(lines[1:], start=2):
+            parts = ln.split(",")[1:]
+            if len(parts) != width:
+                raise ValidationError(f"{path}: line {lineno}: expected {width} channels")
+            try:
+                rows.append([float(x) for x in parts])
+            except ValueError as exc:
+                raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+        arr = np.asarray(rows, dtype=np.float64).T if rows else np.empty((width, 0))
     if expected_rows is not None and arr.shape[0] != expected_rows:
         raise ValidationError(f"{path}: {arr.shape[0]} channels, expected {expected_rows}")
     return arr

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
+from . import _csvio, _kernels
 from .errors import NonFiniteStateError, ShapeError, ValidationError
 
 
@@ -308,6 +308,18 @@ def load_network_json(path, kind: str):
     raise ValidationError(f"unknown network kind {kind!r}")
 
 
+def _write_long_csv(fh, times, matrix) -> None:
+    """``time,index,value`` rows, time-major, a block of steps at a time."""
+    n = matrix.shape[0]
+    index = np.arange(n)
+    steps_per_block = max(1, _csvio.BLOCK_ROWS // n)
+    for lo in range(0, len(times), steps_per_block):
+        block_times = times[lo:lo + steps_per_block]
+        _csvio.write_rows(fh, "%.9g,%d,%.9g\n", np.repeat(block_times, n),
+                          np.tile(index, len(block_times)),
+                          matrix[:, lo:lo + steps_per_block].T.ravel())
+
+
 def write_trace_csv(trace: SimulationTrace, path) -> None:
     """Long-format export: ``time_s,neuron,value`` rows."""
     matrix = trace.membrane_potentials if trace.membrane_potentials is not None \
@@ -316,17 +328,15 @@ def write_trace_csv(trace: SimulationTrace, path) -> None:
         fh.write("time_s,neuron,value\n")
         if matrix is None:
             return
-        for k, t in enumerate(trace.times):
-            for j in range(matrix.shape[0]):
-                fh.write(f"{t:.9g},{j},{matrix[j, k]:.9g}\n")
+        _write_long_csv(fh, trace.times, matrix)
 
 
 def write_raster_csv(trace: SimulationTrace, path) -> None:
     """Raster export: ``neuron,spike_time_s`` rows."""
     with open(path, "w", newline="") as fh:
         fh.write("neuron,spike_time_s\n")
-        for j, t in trace.spike_raster:
-            fh.write(f"{j},{t:.9g}\n")
+        _csvio.write_rows(fh, "%d,%.9g\n", [j for j, _ in trace.spike_raster],
+                          [t for _, t in trace.spike_raster])
 
 
 def write_outputs_csv(trace: SimulationTrace, path) -> None:
@@ -335,7 +345,4 @@ def write_outputs_csv(trace: SimulationTrace, path) -> None:
         fh.write("time_s,channel,value\n")
         if trace.outputs is None:
             return
-        out = np.atleast_2d(trace.outputs)
-        for k, t in enumerate(trace.times):
-            for c in range(out.shape[0]):
-                fh.write(f"{t:.9g},{c},{out[c, k]:.9g}\n")
+        _write_long_csv(fh, trace.times, np.atleast_2d(trace.outputs))

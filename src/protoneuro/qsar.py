@@ -13,14 +13,18 @@ decomposition, and unscales the coefficients; it is dependable up to
 condition numbers around 1e8. Confidence intervals are the standard
 linear-model ones (t quantile times the standard error derived from the
 residual variance and the design covariance).
+
+scipy is imported inside ``fit`` and ``confidence_bounds``, not here: every
+CLI call imports this module, and only ``qsar-fit`` needs scipy, whose
+import would otherwise dominate the start-up of all the others. The t
+quantile comes from ``scipy.special.stdtrit``, the function behind
+``scipy.stats.t.ppf``, which avoids importing ``scipy.stats`` at all.
 """
 
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as _sla
-from scipy import stats as _sst
 
 from .errors import ParseError, RankDeficiencyError, ValidationError
 
@@ -162,6 +166,7 @@ def fit(observations) -> FitResult:
     Raises RankDeficiencyError naming the dependent basis columns when the
     design is singular, and ValidationError with fewer than 9 observations.
     """
+    from scipy import linalg as _sla
     obs = list(observations)
     if len(obs) < 9:
         raise ValidationError(f"need at least 9 observations, got {len(obs)}")
@@ -214,9 +219,10 @@ def confidence_bounds(fit_result: FitResult, observations, level: float = 0.95) 
         )
     if not 0 < level < 1:
         raise ValidationError("level must be in (0, 1)")
+    from scipy.special import stdtrit
     s2 = fit_result.residual_sum_squares / dof
     se = np.sqrt(s2 * np.diag(fit_result.covariance_unit))
-    tq = float(_sst.t.ppf(0.5 + level / 2.0, dof))
+    tq = float(stdtrit(dof, 0.5 + level / 2.0))
     values = fit_result.coefficients.as_array()
     return {
         name: (float(values[j] - tq * se[j]), float(values[j] + tq * se[j]))

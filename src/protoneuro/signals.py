@@ -14,6 +14,13 @@ non-empty) and may appear anywhere after the header. Numbers are printed
 with 9 significant digits, which makes write -> read -> write byte-identical
 and read/write a relative-1e-9 round trip.
 
+Files of a million rows are common, so the numeric body is parsed and
+formatted in blocks (``_csvio``) rather than one Python call per row. The
+reader peels off the header and the leading ``#`` lines, parses the rest
+with one ``np.loadtxt`` call, and re-reads with the line loop whenever that
+call does not take the body; the loop alone reports parse errors, so their
+messages and line numbers do not depend on the fast path.
+
 Recorded traces the toolkit cannot obtain from hardware are synthesised as
 Gaussian bumps on a noisy baseline, sampled once per second to match the
 data-logger convention used throughout.
@@ -24,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _csvio
 from .errors import ParseError, ValidationError
 
 UNIT_MICROAMPERE = "microampere"
@@ -79,37 +87,61 @@ class TimeSeries:
         return float(self.times[-1] - self.times[0])
 
 
-def read_timeseries_csv(path) -> TimeSeries:
-    """Parse a series file, validating monotone times and finite values."""
-    times = []
-    values = []
-    unit = UNIT_MICROAMPERE
-    label = ""
-    with open(path, "r", newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != HEADER:
-        raise ParseError(f"expected header {HEADER!r}", line=1)
-    for lineno, raw in enumerate(lines[1:], start=2):
+def _read_metadata(line: str, meta: dict) -> bool:
+    """Apply a stripped blank or ``#`` line to ``meta``; False for a data line."""
+    if not line:
+        return True
+    if not line.startswith("#"):
+        return False
+    text = line[1:].strip()
+    for key in ("unit", "label"):
+        if text.startswith(key + "="):
+            meta[key] = text[len(key) + 1:]
+    return True
+
+
+def _parse_series_lines(lines, start: int, meta: dict) -> np.ndarray:
+    """Line-by-line parse of ``lines[start:]`` into an (n, 2) array.
+
+    Accepts metadata anywhere and anything ``float`` accepts, and raises
+    ParseError naming the first bad line.
+    """
+    rows = []
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            meta = line[1:].strip()
-            if meta.startswith("unit="):
-                unit = meta[len("unit="):]
-            elif meta.startswith("label="):
-                label = meta[len("label="):]
+        if _read_metadata(line, meta):
             continue
         parts = line.split(",")
         if len(parts) != 2:
             raise ParseError(f"expected 2 fields, got {len(parts)}", line=lineno)
         try:
-            times.append(float(parts[0]))
-            values.append(float(parts[1]))
+            rows.append((float(parts[0]), float(parts[1])))
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
+    return np.array(rows, dtype=np.float64).reshape(-1, 2)
+
+
+def read_timeseries_csv(path) -> TimeSeries:
+    """Parse a series file, validating monotone times and finite values.
+
+    The metadata lines after the header are read one by one; the numeric
+    body is then parsed in one block. A body the block parser does not
+    take (metadata between rows, ``1_0``, a bad line) is re-read by the
+    line loop, which gives the same values or the same ParseError.
+    """
+    with open(path, "r", newline="") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0].strip() != HEADER:
+        raise ParseError(f"expected header {HEADER!r}", line=1)
+    meta = {"unit": UNIT_MICROAMPERE, "label": ""}
+    first = 1
+    while first < len(lines) and _read_metadata(lines[first].strip(), meta):
+        first += 1
+    rows = _csvio.parse_rows(lines[first:], 2)
+    if rows is None:
+        rows = _parse_series_lines(lines, first, meta)
     try:
-        return TimeSeries(np.array(times), np.array(values), unit=unit, label=label)
+        return TimeSeries(rows[:, 0], rows[:, 1], unit=meta["unit"], label=meta["label"])
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
@@ -125,8 +157,7 @@ def write_timeseries_csv(series: TimeSeries, path) -> None:
         fh.write(f"# unit={series.unit}\n")
         if series.label:
             fh.write(f"# label={series.label}\n")
-        for t, v in zip(series.times, series.values):
-            fh.write(f"{t:.12g},{v:.9g}\n")
+        _csvio.write_rows(fh, "%.12g,%.9g\n", series.times, series.values)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
+from . import _csvio, _kernels
 from .errors import ValidationError
 from .signals import TimeSeries
 
@@ -98,7 +98,7 @@ def detect_spikes(series: TimeSeries, config: SpikeDetectionConfig) -> SpikeTrai
     kept = _kernels.prune_min_distance(t, a, config.min_peak_distance)
     train = SpikeTrain(t[kept], a[kept], source_label=series.label,
                        duration=series.duration)
-    _assert_train_valid(train, config)
+    _check_train_valid(train, config)
     return train
 
 
@@ -132,10 +132,21 @@ def detect_spikes_naive(series: TimeSeries, config: SpikeDetectionConfig) -> Spi
     return SpikeTrain(t[idx], v[idx], source_label=series.label, duration=series.duration)
 
 
-def _assert_train_valid(train: SpikeTrain, config: SpikeDetectionConfig) -> None:
-    assert np.all(train.spike_amplitudes > config.threshold)
-    if len(train) > 1:
-        assert np.all(np.diff(train.spike_times) >= config.min_peak_distance)
+def _check_train_valid(train: SpikeTrain, config: SpikeDetectionConfig) -> None:
+    """Raise ValidationError naming the first spike that breaks the detection rule."""
+    low = np.flatnonzero(~(train.spike_amplitudes > config.threshold))
+    if low.size:
+        i = int(low[0])
+        raise ValidationError(
+            f"spike {i}: amplitude {train.spike_amplitudes[i]:.9g} is not above "
+            f"the threshold {config.threshold:.9g}")
+    close = np.flatnonzero(~(np.diff(train.spike_times) >= config.min_peak_distance))
+    if close.size:
+        i = int(close[0]) + 1
+        raise ValidationError(
+            f"spike {i}: {train.spike_times[i] - train.spike_times[i - 1]:.9g} s after "
+            f"spike {i - 1}, closer than the minimum peak distance "
+            f"{config.min_peak_distance:.9g} s")
 
 
 def compute_stats(train: SpikeTrain) -> SpikeStats:
@@ -168,8 +179,7 @@ def write_spiketrain_csv(train: SpikeTrain, path) -> None:
     """Export with header ``spike_time_s,amplitude``."""
     with open(path, "w", newline="") as fh:
         fh.write("spike_time_s,amplitude\n")
-        for t, a in zip(train.spike_times, train.spike_amplitudes):
-            fh.write(f"{t:.9g},{a:.9g}\n")
+        _csvio.write_rows(fh, "%.9g,%.9g\n", train.spike_times, train.spike_amplitudes)
 
 
 def stats_to_dict(stats: SpikeStats, label: str = "") -> dict:

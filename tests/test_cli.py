@@ -1,10 +1,15 @@
 import json
 import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from protoneuro import cli, signals
+from protoneuro.errors import ValidationError
 from protoneuro.signals import SyntheticSpikeSpec, TimeSeries
 
 
@@ -401,3 +406,85 @@ def test_every_subcommand_has_help(capsys):
         for action in sub._actions:
             for opt in action.option_strings:
                 assert opt in help_text
+
+
+def test_cli_import_loads_no_scipy():
+    # Only qsar-fit needs scipy; every other command must start without it.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, protoneuro, protoneuro.cli\n"
+         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_readme_sim_spiking_example_fires(tmp_path, capsys, monkeypatch):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    [command] = [line for line in readme.read_text().splitlines()
+                 if line.startswith("protoneuro sim-spiking")]
+    (tmp_path / "net.json").write_text(json.dumps({"n": 10}))
+    (tmp_path / "out").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = run(capsys, *shlex.split(command, comments=True)[1:])
+    assert code == 0
+    spikes = int(stdout.split("spikes=")[1])
+    assert spikes > 0
+    neurons = {line.split(",")[0] for line in
+               (tmp_path / "out" / "run_raster.csv").read_text().splitlines()[1:]}
+    assert neurons == {str(j) for j in range(10)}
+
+
+def reference_read_stream(path, expected_rows=None):
+    # The line loop that _read_stream_csv's block parse stands in for.
+    with open(path, "r", newline="") as fh:
+        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("time_s"):
+        raise ValidationError(f"{path}: expected a header starting with time_s")
+    width = len(lines[0].split(",")) - 1
+    if width < 1:
+        raise ValidationError(f"{path}: header lists no channels")
+    rows = []
+    for lineno, ln in enumerate(lines[1:], start=2):
+        parts = ln.split(",")[1:]
+        if len(parts) != width:
+            raise ValidationError(f"{path}: line {lineno}: expected {width} channels")
+        try:
+            rows.append([float(x) for x in parts])
+        except ValueError as exc:
+            raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+    arr = np.asarray(rows, dtype=np.float64).T if rows else np.empty((width, 0))
+    if expected_rows is not None and arr.shape[0] != expected_rows:
+        raise ValidationError(f"{path}: {arr.shape[0]} channels, expected {expected_rows}")
+    return arr
+
+
+def stream_outcome(reader, path):
+    try:
+        arr = reader(path)
+    except ValidationError as exc:
+        return str(exc)
+    return arr.shape, arr.tobytes("A"), arr.strides
+
+
+@pytest.mark.parametrize("body", [
+    "0,1,2\n1,3,4\n",
+    "0,1,2\r\n1,3,4\r\n\r\n",      # CRLF and a blank line
+    " 0 ,\t1, 2\n1,3 ,4 \n",       # spaces and tabs
+    "t0,1,2\nt1,3,4\n",            # the time column is not read
+    "0,1,2\n1,3,4,5\n",            # stray field
+    "0,1,2,9\n1,3,4,9\n",          # every row too wide
+    "0,1_0,2\n1,3,4\n",            # float accepts, loadtxt not
+    "0,1,2\n# note\n1,3,4\n",      # no comments in streams
+    "0,1,2 # note\n",
+    "0,1,\n",
+    "",
+])
+def test_stream_reader_matches_line_loop(tmp_path, body):
+    path = tmp_path / "stream.csv"
+    path.write_text("time_s,ch0,ch1\n" + body, newline="")
+    assert stream_outcome(cli._read_stream_csv, path) == \
+        stream_outcome(reference_read_stream, path)

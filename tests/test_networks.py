@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from protoneuro import networks
+from protoneuro._csvio import BLOCK_ROWS
 from protoneuro.errors import NonFiniteStateError, ShapeError, ValidationError
 from protoneuro.networks import LifParameters, RateNetwork, SpikingNetwork
 
@@ -261,3 +264,99 @@ def test_trace_exports(tmp_path):
     assert raster_lines[0] == "neuron,spike_time_s"
     assert len(raster_lines) == 1 + len(trace.spike_raster)
     assert (tmp_path / "out.csv").read_text().splitlines()[0] == "time_s,channel,value"
+
+
+# --- block writer parity -------------------------------------------------------
+#
+# Per-row reference writers: the trace, raster and output files written in
+# blocks by protoneuro._csvio must equal these byte for byte.
+
+def reference_write_long(path, header, times, matrix):
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        if matrix is None:
+            return
+        for k, t in enumerate(times):
+            for j in range(matrix.shape[0]):
+                fh.write(f"{t:.9g},{j},{matrix[j, k]:.9g}\n")
+
+
+def reference_write_raster(path, raster):
+    with open(path, "w", newline="") as fh:
+        fh.write("neuron,spike_time_s\n")
+        for j, t in raster:
+            fh.write(f"{j},{t:.9g}\n")
+
+
+SPECIAL_VALUES = np.array([
+    -0.0, 0.0, 5e-324, -2.225073858507201e-308, 1e-300, -1e300, 1e300, 123456789.5,
+    0.1234567895, 9.999999995, 999999999.5, 1.0000000005, 2.5e-7, 1 / 3,
+    np.nextafter(9.999999995, 0.0), np.nextafter(0.1234567895, 1.0),
+])
+
+
+def assert_trace_writers_agree(tmp_path, trace):
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    networks.write_trace_csv(trace, new)
+    matrix = trace.membrane_potentials if trace.membrane_potentials is not None \
+        else trace.unit_activities
+    reference_write_long(ref, "time_s,neuron,value\n", trace.times, matrix)
+    assert new.read_bytes() == ref.read_bytes()
+    networks.write_outputs_csv(trace, new)
+    outputs = None if trace.outputs is None else np.atleast_2d(trace.outputs)
+    reference_write_long(ref, "time_s,channel,value\n", trace.times, outputs)
+    assert new.read_bytes() == ref.read_bytes()
+    networks.write_raster_csv(trace, new)
+    reference_write_raster(ref, trace.spike_raster)
+    assert new.read_bytes() == ref.read_bytes()
+
+
+def block_edge_steps(rows):
+    per_block = BLOCK_ROWS // rows
+    return [0, 1, per_block - 1, per_block, per_block + 1, 2 * per_block + 1]
+
+
+@pytest.mark.parametrize("rows,steps", [(1, s) for s in block_edge_steps(1)]
+                         + [(50, s) for s in block_edge_steps(50)])
+def test_trace_writers_match_per_row_writers_across_block_edges(tmp_path, rows, steps):
+    rng = np.random.default_rng(rows * 100003 + steps)
+    times = (np.arange(steps) + 1) * 1e-4
+    matrix = rng.standard_normal((rows, steps)) * 10.0 ** rng.integers(-9, 9, (rows, steps))
+    raster = [(int(j), float(t)) for j, t in zip(rng.integers(0, rows, steps), times)]
+    assert_trace_writers_agree(tmp_path, networks.SimulationTrace(
+        times=times, membrane_potentials=matrix, spike_raster=raster,
+        outputs=matrix[:, ::-1].copy()))
+    assert_trace_writers_agree(tmp_path, networks.SimulationTrace(
+        times=times, unit_activities=matrix))
+
+
+def test_trace_writers_match_per_row_writers_on_special_values(tmp_path):
+    values = np.concatenate([SPECIAL_VALUES, -SPECIAL_VALUES])
+    matrix = np.stack([values, values[::-1]])
+    raster = [(0, float(t)) for t in values] + [(7, float(t)) for t in values]
+    for outputs in (values, matrix, None):
+        assert_trace_writers_agree(tmp_path, networks.SimulationTrace(
+            times=values, membrane_potentials=matrix, spike_raster=raster,
+            outputs=outputs))
+
+
+def test_trace_writers_match_per_row_writers_on_a_simulation(tmp_path):
+    spec = {"n": 5, "input_dim": 1, "output_dim": 2, "seed": 3}
+    net = networks.spiking_network_from_dict(spec)
+    trace = networks.run_spiking(net, np.full((1, 3000), 4.0))
+    assert trace.spike_raster
+    assert_trace_writers_agree(tmp_path, trace)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.integers(1, 4), data=st.data())
+def test_trace_writers_match_per_row_writers_on_any_values(tmp_path, rows, data):
+    steps = data.draw(st.integers(0, 12))
+    cells = st.floats(allow_nan=True, allow_infinity=True)
+    times = np.array(data.draw(st.lists(cells, min_size=steps, max_size=steps)))
+    matrix = np.array(data.draw(st.lists(cells, min_size=rows * steps,
+                                         max_size=rows * steps))).reshape(rows, steps)
+    assert_trace_writers_agree(tmp_path, networks.SimulationTrace(
+        times=times, membrane_potentials=matrix, outputs=matrix,
+        spike_raster=[(j % rows, float(t)) for j, t in enumerate(times)]))

@@ -225,3 +225,20 @@ def test_model_json_round_trip(tmp_path):
     back = qsar.read_model_json(path)
     np.testing.assert_array_equal(back.as_array(), REFERENCE_COEFFICIENTS.as_array())
     assert back.bounds["p03"] == REFERENCE_COEFFICIENTS.bounds["p03"]
+
+
+def test_confidence_bounds_equal_the_scipy_stats_t_quantile_bounds():
+    from scipy import stats
+
+    x, y = full_rank_points(30, seed=9)
+    rates = qsar.predict(REFERENCE_COEFFICIENTS, x, y) \
+        + np.random.default_rng(12).standard_normal(30) * 40.0
+    obs = make_observations(None, x, y, rates)
+    result = qsar.fit(obs)
+    se = np.sqrt(result.residual_sum_squares / 21 * np.diag(result.covariance_unit))
+    values = result.coefficients.as_array()
+    for level in (0.5, 0.9, 0.95, 0.99):
+        tq = float(stats.t.ppf(0.5 + level / 2.0, 21))
+        expected = {name: (float(values[j] - tq * se[j]), float(values[j] + tq * se[j]))
+                    for j, name in enumerate(qsar.COEFFICIENT_NAMES)}
+        assert qsar.confidence_bounds(result, obs, level=level) == expected

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from protoneuro import dpv, signals, spikes
+from protoneuro._csvio import BLOCK_ROWS
 from protoneuro.errors import ParseError, ValidationError
 from protoneuro.signals import SyntheticSpikeSpec, TimeSeries
 
@@ -164,3 +167,194 @@ def test_spec_validation():
         SyntheticSpikeSpec(duration=10, spike_times=(20.0,))
     with pytest.raises(ValidationError):
         SyntheticSpikeSpec(duration=10, count=2, mean_isi=1.0, spike_amplitude=0.0)
+
+
+# --- block reader and writer parity -------------------------------------------
+#
+# The reference functions below are the per-row writer and the line-loop
+# reader that the block code in protoneuro._csvio stands in for. Outputs and
+# errors must match them exactly.
+
+def reference_write_series(series, path):
+    with open(path, "w", newline="") as fh:
+        fh.write("time_s,value\n")
+        fh.write(f"# unit={series.unit}\n")
+        if series.label:
+            fh.write(f"# label={series.label}\n")
+        for t, v in zip(series.times, series.values):
+            fh.write(f"{t:.12g},{v:.9g}\n")
+
+
+def reference_read_series(path):
+    times, values = [], []
+    unit, label = signals.UNIT_MICROAMPERE, ""
+    with open(path, "r", newline="") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0].strip() != "time_s,value":
+        raise ParseError("expected header 'time_s,value'", line=1)
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            meta = line[1:].strip()
+            if meta.startswith("unit="):
+                unit = meta[len("unit="):]
+            elif meta.startswith("label="):
+                label = meta[len("label="):]
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"expected 2 fields, got {len(parts)}", line=lineno)
+        try:
+            times.append(float(parts[0]))
+            values.append(float(parts[1]))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+    try:
+        return TimeSeries(np.array(times), np.array(values), unit=unit, label=label)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def outcome(reader, path):
+    """What a reader makes of a file: its series as bytes, or its error."""
+    try:
+        s = reader(path)
+    except ValidationError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return s.times.tobytes(), s.values.tobytes(), s.unit, s.label
+
+
+#: Values that sit on a 9- or 12-significant-digit rounding boundary.
+ROUNDING_BOUNDARIES = [
+    123456789.5, 0.1234567895, 9.999999995, 99999999.95, 999999999.5, 1.0000000005,
+    123456789012.5, 0.9999999999995, 999999999999.5, 1.23456789e-5, 2.5e-7, 1 / 3,
+]
+#: Those boundaries and their neighbours, signed zeros, subnormals and the
+#: ends of the double range.
+SPECIAL_VALUES = (
+    [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-300, -1e-300,
+     1e300, -1e300, 1.7976931348623157e308]
+    + ROUNDING_BOUNDARIES
+    + [np.nextafter(v, np.inf) for v in ROUNDING_BOUNDARIES]
+    + [np.nextafter(v, -np.inf) for v in ROUNDING_BOUNDARIES]
+)
+
+
+def assert_series_writers_agree(series, tmp_path):
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    signals.write_timeseries_csv(series, new)
+    reference_write_series(series, ref)
+    assert new.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_series_writer_matches_per_row_writer_across_block_edges(tmp_path, n):
+    rng = np.random.default_rng(n)
+    times = np.cumsum(rng.uniform(1e-3, 10.0, n))
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+    assert_series_writers_agree(TimeSeries(times, values, label="edge"), tmp_path)
+
+
+def test_series_writer_matches_per_row_writer_on_special_values(tmp_path):
+    values = np.array(SPECIAL_VALUES)
+    times = np.unique(values)
+    assert_series_writers_agree(TimeSeries(times, values[:times.size]), tmp_path)
+    assert_series_writers_agree(TimeSeries(np.arange(values.size), values), tmp_path)
+    assert_series_writers_agree(TimeSeries(np.array([-0.0]), np.array([-0.0])), tmp_path)
+    assert (tmp_path / "new.csv").read_text().splitlines()[-1] == "-0,-0"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(times=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=1, max_size=40, unique=True),
+       data=st.data())
+def test_series_writer_matches_per_row_writer_on_any_finite_values(tmp_path, times, data):
+    values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=len(times), max_size=len(times)))
+    assert_series_writers_agree(TimeSeries(np.sort(times), np.array(values)), tmp_path)
+
+
+def assert_series_readers_agree(text, tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    got = outcome(signals.read_timeseries_csv, path)
+    assert got == outcome(reference_read_series, path)
+    return got
+
+
+@pytest.mark.parametrize("body", [
+    "0,1\r\n1,2\r\n",                                  # CRLF
+    "0,1\n\n1,2\n\n",                                  # blank lines
+    "0,1\n   \n1,2\n",                                 # whitespace-only line
+    "0,1\n# label=mid\n1,2\n# unit=volt\n",            # metadata between rows
+    "# unit=volt\n# note\n\n0,1\n1,2\n# label=end\n",   # and around them
+    " 0 ,\t1\n\t1, 2 \n",                              # spaces and tabs
+    "0,1_0\n1,2\n",                                    # float accepts, loadtxt not
+    "0,nan\n1,2\n",                                    # non-finite value
+    "0,1\n0,2\n",                                      # non-monotone times
+    "",                                                # no rows at all
+    "# unit=volt\n",                                   # metadata only
+    "0,1\n1,\n",                                       # empty field
+    "0,1\n1,2,3\n",                                    # stray field
+    "0,1,2\n1,2,3\n",                                  # every row too wide
+    "0\n1\n",                                          # every row too narrow
+    "0,1\n1,x\n",                                      # not a number
+])
+def test_series_reader_matches_line_loop(tmp_path, body):
+    assert_series_readers_agree("time_s,value\n# unit=microampere\n" + body, tmp_path)
+
+
+def test_series_reader_rejects_trailing_comment_at_its_line(tmp_path):
+    # loadtxt(comments="#") would accept "1,2 # note"; the format does not.
+    path = tmp_path / "c.csv"
+    path.write_text("time_s,value\n# unit=volt\n0,1\n1,2 # note\n2,3\n")
+    with pytest.raises(ParseError, match="line 4") as err:
+        signals.read_timeseries_csv(path)
+    assert err.value.line == 4
+    assert outcome(signals.read_timeseries_csv, path) == \
+        outcome(reference_read_series, path)
+
+
+def test_series_reader_keeps_metadata_placed_anywhere(tmp_path):
+    times, values, unit, label = assert_series_readers_agree(
+        "time_s,value\n0,1\n# label=late\n1,2\r\n# unit=volt\n2,3\n", tmp_path)
+    assert (unit, label) == ("volt", "late")
+    assert np.frombuffer(values).tolist() == [1.0, 2.0, 3.0]
+
+
+NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.9g}"),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1_0", "nan", "inf", "-0", "+1", ".5", "1.", "1e5", "", "x", "2 # n"]),
+)
+PAD = st.sampled_from(["", " ", "\t", "  \t"])
+
+
+@st.composite
+def series_bodies(draw):
+    lines = []
+    for k in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["meta", "blank", "raw"]))
+        if kind == "row":
+            value = draw(NUMBER)
+            lines.append(f"{draw(PAD)}{k}{draw(PAD)},{draw(PAD)}{value}{draw(PAD)}")
+        elif kind == "meta":
+            lines.append(draw(st.sampled_from(["# unit=volt", "#label=x", "  # note",
+                                               "# unit=microampere"])))
+        elif kind == "blank":
+            lines.append(draw(PAD))
+        else:
+            lines.append(",".join(draw(st.lists(NUMBER, min_size=0, max_size=3))))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=series_bodies())
+def test_series_reader_matches_line_loop_on_generated_files(tmp_path, body):
+    assert_series_readers_agree("time_s,value\n" + body, tmp_path)

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from protoneuro import spikes
+from protoneuro._csvio import BLOCK_ROWS
 from protoneuro.errors import ValidationError
 from protoneuro.signals import TimeSeries
 from protoneuro.spikes import (
@@ -239,3 +244,75 @@ def test_stats_json(tmp_path):
     doc = json.loads(path.read_text())
     assert doc == {"label": "demo", "count": 3, "mean_isi_s": 10.0,
                    "frequency_mhz": 100.0, "duration_s": 50.0}
+
+
+def reference_write_spiketrain(train, path):
+    # The per-row writer that write_spiketrain_csv's block writer replaced.
+    with open(path, "w", newline="") as fh:
+        fh.write("spike_time_s,amplitude\n")
+        for t, a in zip(train.spike_times, train.spike_amplitudes):
+            fh.write(f"{t:.9g},{a:.9g}\n")
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, -1])
+def test_spiketrain_writer_matches_per_row_writer(tmp_path, n):
+    if n >= 0:
+        rng = np.random.default_rng(n)
+        times = np.cumsum(rng.uniform(1e-3, 100.0, n))
+        amplitudes = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+    else:  # signed zeros, subnormals, extremes and 9-digit rounding boundaries
+        amplitudes = np.array([-0.0, 0.0, 5e-324, -1e-300, 1e300, 123456789.5,
+                               0.1234567895, 9.999999995, np.nextafter(9.999999995, 0.0)])
+        times = np.unique(amplitudes)
+        amplitudes = amplitudes[:times.size]
+    train = SpikeTrain(times, amplitudes)
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    spikes.write_spiketrain_csv(train, new)
+    reference_write_spiketrain(train, ref)
+    assert new.read_bytes() == ref.read_bytes()
+
+
+def too_close_pair():
+    values = np.zeros(40)
+    values[[10, 12]] = [0.002, 0.001]
+    return TimeSeries(np.arange(40.0), values)
+
+
+def test_detect_rejects_a_kernel_that_keeps_close_peaks(monkeypatch):
+    monkeypatch.setattr(spikes._kernels, "prune_min_distance",
+                        lambda t, a, d: np.arange(t.size))
+    with pytest.raises(ValidationError, match="spike 1: .* minimum peak distance"):
+        spikes.detect_spikes(too_close_pair(), DEFAULT)
+
+
+def test_train_check_names_first_spike_at_or_below_threshold():
+    train = SpikeTrain([1.0, 10.0, 20.0], [0.001, 0.0005, 0.0001])
+    with pytest.raises(ValidationError, match="spike 1: amplitude"):
+        spikes._check_train_valid(train, DEFAULT)
+
+
+def test_train_check_survives_python_optimise_flag():
+    # python -O strips assert statements; the check must still raise.
+    script = (
+        "import numpy as np\n"
+        "from protoneuro import spikes\n"
+        "from protoneuro.errors import ValidationError\n"
+        "from protoneuro.signals import TimeSeries\n"
+        "spikes._kernels.prune_min_distance = lambda t, a, d: np.arange(t.size)\n"
+        "values = np.zeros(40)\n"
+        "values[[10, 12]] = [0.002, 0.001]\n"
+        "try:\n"
+        "    spikes.detect_spikes(TimeSeries(np.arange(40.0), values),\n"
+        "                         spikes.SpikeDetectionConfig())\n"
+        "except ValidationError as exc:\n"
+        "    print('rejected', exc)\n"
+        "else:\n"
+        "    print('accepted')\n"
+    )
+    src = os.path.dirname(os.path.dirname(spikes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("rejected spike 1:")
