@@ -3,7 +3,10 @@
 The compiled Cython module is preferred when it was built; set
 PROTONEURO_PURE_PYTHON=1 to force the fallback. Both implementations are
 importable directly (``pure`` / ``_native``) for side-by-side testing and
-benchmarking.
+benchmarking, and both return equal results. The compiled module runs every
+kernel as a plain loop, minimum-distance pruning included; ``pure`` runs the
+loops of the two simulators, and vectorises maxima finding and most of the
+pruning (see ``pure.prune_min_distance``).
 """
 
 import os

@@ -1,8 +1,11 @@
 """Pure NumPy implementations of the hot kernels.
 
-These are the reference implementations; ``_native`` (Cython) mirrors them
-loop for loop. Both backends expose the same four functions with identical
-signatures and semantics.
+Both backends expose the same four functions with identical signatures and
+results. ``_native`` (Cython) mirrors ``local_maxima``, ``lif_run`` and
+``rate_run`` here loop for loop. For ``prune_min_distance`` it runs the
+greedy visit one candidate at a time, while this module decides most
+candidates in whole-array rounds and keeps that visit (``_prune_sequential``)
+only for what the rounds leave; both keep the same peaks.
 """
 
 import math
@@ -37,11 +40,89 @@ def prune_min_distance(times, amplitudes, min_distance):
 
     Candidates are visited in order of decreasing amplitude (earlier time
     wins ties) and kept only if every already-kept peak is at least
-    ``min_distance`` away. ``times`` must be ascending. Returns the kept
-    candidate indices in time order.
+    ``min_distance`` away. ``times`` must be ascending (not necessarily
+    strictly). Returns the kept candidate indices in time order.
+
+    The visit is not run one candidate at a time. Candidates ``i < j``
+    conflict when ``t[j] - t[i] < min_distance``; each round keeps every
+    undecided candidate that outranks all undecided candidates it conflicts
+    with, and drops the candidates those keepers conflict with. This is the
+    round form of the greedy maximal independent set, so the result is the
+    greedy one. A round that decides fewer than half of the undecided
+    candidates (a long amplitude ramp or an equal-amplitude run) hands the
+    rest to the one-at-a-time loop, which is exact for them because no
+    undecided candidate conflicts with a kept one.
     """
     t = np.asarray(times, dtype=np.float64)
     a = np.asarray(amplitudes, dtype=np.float64)
+    m = t.size
+    if not min_distance > 0:
+        return np.arange(m, dtype=np.int64)
+    rank = np.empty(m, dtype=np.int64)
+    rank[np.lexsort((t, -a))] = np.arange(m)
+    lo, hi = _conflict_windows(t, min_distance)
+    keep = np.zeros(m, dtype=bool)
+    undecided = np.arange(m)
+    while undecided.size:
+        r = np.full(m, m, dtype=np.int64)  # decided candidates rank last
+        r[undecided] = rank[undecided]
+        kept = undecided[_range_min(r, lo[undecided], hi[undecided]) == rank[undecided]]
+        keep[kept] = True
+        cover = np.bincount(lo[kept], minlength=m + 1) - np.bincount(hi[kept], minlength=m + 1)
+        left = undecided[np.cumsum(cover[:m])[undecided] == 0]
+        if 2 * left.size > undecided.size:
+            keep[left[_prune_sequential(t[left], a[left], min_distance)]] = True
+            break
+        undecided = left
+    return np.flatnonzero(keep).astype(np.int64)
+
+
+def _conflict_windows(t, d):
+    """Per candidate, the index range ``[lo, hi)`` of candidates it conflicts with.
+
+    ``j`` is inside when ``fl(t[max] - t[min]) < d``, the predicate of the
+    one-at-a-time loop. ``searchsorted`` on ``t - d`` and ``t + d`` rounds
+    differently, so its edges are moved, one distinct time at a time, until
+    they agree with that subtraction.
+    """
+    lo = np.searchsorted(t, t - d, side="right")
+    while True:
+        grow = (lo > 0) & (t - t[lo - 1] < d)
+        shrink = ~grow & ~(t - t[np.minimum(lo, t.size - 1)] < d)
+        if not (grow.any() or shrink.any()):
+            break
+        lo[grow] = np.searchsorted(t, t[lo[grow] - 1], side="left")
+        lo[shrink] = np.searchsorted(t, t[lo[shrink]], side="right")
+    hi = np.searchsorted(t, t + d, side="left")
+    while True:
+        grow = (hi < t.size) & (t[np.minimum(hi, t.size - 1)] - t < d)
+        shrink = ~grow & ~(t[hi - 1] - t < d)
+        if not (grow.any() or shrink.any()):
+            break
+        hi[grow] = np.searchsorted(t, t[hi[grow]], side="right")
+        hi[shrink] = np.searchsorted(t, t[hi[shrink] - 1], side="left")
+    return lo, hi
+
+
+def _range_min(r, lo, hi):
+    """``min(r[lo[k]:hi[k]])`` for every k (all ranges non-empty), by sparse table."""
+    levels = [r]
+    span = 1
+    longest = int((hi - lo).max())
+    while 2 * span <= longest:
+        prev = levels[-1]
+        levels.append(np.minimum(prev[:-span], prev[span:]))
+        span *= 2
+    k = np.frexp(hi - lo)[1] - 1  # floor(log2(length)), exactly
+    out = np.empty(lo.size, dtype=r.dtype)
+    for level, table in enumerate(levels):
+        sel = np.flatnonzero(k == level)
+        out[sel] = np.minimum(table[lo[sel]], table[hi[sel] - (1 << level)])
+    return out
+
+
+def _prune_sequential(t, a, min_distance):
+    """The greedy visit, one candidate at a time; same contract as the above."""
     order = np.lexsort((t, -a))
     keep = np.zeros(t.size, dtype=bool)
     kept_times: list[float] = []
@@ -54,7 +135,7 @@ def prune_min_distance(times, amplitudes, min_distance):
             continue
         insort(kept_times, ti)
         keep[idx] = True
-    return np.flatnonzero(keep).astype(np.int64)
+    return np.flatnonzero(keep)
 
 
 def lif_run(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt,

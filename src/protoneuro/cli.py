@@ -222,8 +222,19 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK if not errors else EXIT_IO
 
 
-def _read_stream_csv(path, expected_rows=None):
-    """Wide input stream: header time_s,ch0[,ch1...]; returns (d, steps) array."""
+def _file_line(path, k):
+    """Line number in ``path`` of its ``k``-th non-blank line (the header is 0)."""
+    with open(path, "r", newline="") as fh:
+        return [n for n, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()][k]
+
+
+def _read_stream_csv(path, dt, expected_rows=None):
+    """Wide input stream: header time_s,ch0[,ch1...]; returns (d, steps) array.
+
+    Consecutive times must be ``dt`` apart within a relative 1e-6; the first
+    time is free. Blank lines are skipped but count in the line numbers of
+    error messages.
+    """
     with open(path, "r", newline="") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("time_s"):
@@ -233,19 +244,29 @@ def _read_stream_csv(path, expected_rows=None):
         raise ValidationError(f"{path}: header lists no channels")
     block = _csvio.parse_rows(lines[1:], width + 1)
     if block is not None:
+        times = block[:, 0]
         # Same (steps, d).T layout as the loop's array, so matmuls add in the same order.
         arr = np.ascontiguousarray(block[:, 1:]).T
     else:
-        rows = []
-        for lineno, ln in enumerate(lines[1:], start=2):
-            parts = ln.split(",")[1:]
-            if len(parts) != width:
-                raise ValidationError(f"{path}: line {lineno}: expected {width} channels")
+        times, rows = [], []
+        for k, ln in enumerate(lines[1:], start=1):
+            parts = ln.split(",")
+            if len(parts) != width + 1:
+                raise ValidationError(
+                    f"{path}: line {_file_line(path, k)}: expected {width} channels")
             try:
-                rows.append([float(x) for x in parts])
+                times.append(float(parts[0]))
+                rows.append([float(x) for x in parts[1:]])
             except ValueError as exc:
-                raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+                raise ValidationError(f"{path}: line {_file_line(path, k)}: {exc}") from None
         arr = np.asarray(rows, dtype=np.float64).T if rows else np.empty((width, 0))
+    steps = np.diff(np.asarray(times, dtype=np.float64))
+    off = np.flatnonzero(~(np.abs(steps - dt) <= 1e-6 * dt))
+    if off.size:
+        i = int(off[0])
+        raise ValidationError(
+            f"{path}: line {_file_line(path, i + 2)}: time step {steps[i]:.9g} s, "
+            f"expected the network's dt {dt:.9g} s")
     if expected_rows is not None and arr.shape[0] != expected_rows:
         raise ValidationError(f"{path}: {arr.shape[0]} channels, expected {expected_rows}")
     return arr
@@ -259,7 +280,7 @@ def _constant_stream(args, rows):
 
 def cmd_sim_spiking(args) -> int:
     net = networks.load_network_json(args.net, "spiking")
-    fin = _read_stream_csv(args.input, net.input_dim) if args.input \
+    fin = _read_stream_csv(args.input, net.lif.dt, net.input_dim) if args.input \
         else _constant_stream(args, net.input_dim)
     trace = networks.run_spiking(net, fin)
     networks.write_trace_csv(trace, args.out_prefix + "_trace.csv")
@@ -271,13 +292,13 @@ def cmd_sim_spiking(args) -> int:
 
 def cmd_sim_rate(args) -> int:
     net = networks.load_network_json(args.net, "rate")
-    fin = _read_stream_csv(args.input, net.input_dim) if args.input \
+    fin = _read_stream_csv(args.input, net.dt, net.input_dim) if args.input \
         else _constant_stream(args, net.input_dim)
     feedback = None
     if args.feedback:
         if net.feedback_weights is None:
             raise ValidationError("network spec has no feedback weights")
-        feedback = _read_stream_csv(args.feedback, net.feedback_weights.shape[1])
+        feedback = _read_stream_csv(args.feedback, net.dt, net.feedback_weights.shape[1])
         if feedback.shape[1] != fin.shape[1]:
             raise ValidationError("feedback and input lengths differ")
     trace = networks.run_rate(net, fin, output_feedback=feedback)
@@ -412,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sim-spiking", help="run the spiking network")
     p.add_argument("--net", required=True, help="network spec JSON")
-    p.add_argument("--input", help="input stream CSV (time_s,ch0,...)")
+    p.add_argument("--input", help="input stream CSV (time_s,ch0,...), one row per dt")
     p.add_argument("--steps", type=int, help="steps of constant drive (with --drive)")
     p.add_argument("--drive", type=float, default=0.0, help="constant drive value")
     p.add_argument("--out-prefix", required=True,
@@ -421,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sim-rate", help="run the rate network")
     p.add_argument("--net", required=True, help="network spec JSON")
-    p.add_argument("--input", help="input stream CSV (time_s,ch0,...)")
-    p.add_argument("--feedback", help="output-feedback stream CSV")
+    p.add_argument("--input", help="input stream CSV (time_s,ch0,...), one row per dt")
+    p.add_argument("--feedback", help="output-feedback stream CSV, one row per dt")
     p.add_argument("--steps", type=int, help="steps of constant drive (with --drive)")
     p.add_argument("--drive", type=float, default=0.0, help="constant drive value")
     p.add_argument("--out-prefix", required=True, help="prefix for _trace.csv")

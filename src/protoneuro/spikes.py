@@ -8,6 +8,16 @@ than the minimum peak distance. ``detect_spikes`` is the fast vectorised
 path; ``detect_spikes_naive`` re-derives the same contract by exhaustive
 scanning and repeated global-maximum selection and exists purely as an
 independent cross-check.
+
+The fast path prunes in rounds rather than one candidate at a time. Each
+candidate conflicts with those less than the minimum distance away (a
+``searchsorted`` time window). A round keeps every undecided candidate that
+outranks, by amplitude and then by earlier time, all undecided candidates
+in its window, and drops every candidate in a new keeper's window; that is
+exactly what the greedy visit would keep and drop. Noisy traces are decided
+in a few rounds. When a round decides fewer than half of the candidates
+still open, as on a long amplitude ramp or a run of equal amplitudes, the
+rest go through the one-at-a-time greedy loop instead.
 """
 
 import json

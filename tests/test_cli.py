@@ -314,7 +314,8 @@ def test_sim_spiking_input_csv(tmp_path, capsys):
     net.write_text(json.dumps({"n": 1, "recurrent_weights": [[0.0]],
                                "input_weights": [[1.0]], "output_weights": [[1.0]]}))
     stream = tmp_path / "fin.csv"
-    stream.write_text("time_s,ch0\n" + "\n".join(f"{k},2.0" for k in range(500)) + "\n")
+    # one row per step of the default LIF dt, 1e-4 s
+    stream.write_text("time_s,ch0\n" + "".join(f"{(k + 1) * 1e-4:.9g},2.0\n" for k in range(500)))
     code, stdout, _ = run(capsys, "sim-spiking", "--net", str(net), "--input",
                           str(stream), "--out-prefix", str(tmp_path / "r"))
     assert code == 0
@@ -438,33 +439,41 @@ def test_readme_sim_spiking_example_fires(tmp_path, capsys, monkeypatch):
     assert neurons == {str(j) for j in range(10)}
 
 
-def reference_read_stream(path, expected_rows=None):
+def reference_read_stream(path, dt, expected_rows=None):
     # The line loop that _read_stream_csv's block parse stands in for.
     with open(path, "r", newline="") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("time_s"):
+        numbered = [(n, ln) for n, ln in enumerate(fh.read().splitlines(), start=1)
+                    if ln.strip()]
+    if not numbered or not numbered[0][1].startswith("time_s"):
         raise ValidationError(f"{path}: expected a header starting with time_s")
-    width = len(lines[0].split(",")) - 1
+    width = len(numbered[0][1].split(",")) - 1
     if width < 1:
         raise ValidationError(f"{path}: header lists no channels")
-    rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")[1:]
-        if len(parts) != width:
+    linenos, times, rows = [], [], []
+    for lineno, ln in numbered[1:]:
+        parts = ln.split(",")
+        if len(parts) != width + 1:
             raise ValidationError(f"{path}: line {lineno}: expected {width} channels")
         try:
-            rows.append([float(x) for x in parts])
+            times.append(float(parts[0]))
+            rows.append([float(x) for x in parts[1:]])
         except ValueError as exc:
             raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+        linenos.append(lineno)
+    for lineno, before, after in zip(linenos[1:], times, times[1:]):
+        if not abs(after - before - dt) <= 1e-6 * dt:
+            raise ValidationError(
+                f"{path}: line {lineno}: time step {after - before:.9g} s, "
+                f"expected the network's dt {dt:.9g} s")
     arr = np.asarray(rows, dtype=np.float64).T if rows else np.empty((width, 0))
     if expected_rows is not None and arr.shape[0] != expected_rows:
         raise ValidationError(f"{path}: {arr.shape[0]} channels, expected {expected_rows}")
     return arr
 
 
-def stream_outcome(reader, path):
+def stream_outcome(reader, path, dt):
     try:
-        arr = reader(path)
+        arr = reader(path, dt)
     except ValidationError as exc:
         return str(exc)
     return arr.shape, arr.tobytes("A"), arr.strides
@@ -474,7 +483,14 @@ def stream_outcome(reader, path):
     "0,1,2\n1,3,4\n",
     "0,1,2\r\n1,3,4\r\n\r\n",      # CRLF and a blank line
     " 0 ,\t1, 2\n1,3 ,4 \n",       # spaces and tabs
-    "t0,1,2\nt1,3,4\n",            # the time column is not read
+    "7,1,2\n8,3,4\n",              # the start time is free
+    "0,1,2\n1.0000009,3,4\n",      # within a relative 1e-6 of dt
+    "0,1,2\n1.000002,3,4\n",       # not within it
+    "0,1,2\n1,3,4\n3,5,6\n",       # a skipped step, named at its line
+    "0,1,2\n\n2,3,4\n1,5,6\n",     # time going back
+    "t0,1,2\nt1,3,4\n",            # a time that is not a number
+    "0,1,2\n5,3,4\n2,x,6\n",       # a parse error wins over an earlier bad step
+    "0,1,2\nnan,3,4\n",
     "0,1,2\n1,3,4,5\n",            # stray field
     "0,1,2,9\n1,3,4,9\n",          # every row too wide
     "0,1_0,2\n1,3,4\n",            # float accepts, loadtxt not
@@ -486,5 +502,48 @@ def stream_outcome(reader, path):
 def test_stream_reader_matches_line_loop(tmp_path, body):
     path = tmp_path / "stream.csv"
     path.write_text("time_s,ch0,ch1\n" + body, newline="")
-    assert stream_outcome(cli._read_stream_csv, path) == \
-        stream_outcome(reference_read_stream, path)
+    assert stream_outcome(cli._read_stream_csv, path, 1.0) == \
+        stream_outcome(reference_read_stream, path, 1.0)
+
+
+@pytest.mark.parametrize("body, line", [
+    ("0,1,2\n1,3,4\n3,5,6\n", 4),
+    ("0,1,2\nt1,3,4\n", 3),
+    ("0,1,2\n\n1,3,4\n\n3,5,6\n", 6),  # blank lines count in the numbering
+    ("0,1,2\n\nt1,3,4\n", 4),
+    ("0,1,2\n \n1,3\n", 4),
+])
+def test_stream_reader_names_the_offending_line(tmp_path, body, line):
+    path = tmp_path / "stream.csv"
+    path.write_text("time_s,ch0,ch1\n" + body, newline="")
+    with pytest.raises(ValidationError, match=f"line {line}: "):
+        cli._read_stream_csv(path, 1.0)
+
+
+@pytest.mark.parametrize("dt, ok", [(1e-4, True), (1e-3, False)])
+def test_sim_spiking_checks_input_stream_against_network_dt(tmp_path, capsys, dt, ok):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"n": 1, "recurrent_weights": [[0.0]],
+                               "input_weights": [[1.0]], "output_weights": [[1.0]]}))
+    stream = tmp_path / "fin.csv"
+    stream.write_text("time_s,ch0\n" + "".join(f"{(k + 1) * dt:.9g},2.0\n" for k in range(50)))
+    code, _, stderr = run(capsys, "sim-spiking", "--net", str(net), "--input",
+                          str(stream), "--out-prefix", str(tmp_path / "r"))
+    assert code == (0 if ok else 2)
+    if not ok:
+        assert "line 3: time step 0.001 s, expected the network's dt 0.0001 s" in stderr
+
+
+def test_sim_rate_checks_feedback_stream_against_network_dt(tmp_path, capsys):
+    net = tmp_path / "rnet.json"
+    net.write_text(json.dumps({"n": 1, "recurrent_weights": [[0.0]], "input_weights": [[1.0]],
+                               "feedback_weights": [[1.0]], "dt": 1e-3}))
+    fin, fb = tmp_path / "fin.csv", tmp_path / "fb.csv"
+    fin.write_text("time_s,ch0\n" + "".join(f"{(k + 1) * 1e-3:.9g},0.5\n" for k in range(20)))
+    fb.write_text("time_s,ch0\n" + "".join(f"{(k + 1) * 1e-4:.9g},0.5\n" for k in range(20)))
+    args = ("sim-rate", "--net", str(net), "--input", str(fin),
+            "--out-prefix", str(tmp_path / "rate"))
+    assert run(capsys, *args)[0] == 0
+    code, _, stderr = run(capsys, *args, "--feedback", str(fb))
+    assert code == 2
+    assert f"{fb}: line 3: time step" in stderr

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -167,6 +169,46 @@ def test_spec_validation():
         SyntheticSpikeSpec(duration=10, spike_times=(20.0,))
     with pytest.raises(ValidationError):
         SyntheticSpikeSpec(duration=10, count=2, mean_isi=1.0, spike_amplitude=0.0)
+
+
+def reference_synthesized_values(spec):
+    # The per-spike loop that synthesize_spiky_series's bump grid stands in for.
+    rng = np.random.default_rng(spec.seed)
+    spike_times = signals._placed_spike_times(spec, rng)
+    times = np.arange(math.floor(spec.duration) + 1, dtype=np.float64)
+    values = np.full(times.size, spec.baseline)
+    sigma = spec.spike_half_width / math.sqrt(2.0 * math.log(2.0))
+    for ts in spike_times:
+        lo = np.searchsorted(times, ts - 6 * sigma)
+        hi = np.searchsorted(times, ts + 6 * sigma)
+        window = times[lo:hi]
+        values[lo:hi] += spec.spike_amplitude * np.exp(-((window - ts) ** 2) / (2 * sigma**2))
+    if spec.noise_sd > 0:
+        values = values + spec.noise_sd * rng.standard_normal(times.size)
+    return values
+
+
+@pytest.mark.parametrize("noise_sd", [0.0, 2e-4])
+@pytest.mark.parametrize("fields", [
+    # overlapping bumps: mean ISI well under the 12-sigma window
+    dict(duration=1300, count=300, mean_isi=4.0, jitter_fraction=0.5, seed=5),
+    dict(duration=700, count=200, mean_isi=3.0, spike_half_width=6.0, baseline=0.1, seed=6),
+    # windows clipped at both ends of the array
+    dict(duration=30, spike_times=(0.0, 0.4, 29.6, 30.0)),
+    dict(duration=10, count=0),
+    dict(duration=10, count=1, mean_isi=4.0),
+    dict(duration=12, spike_times=(2.5, 3.25, 7.75)),
+    dict(duration=50.7, spike_times=(1.3, 50.2, 50.7), spike_half_width=2.0),
+    dict(duration=60.5, count=11, mean_isi=5.0, jitter_fraction=0.4, seed=8),
+])
+@pytest.mark.parametrize("grid_cells", [None, 40], ids=["one-block", "small-blocks"])
+def test_synthesis_matches_per_spike_loop_bit_for_bit(monkeypatch, fields, noise_sd, grid_cells):
+    if grid_cells is not None:
+        monkeypatch.setattr(signals, "_BUMP_GRID_CELLS", grid_cells)
+    spec = SyntheticSpikeSpec(noise_sd=noise_sd, **fields)
+    got = signals.synthesize_spiky_series(spec).values
+    expected = reference_synthesized_values(spec)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 # --- block reader and writer parity -------------------------------------------

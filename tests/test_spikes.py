@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protoneuro import spikes
 from protoneuro._csvio import BLOCK_ROWS
@@ -145,6 +147,31 @@ def test_oracle_equivalence_on_random_signals():
         assert np.array_equal(fast.spike_times, naive.spike_times)
         assert np.array_equal(fast.spike_amplitudes, naive.spike_amplitudes)
 
+
+
+@st.composite
+def plateau_series_and_config(draw):
+    n = draw(st.integers(3, 300))
+    # A quantised random walk: zero steps make plateaus, the grid makes ties.
+    steps = draw(st.lists(st.sampled_from([-2, -1, 0, 0, 0, 1, 2]), min_size=n, max_size=n))
+    k = draw(st.sampled_from([1, 2, 4]))
+    values = np.round(np.cumsum(steps, dtype=np.float64) * k) / k
+    gaps = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 1.5, 4.0]), min_size=n, max_size=n))
+    times = draw(st.sampled_from([0.0, 1e6])) + np.cumsum(gaps)
+    threshold = draw(st.sampled_from(sorted(set(values.tolist()))))
+    lag = draw(st.integers(1, 8))
+    distance = draw(st.sampled_from([0.0, *(times[lag:] - times[:-lag]).tolist()]))
+    return TimeSeries(times, values), SpikeDetectionConfig(threshold, distance)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=plateau_series_and_config())
+def test_oracle_equivalence_on_quantised_plateau_signals(case):
+    series, cfg = case
+    fast = spikes.detect_spikes(series, cfg)
+    naive = spikes.detect_spikes_naive(series, cfg)
+    assert np.array_equal(fast.spike_times, naive.spike_times)
+    assert np.array_equal(fast.spike_amplitudes, naive.spike_amplitudes)
 
 def test_output_invariants_on_random_signals():
     rng = np.random.default_rng(8)
