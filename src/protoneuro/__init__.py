@@ -20,7 +20,6 @@ from .coding import (
 from .config import (
     ExperimentManifest,
     RunConfig,
-    component_rng,
     derive_seed,
     load_config,
     load_manifest,

@@ -1,37 +1,14 @@
-"""Numeric kernels: compiled fast path with a pure NumPy fallback.
+"""Numeric kernels: peak finding, minimum-distance pruning, LIF and rate loops.
 
-The compiled Cython module is preferred when it was built; set
-PROTONEURO_PURE_PYTHON=1 to force the fallback. Both implementations are
-importable directly (``pure`` / ``_native``) for side-by-side testing and
-benchmarking, and both return equal results. The compiled module runs every
-kernel as a plain loop, minimum-distance pruning included; ``pure`` runs the
-loops of the two simulators, and vectorises maxima finding and most of the
-pruning (see ``pure.prune_min_distance``).
+The implementations live in ``pure``. Callers reach them through this
+package's attributes (``_kernels.lif_run`` and so on), so a profiler can
+wrap a kernel by patching one attribute here.
 """
 
-import os
-
-from . import pure
-
-_impl = pure
-_backend = "pure"
-
-if not os.environ.get("PROTONEURO_PURE_PYTHON"):
-    try:
-        from . import _native
-
-        _impl = _native
-        _backend = "native"
-    except ImportError:
-        pass
+from .pure import lif_run, local_maxima, prune_min_distance, rate_run
 
 
 def backend():
-    """Name of the kernel backend in use: ``native`` or ``pure``."""
-    return _backend
+    """Name of the kernel backend: always ``pure``."""
+    return "pure"
 
-
-local_maxima = _impl.local_maxima
-prune_min_distance = _impl.prune_min_distance
-lif_run = _impl.lif_run
-rate_run = _impl.rate_run

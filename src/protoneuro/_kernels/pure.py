@@ -1,11 +1,10 @@
-"""Pure NumPy implementations of the hot kernels.
+"""NumPy implementations of the hot kernels.
 
-Both backends expose the same four functions with identical signatures and
-results. ``_native`` (Cython) mirrors ``local_maxima``, ``lif_run`` and
-``rate_run`` here loop for loop. For ``prune_min_distance`` it runs the
-greedy visit one candidate at a time, while this module decides most
-candidates in whole-array rounds and keeps that visit (``_prune_sequential``)
-only for what the rounds leave; both keep the same peaks.
+``local_maxima`` works on runs of equal values in whole arrays.
+``prune_min_distance`` decides most candidates in whole-array rounds and
+keeps the one-at-a-time greedy visit (``_prune_sequential``) only for what
+the rounds leave. ``lif_run`` and ``rate_run`` loop over time steps and
+update all neurons of a step at once.
 """
 
 import math

@@ -22,12 +22,11 @@ from .errors import ShapeError, ValidationError
 
 @dataclass(frozen=True)
 class CodingConfig:
-    """Coding parameters: network size, threshold, window and samples per row."""
+    """Coding parameters: network size, threshold and time window."""
 
     neuron_count: int = 10
     threshold: float = 0.0005
     time_window: float = 1.0  # stored for provenance; not used by the code map
-    sample_count: int = None
 
     def __post_init__(self):
         if self.neuron_count < 1:
@@ -36,8 +35,6 @@ class CodingConfig:
             raise ValidationError("threshold must be finite")
         if self.time_window <= 0:
             raise ValidationError("time_window must be > 0")
-        if self.sample_count is not None and self.sample_count < 1:
-            raise ValidationError("sample_count must be >= 1")
 
 
 @dataclass(eq=False)

@@ -4,12 +4,12 @@ One JSON config file describes a whole run, with one section per concern:
 
     {
       "seed": 42,
-      "output_dir": "out",
       "dpv": {"start_potential": -8.0, ...},
       "detection": {"threshold": 0.0005, "min_peak_distance": 5.0},
-      "coding": {"neuron_count": 10, "threshold": 0.0005},
-      "lif": {"membrane_time_constant": 0.020, ...}
+      "coding": {"neuron_count": 10, "threshold": 0.0005}
     }
+
+Any other key, at the top level or in a section, is a ValidationError.
 
 Every component draws its randomness from a stream derived from the single
 top-level seed by hashing the component name into it (sha256 of
@@ -22,12 +22,9 @@ import json
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .coding import CodingConfig
 from .dpv import DpvParameters
 from .errors import ValidationError
-from .networks import LifParameters
 from .spikes import SpikeDetectionConfig
 
 
@@ -35,11 +32,6 @@ def derive_seed(master_seed: int, component: str) -> int:
     """Deterministic 64-bit child seed for a named component."""
     digest = hashlib.sha256(f"{master_seed}:{component}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def component_rng(master_seed: int, component: str) -> np.random.Generator:
-    """Generator seeded from the component's derived seed."""
-    return np.random.default_rng(derive_seed(master_seed, component))
 
 
 def _build(cls, section: dict, name: str):
@@ -51,14 +43,12 @@ def _build(cls, section: dict, name: str):
 
 @dataclass(eq=False)
 class RunConfig:
-    """Validated union of all per-module settings plus seed and output dir."""
+    """Validated union of the per-module settings plus the seed."""
 
     dpv: DpvParameters = field(default_factory=DpvParameters)
     detection: SpikeDetectionConfig = field(default_factory=SpikeDetectionConfig)
     coding: CodingConfig = field(default_factory=CodingConfig)
-    lif: LifParameters = field(default_factory=LifParameters)
     seed: int = 0
-    output_dir: str = "."
 
     def __post_init__(self):
         if self.seed < 0:
@@ -66,7 +56,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        known = {"dpv", "detection", "coding", "lif", "seed", "output_dir"}
+        known = {"dpv", "detection", "coding", "seed"}
         unknown = set(doc) - known
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
@@ -74,9 +64,7 @@ class RunConfig:
             dpv=_build(DpvParameters, doc.get("dpv", {}), "dpv"),
             detection=_build(SpikeDetectionConfig, doc.get("detection", {}), "detection"),
             coding=_build(CodingConfig, doc.get("coding", {}), "coding"),
-            lif=_build(LifParameters, doc.get("lif", {}), "lif"),
             seed=int(doc.get("seed", 0)),
-            output_dir=str(doc.get("output_dir", ".")),
         )
 
 

@@ -16,7 +16,7 @@ output feedback stream:
 
     tau * dx/dt = -x + J @ tanh(x) + U @ F_in(t) + u @ F_fb(t)
 
-Both integrators live in the kernel layer (compiled when available) and are
+Both integrators live in the kernel layer (``protoneuro._kernels``) and are
 deterministic given the initial state. External input units for the LIF are
 volts per second, so a constant drive I reaches the steady state
 V_rest + tau_m * I.
@@ -239,8 +239,29 @@ def run_rate(net: RateNetwork, inputs, output_feedback=None, initial_state=None,
     return SimulationTrace(times=times, unit_activities=activities)
 
 
-def _random_weights(rng, shape, scale):
-    return rng.uniform(-1.0, 1.0, size=shape) * scale
+def _spec_weights(spec: dict):
+    """Size, recurrent and input weights of a network spec, and a weight getter.
+
+    ``weights(key, shape)`` returns the spec's explicit array under ``key``,
+    or else draws one uniform [-1, 1] scaled by 1/sqrt(n) from the spec's
+    seed (``None`` when ``shape`` is None). All draws come from one
+    generator in call order, so a matrix given explicitly shifts the draws
+    after it.
+    """
+    try:
+        n = int(spec["n"])
+    except KeyError:
+        raise ValidationError('network spec needs "n"') from None
+    d_in = int(spec.get("input_dim", 1))
+    rng = np.random.default_rng(int(spec.get("seed", 0)))
+    scale = 1.0 / np.sqrt(n)
+
+    def weights(key, shape):
+        if key in spec:
+            return np.asarray(spec[key], dtype=np.float64)
+        return None if shape is None else rng.uniform(-1.0, 1.0, size=shape) * scale
+
+    return n, weights("recurrent_weights", (n, n)), weights("input_weights", (n, d_in)), weights
 
 
 def spiking_network_from_dict(spec: dict) -> SpikingNetwork:
@@ -251,44 +272,22 @@ def spiking_network_from_dict(spec: dict) -> SpikingNetwork:
     arrays recurrent_weights / input_weights / output_weights. Missing
     arrays are drawn uniform [-1, 1] scaled by 1/sqrt(n) from the seed.
     """
-    try:
-        n = int(spec["n"])
-    except KeyError:
-        raise ValidationError('network spec needs "n"') from None
-    d_in = int(spec.get("input_dim", 1))
-    d_out = int(spec.get("output_dim", 1))
-    rng = np.random.default_rng(int(spec.get("seed", 0)))
-    scale = 1.0 / np.sqrt(n)
-    j = np.asarray(spec["recurrent_weights"], dtype=np.float64) \
-        if "recurrent_weights" in spec else _random_weights(rng, (n, n), scale)
-    u = np.asarray(spec["input_weights"], dtype=np.float64) \
-        if "input_weights" in spec else _random_weights(rng, (n, d_in), scale)
-    w = np.asarray(spec["output_weights"], dtype=np.float64) \
-        if "output_weights" in spec else _random_weights(rng, (d_out, n), scale)
-    lif = LifParameters(**spec.get("lif", {}))
+    n, j, u, weights = _spec_weights(spec)
+    w = weights("output_weights", (int(spec.get("output_dim", 1)), n))
     return SpikingNetwork(n=n, recurrent_weights=j, input_weights=u, output_weights=w,
-                          lif=lif, tau_syn=float(spec.get("tau_syn", 0.005)))
+                          lif=LifParameters(**spec.get("lif", {})),
+                          tau_syn=float(spec.get("tau_syn", 0.005)))
 
 
 def rate_network_from_dict(spec: dict) -> RateNetwork:
-    """Rate-network counterpart of :func:`spiking_network_from_dict`."""
-    try:
-        n = int(spec["n"])
-    except KeyError:
-        raise ValidationError('network spec needs "n"') from None
-    d_in = int(spec.get("input_dim", 1))
+    """Rate-network counterpart of :func:`spiking_network_from_dict`.
+
+    In place of output weights it takes feedback_weights, drawn with
+    feedback_dim columns when feedback_dim (default 0) is positive.
+    """
+    n, j, u, weights = _spec_weights(spec)
     d_fb = int(spec.get("feedback_dim", 0))
-    rng = np.random.default_rng(int(spec.get("seed", 0)))
-    scale = 1.0 / np.sqrt(n)
-    j = np.asarray(spec["recurrent_weights"], dtype=np.float64) \
-        if "recurrent_weights" in spec else _random_weights(rng, (n, n), scale)
-    u = np.asarray(spec["input_weights"], dtype=np.float64) \
-        if "input_weights" in spec else _random_weights(rng, (n, d_in), scale)
-    fb = None
-    if "feedback_weights" in spec:
-        fb = np.asarray(spec["feedback_weights"], dtype=np.float64)
-    elif d_fb > 0:
-        fb = _random_weights(rng, (n, d_fb), scale)
+    fb = weights("feedback_weights", (n, d_fb) if d_fb > 0 else None)
     return RateNetwork(n=n, recurrent_weights=j, input_weights=u, feedback_weights=fb,
                        time_constant=float(spec.get("time_constant", 0.010)),
                        dt=float(spec.get("dt", 0.0001)))

@@ -64,7 +64,7 @@ class SpikeDetectionConfig:
     def __post_init__(self):
         if not np.isfinite(self.threshold):
             raise ValidationError("threshold must be finite")
-        if self.min_peak_distance < 0:
+        if not self.min_peak_distance >= 0:  # NaN fails this test too
             raise ValidationError("min_peak_distance must be >= 0")
 
 

@@ -72,6 +72,15 @@ def test_detect_malformed_file_is_validation_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("distance", ["-1", "nan"])
+def test_detect_bad_min_distance_names_the_field(tmp_path, capsys, distance):
+    src = tmp_path / "s.csv"
+    write_series(src, np.arange(30.0), np.concatenate([np.zeros(10), [1.0], np.zeros(19)]))
+    code, _, stderr = run(capsys, "detect", str(src), "--min-distance", distance)
+    assert code == 2
+    assert "min_peak_distance must be >= 0" in stderr
+
+
 def test_synth_detect_reference_row(tmp_path, capsys):
     src = tmp_path / "row.csv"
     code, _, _ = run(capsys, "synth", "--out", str(src), "--count", "726",
@@ -391,6 +400,21 @@ def test_bad_config_rejected(tmp_path, capsys):
                           "--out", str(tmp_path / "x.csv"))
     assert code == 2
     assert "mystery" in stderr
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"lif": {"membrane_time_constant": 0.01}}, "lif"),
+    ({"output_dir": "zzz"}, "output_dir"),
+    ({"coding": {"sample_count": 3}}, "sample_count"),
+], ids=["lif", "output_dir", "coding.sample_count"])
+def test_config_keys_no_subcommand_reads_are_rejected(tmp_path, capsys, doc, key):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    src = tmp_path / "s.csv"
+    write_series(src, np.arange(30.0), np.zeros(30))
+    code, _, stderr = run(capsys, "detect", str(src), "--config", str(cfg))
+    assert code == 2
+    assert key in stderr
 
 
 def test_every_subcommand_has_help(capsys):

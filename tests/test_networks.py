@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -251,6 +252,41 @@ def test_network_json_round_trip(tmp_path):
     # same seed, same random weights
     net3 = networks.load_network_json(path, "spiking")
     np.testing.assert_array_equal(net2.input_weights, net3.input_weights)
+
+
+def weight_digests(*matrices):
+    return [hashlib.sha256(np.ascontiguousarray(m, dtype=np.float64).tobytes()).hexdigest()[:16]
+            for m in matrices]
+
+
+# sha256 prefixes of seeded weights: a seed must keep giving the same network,
+# so the draw order (recurrent, input, then output or feedback) is fixed.
+@pytest.mark.parametrize("spec, digests", [
+    ({"n": 7, "input_dim": 2, "output_dim": 3, "seed": 11},
+     ["dd5ba32c7997555d", "42e5585218e23fb5", "921e309b2fdae109"]),
+    ({"n": 2, "seed": 5, "recurrent_weights": [[0, 1], [1, 0]]},
+     ["c9a2fb79c96caefa", "bc29f0fb3a50663e", "2cd7b54e3e46078e"]),
+])
+def test_seeded_spiking_weights_are_unchanged(spec, digests):
+    net = networks.spiking_network_from_dict(spec)
+    assert weight_digests(net.recurrent_weights, net.input_weights,
+                          net.output_weights) == digests
+
+
+@pytest.mark.parametrize("spec, digests", [
+    ({"n": 5, "input_dim": 2, "feedback_dim": 3, "seed": 13},
+     ["b764314c2ae294e9", "cd42b91cdd64bcf8", "173e1a43a01d238a"]),
+    ({"n": 2, "seed": 5, "input_weights": [[1], [2]], "feedback_dim": 1},
+     ["3642a683c1e42433", "dc91ce9a50ddc828", "3db162cfe93ff893"]),
+])
+def test_seeded_rate_weights_are_unchanged(spec, digests):
+    net = networks.rate_network_from_dict(spec)
+    assert weight_digests(net.recurrent_weights, net.input_weights,
+                          net.feedback_weights) == digests
+
+
+def test_rate_spec_without_feedback_has_no_feedback_weights():
+    assert networks.rate_network_from_dict({"n": 3, "seed": 1}).feedback_weights is None
 
 
 def test_trace_exports(tmp_path):

@@ -1,7 +1,4 @@
-"""The pure minimum-distance pruning against the one-at-a-time greedy visit.
-
-These run on the pure backend alone, so they need no compiled kernels.
-"""
+"""The round-based minimum-distance pruning against the one-at-a-time greedy visit."""
 
 from bisect import bisect_left, insort
 
@@ -58,6 +55,17 @@ def prune_cases(draw):
 @given(case=prune_cases())
 def test_prune_matches_greedy_loop(case):
     assert_prune_matches(*case)
+
+
+def test_prune_matches_greedy_loop_on_uniform_times():
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        m = int(rng.integers(0, 400))
+        t = np.sort(rng.uniform(0, 1000, m))
+        a = rng.uniform(0, 1, m)
+        if rng.random() < 0.3 and m:
+            a = np.round(a * 5) / 5  # force amplitude ties
+        assert_prune_matches(t, a, float(rng.uniform(0, 50)))
 
 
 @pytest.mark.parametrize("t, a", [

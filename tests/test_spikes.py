@@ -242,6 +242,15 @@ def test_aggregate_skips_undefined_isi():
     assert spikes.aggregate_stats(only) == (1.0, None)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("threshold", np.nan), ("threshold", np.inf),
+    ("min_peak_distance", -1.0), ("min_peak_distance", np.nan),
+])
+def test_detection_config_rejects_bad_values(field, value):
+    with pytest.raises(ValidationError, match=field):
+        SpikeDetectionConfig(**{field: value})
+
+
 def test_aggregate_empty_rejected():
     with pytest.raises(ValidationError):
         spikes.aggregate_stats([])
