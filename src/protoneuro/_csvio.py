@@ -13,7 +13,10 @@ two functions here, which stand in exactly for the per-row code:
   and raises every parse error with its line number, as before.
 - ``write_rows`` formats up to ``BLOCK_ROWS`` rows with one ``%`` operation
   on Python floats and ints. ``"%.9g" % x`` and ``f"{x:.9g}"`` share one
-  formatter, so the bytes equal those of per-row f-strings.
+  formatter, so the bytes equal those of per-row f-strings. The long-format
+  trace and readout files repeat each step's time on N rows, so their writer
+  (``networks._write_long_csv``) builds a per-step format of its own and
+  only shares ``BLOCK_ROWS``.
 """
 
 import numpy as np

@@ -3,8 +3,9 @@
 ``local_maxima`` works on runs of equal values in whole arrays.
 ``prune_min_distance`` decides most candidates in whole-array rounds and
 keeps the one-at-a-time greedy visit (``_prune_sequential``) only for what
-the rounds leave. ``lif_run`` and ``rate_run`` loop over time steps and
-update all neurons of a step at once.
+the rounds leave. ``lif_run`` and ``rate_run`` loop over time steps,
+update all neurons of a step at once with in-place array operations, and
+record one step per row of a (steps, N) buffer.
 """
 
 import math
@@ -152,45 +153,90 @@ def lif_run(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt,
     Returns (potentials, filtered, spike_steps, spike_neurons) where
     potentials is (N, steps) or None, filtered is the exponential synaptic
     trace (N, steps), and the spike arrays give the 0-based step index and
-    neuron index of every spike in chronological order.
+    neuron index of every spike in chronological order. The two traces are
+    recorded one step per row and returned as ``.T`` views of (steps, N)
+    buffers, so they are not C-contiguous.
+
+    The loop does the arithmetic of the per-step update above, in the same
+    order, with fewer array operations per step, and gives the same bits (a
+    NaN may carry another NaN's payload):
+
+    - ``weights @ spikes_prev`` is taken only on a step after a spike; on
+      any other step it is a vector of zeros, which leaves V unchanged.
+    - The refractory countdown ``r = max(r - dt, 0)``, started at
+      ``refractory`` on a spike, is the same for every neuron, so its length
+      is counted once (``_refractory_hold``) and a firing neuron gets the
+      step on which it is released. A held neuron sits at v_reset and is
+      left out of the update, so it cannot fire.
+    - The fired mask is built only on steps whose largest V exceeds v_th;
+      NaN never fires, as in ``V > v_th``.
     """
     N, steps = drive.shape
     v = np.array(v0, dtype=np.float64, copy=True)
-    refr = np.zeros(N)
-    syn = np.zeros(N)
-    spikes_prev = np.zeros(N)
     leak = dt / tau_m
     syn_decay = math.exp(-dt / tau_syn)
     syn_jump = 1.0 / tau_syn
+    hold = _refractory_hold(refractory, dt, steps)
+    dt_drive = np.empty((steps, N))
+    np.multiply(dt, drive.T, out=dt_drive)
 
-    potentials = np.empty((N, steps)) if record_potentials else None
-    filtered = np.empty((N, steps))
+    potentials = np.empty((steps, N)) if record_potentials else None
+    filtered = np.empty((steps, N))
     spike_steps: list[int] = []
     spike_neurons: list[int] = []
+    dv = np.empty(N)
+    syn = np.zeros(N)
+    active = np.ones(N, dtype=bool)
+    release = np.zeros(N, dtype=np.int64)  # first step a held neuron is active again
+    wake = steps  # the earliest pending release
+    spikes_prev = None  # the previous step's spikes as 0/1, None when it had none
 
     for k in range(steps):
-        active = refr <= 0.0
-        dv = leak * (v_rest - v) + dt * drive[:, k]
-        if weights is not None:
-            dv = dv + weights @ spikes_prev
-        v = np.where(active, v + dv, v_reset)
-        refr = np.maximum(refr - dt, 0.0)
-        fired = active & (v > v_th)
-        if fired.any():
-            v[fired] = v_reset
-            refr[fired] = refractory
-            for j in np.flatnonzero(fired):
-                spike_steps.append(k)
-                spike_neurons.append(int(j))
-        spikes_prev = fired.astype(np.float64)
-        syn = syn * syn_decay + spikes_prev * syn_jump
+        if k == wake:
+            np.less_equal(release, k, out=active)
+            wake = int(release[~active].min(initial=steps))
+        np.subtract(v_rest, v, out=dv)
+        np.multiply(leak, dv, out=dv)
+        dv += dt_drive[k]
+        if spikes_prev is not None and weights is not None:
+            dv += weights @ spikes_prev
+        np.add(v, dv, out=v, where=active)
+        spikes_prev = None
+        if np.fmax.reduce(v, initial=-np.inf) > v_th:
+            fired = np.flatnonzero(active & (v > v_th))
+            if fired.size:
+                v[fired] = v_reset
+                spike_steps.extend([k] * fired.size)
+                spike_neurons.extend(fired.tolist())
+                if hold:
+                    active[fired] = False
+                    release[fired] = k + 1 + hold
+                    wake = min(wake, k + 1 + hold)
+                spikes_prev = np.zeros(N)
+                spikes_prev[fired] = 1.0
+        syn = np.multiply(syn, syn_decay, out=filtered[k])
+        if spikes_prev is not None:
+            syn[fired] += syn_jump
         if record_potentials:
-            potentials[:, k] = v
-        filtered[:, k] = syn
+            potentials[k] = v
 
-    return (potentials, filtered,
+    return (None if potentials is None else potentials.T, filtered.T,
             np.asarray(spike_steps, dtype=np.int64),
             np.asarray(spike_neurons, dtype=np.int64))
+
+
+def _refractory_hold(refractory, dt, steps):
+    """Steps a neuron stays held after a spike, at most ``steps``.
+
+    The number of values the countdown ``r = max(r - dt, 0)`` from
+    ``refractory`` takes before the first ``r <= 0``; a NaN or infinite
+    period holds for the whole run.
+    """
+    hold, r = 0, float(refractory)
+    while hold < steps and not r <= 0.0:
+        hold += 1
+        r = max(r - dt, 0.0)
+    return hold
 
 
 def rate_run(x0, drive, weights, tau, dt):
@@ -198,20 +244,22 @@ def rate_run(x0, drive, weights, tau, dt):
 
     ``drive`` is the already-projected external input, shape (N, steps).
     Returns (state, activities): the pre-activation x and r = tanh(x), both
-    (N, steps).
+    (N, steps), as ``.T`` views of buffers recorded one step per row. Each
+    step evaluates the update in place, in the order the formula reads.
     """
     N, steps = drive.shape
     x = np.array(x0, dtype=np.float64, copy=True)
     r = np.tanh(x)
     a = dt / tau
-    state = np.empty((N, steps))
-    activities = np.empty((N, steps))
+    state = np.empty((steps, N))
+    activities = np.empty((steps, N))
+    dx = np.empty(N)
     for k in range(steps):
+        np.negative(x, out=dx)
         if weights is not None:
-            x = x + a * (-x + weights @ r + drive[:, k])
-        else:
-            x = x + a * (-x + drive[:, k])
-        r = np.tanh(x)
-        state[:, k] = x
-        activities[:, k] = r
-    return state, activities
+            dx += weights @ r
+        dx += drive[:, k]
+        np.multiply(a, dx, out=dx)
+        x = np.add(x, dx, out=state[k])
+        r = np.tanh(x, out=activities[k])
+    return state.T, activities.T

@@ -23,7 +23,8 @@ V_rest + tau_m * I.
 """
 
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -203,7 +204,7 @@ def run_spiking(net: SpikingNetwork, inputs, initial_potentials=None,
         record_potentials=record_potentials,
     )
     if potentials is not None and not np.all(np.isfinite(potentials)):
-        raise NonFiniteStateError("simulation produced non-finite membrane potentials")
+        raise _non_finite("membrane potentials", potentials, lif.dt)
     times = (np.arange(steps) + 1) * lif.dt
     raster = [(int(j), float((k + 1) * lif.dt)) for k, j in zip(spike_steps, spike_neurons)]
     return SimulationTrace(times=times, membrane_potentials=potentials,
@@ -234,31 +235,83 @@ def run_rate(net: RateNetwork, inputs, output_feedback=None, initial_state=None,
     state, activities = _kernels.rate_run(x0, drive, net.recurrent_weights,
                                           net.time_constant, net.dt)
     if not np.all(np.isfinite(state)):
-        raise NonFiniteStateError("simulation produced non-finite unit state")
+        raise _non_finite("unit state", state, net.dt)
     times = (np.arange(steps) + 1) * net.dt
     return SimulationTrace(times=times, unit_activities=activities)
 
 
-def _spec_weights(spec: dict):
+def _non_finite(what, recorded, dt) -> NonFiniteStateError:
+    """The error naming the step and neuron of the first non-finite entry of ``recorded``.
+
+    ``recorded`` is (N, steps); the earliest step wins, then the lowest index.
+    """
+    step, neuron = (int(i) for i in np.argwhere(~np.isfinite(recorded.T))[0])
+    return NonFiniteStateError(f"simulation produced non-finite {what}: first at step {step} "
+                               f"(t={(step + 1) * dt:.9g} s), neuron {neuron}")
+
+
+def _check_keys(section, known, where):
+    if not isinstance(section, dict):
+        raise ValidationError(f"{where} must be a JSON object")
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ValidationError(f"{where}: unknown keys {unknown}")
+
+
+def _spec_int(spec, key, default, minimum):
+    """``spec[key]`` (or ``default``) as an int; an integral float counts."""
+    value = spec.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValidationError(
+            f'network spec "{key}" must be an integer >= {minimum}, got {value!r}')
+    return value
+
+
+def _spec_number(section, key, default, prefix=""):
+    """``section[key]`` (or ``default``) as a finite float."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ValidationError(
+            f'network spec "{prefix}{key}" must be a finite number, got {value!r}')
+    return float(value)
+
+
+def _spec_lif(spec) -> LifParameters:
+    section = spec.get("lif", {})
+    _check_keys(section, [f.name for f in fields(LifParameters)], 'network spec "lif"')
+    return LifParameters(**{key: _spec_number(section, key, None, "lif.") for key in section})
+
+
+def _spec_weights(spec: dict, own_keys):
     """Size, recurrent and input weights of a network spec, and a weight getter.
 
+    The spec may hold the keys every network takes and ``own_keys``; any
+    other key, a size, dimension or seed that is not an integer, or an
+    explicit array that is not numeric is a ValidationError naming it.
     ``weights(key, shape)`` returns the spec's explicit array under ``key``,
     or else draws one uniform [-1, 1] scaled by 1/sqrt(n) from the spec's
     seed (``None`` when ``shape`` is None). All draws come from one
     generator in call order, so a matrix given explicitly shifts the draws
     after it.
     """
-    try:
-        n = int(spec["n"])
-    except KeyError:
-        raise ValidationError('network spec needs "n"') from None
-    d_in = int(spec.get("input_dim", 1))
-    rng = np.random.default_rng(int(spec.get("seed", 0)))
+    _check_keys(spec, ("n", "input_dim", "seed", "recurrent_weights", "input_weights")
+                + own_keys, "network spec")
+    if "n" not in spec:
+        raise ValidationError('network spec needs "n"')
+    n = _spec_int(spec, "n", None, 1)
+    d_in = _spec_int(spec, "input_dim", 1, 1)
+    rng = np.random.default_rng(_spec_int(spec, "seed", 0, 0))
     scale = 1.0 / np.sqrt(n)
 
     def weights(key, shape):
         if key in spec:
-            return np.asarray(spec[key], dtype=np.float64)
+            try:
+                return np.asarray(spec[key], dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f'network spec "{key}": {exc}') from None
         return None if shape is None else rng.uniform(-1.0, 1.0, size=shape) * scale
 
     return n, weights("recurrent_weights", (n, n)), weights("input_weights", (n, d_in)), weights
@@ -271,12 +324,14 @@ def spiking_network_from_dict(spec: dict) -> SpikingNetwork:
     parameter overrides under "lif", tau_syn, seed, and optional explicit
     arrays recurrent_weights / input_weights / output_weights. Missing
     arrays are drawn uniform [-1, 1] scaled by 1/sqrt(n) from the seed.
+    Unknown keys, here or under "lif", are rejected.
     """
-    n, j, u, weights = _spec_weights(spec)
-    w = weights("output_weights", (int(spec.get("output_dim", 1)), n))
+    n, j, u, weights = _spec_weights(
+        spec, ("output_dim", "output_weights", "lif", "tau_syn"))
+    w = weights("output_weights", (_spec_int(spec, "output_dim", 1, 1), n))
     return SpikingNetwork(n=n, recurrent_weights=j, input_weights=u, output_weights=w,
-                          lif=LifParameters(**spec.get("lif", {})),
-                          tau_syn=float(spec.get("tau_syn", 0.005)))
+                          lif=_spec_lif(spec),
+                          tau_syn=_spec_number(spec, "tau_syn", 0.005))
 
 
 def rate_network_from_dict(spec: dict) -> RateNetwork:
@@ -285,12 +340,13 @@ def rate_network_from_dict(spec: dict) -> RateNetwork:
     In place of output weights it takes feedback_weights, drawn with
     feedback_dim columns when feedback_dim (default 0) is positive.
     """
-    n, j, u, weights = _spec_weights(spec)
-    d_fb = int(spec.get("feedback_dim", 0))
+    n, j, u, weights = _spec_weights(
+        spec, ("feedback_dim", "feedback_weights", "time_constant", "dt"))
+    d_fb = _spec_int(spec, "feedback_dim", 0, 0)
     fb = weights("feedback_weights", (n, d_fb) if d_fb > 0 else None)
     return RateNetwork(n=n, recurrent_weights=j, input_weights=u, feedback_weights=fb,
-                       time_constant=float(spec.get("time_constant", 0.010)),
-                       dt=float(spec.get("dt", 0.0001)))
+                       time_constant=_spec_number(spec, "time_constant", 0.010),
+                       dt=_spec_number(spec, "dt", 0.0001))
 
 
 def load_network_json(path, kind: str):
@@ -308,15 +364,22 @@ def load_network_json(path, kind: str):
 
 
 def _write_long_csv(fh, times, matrix) -> None:
-    """``time,index,value`` rows, time-major, a block of steps at a time."""
+    """``time,index,value`` rows, time-major, a block of steps at a time.
+
+    The bytes are those of ``f"{t:.9g},{i},{x:.9g}\\n"`` per row. Each
+    step's time is formatted once and joined with the row indices into that
+    step's format, ``"<t>,0,%.9g\\n<t>,1,%.9g\\n..."`` (a ``%.9g`` time
+    holds no ``%``), so one ``%`` operation per block formats only the
+    values. A (steps, N) buffer seen through ``.T`` hands over each block
+    as one contiguous slice.
+    """
     n = matrix.shape[0]
-    index = np.arange(n)
+    row_tails = [""] + [f",{i},%.9g\n" for i in range(n)]
     steps_per_block = max(1, _csvio.BLOCK_ROWS // n)
     for lo in range(0, len(times), steps_per_block):
-        block_times = times[lo:lo + steps_per_block]
-        _csvio.write_rows(fh, "%.9g,%d,%.9g\n", np.repeat(block_times, n),
-                          np.tile(index, len(block_times)),
-                          matrix[:, lo:lo + steps_per_block].T.ravel())
+        block = slice(lo, lo + steps_per_block)
+        block_format = "".join([("%.9g" % t).join(row_tails) for t in times[block].tolist()])
+        fh.write(block_format % tuple(matrix[:, block].T.ravel().tolist()))
 
 
 def write_trace_csv(trace: SimulationTrace, path) -> None:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -329,6 +331,73 @@ def test_sim_spiking_input_csv(tmp_path, capsys):
                           str(stream), "--out-prefix", str(tmp_path / "r"))
     assert code == 0
     assert "steps=500" in stdout
+
+
+# sha256 of each artefact, written by the code before the LIF/rate kernels
+# and the long-format writer were rewritten; a change of bytes shows here.
+SIMULATION_DIGESTS = {
+    "lif_trace.csv": "ba8414257a880f502555df0e136a36656328c97bc729d3578039a9d13dea31a4",
+    "lif_raster.csv": "bd203cd26d0c5f60769dc36ab44865d85af469f218b027bdf4ba6e1eb49feb56",
+    "lif_output.csv": "97b448013c94fac9c687c60dbcf9f662dac1a4d0d52c85a5aed891c89d74db2a",
+    "rate_trace.csv": "f27e582f78e25ae017d1d8c2a032e79918516dcae689e23080b1e9652a5b45a4",
+}
+
+
+def test_simulation_artefacts_are_pinned(tmp_path, capsys):
+    (tmp_path / "lif.json").write_text(json.dumps({"n": 6, "output_dim": 2, "seed": 4}))
+    (tmp_path / "rate.json").write_text(json.dumps({"n": 8, "input_dim": 2, "seed": 5}))
+    code, stdout, _ = run(capsys, "sim-spiking", "--net", str(tmp_path / "lif.json"),
+                          "--steps", "3000", "--drive", "6",
+                          "--out-prefix", str(tmp_path / "lif"))
+    assert (code, stdout) == (0, "steps=3000 spikes=64\n")
+    code, _, _ = run(capsys, "sim-rate", "--net", str(tmp_path / "rate.json"),
+                     "--steps", "2000", "--drive", "0.7", "--out-prefix", str(tmp_path / "rate"))
+    assert code == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in SIMULATION_DIGESTS}
+    assert digests == SIMULATION_DIGESTS
+
+
+@pytest.mark.parametrize("command, spec, message", [
+    ("sim-spiking", {"n": 2, "outptu_dim": 3}, "unknown keys ['outptu_dim']"),
+    ("sim-rate", {"n": 2, "output_dim": 3}, "unknown keys ['output_dim']"),
+    ("sim-spiking", {"n": 2, "lif": {"bogus": 1}}, "\"lif\": unknown keys ['bogus']"),
+    ("sim-spiking", {"n": 2.5}, '"n" must be an integer >= 1, got 2.5'),
+    ("sim-spiking", {"n": 2, "seed": "x"}, "\"seed\" must be an integer >= 0, got 'x'"),
+    ("sim-rate", {"n": 2, "feedback_dim": 1.5}, '"feedback_dim" must be an integer'),
+    ("sim-spiking", {"n": 2, "input_dim": 0}, '"input_dim" must be an integer >= 1'),
+    ("sim-spiking", {"n": 2, "tau_syn": "fast"}, '"tau_syn" must be a finite number'),
+    ("sim-spiking", {"n": 2, "lif": {"threshold": None}}, '"lif.threshold" must be a finite'),
+    ("sim-rate", {"n": 2, "dt": True}, '"dt" must be a finite number, got True'),
+    ("sim-rate", {"n": 2, "time_constant": math.inf}, '"time_constant" must be a finite'),
+    ("sim-spiking", {"n": 2, "input_weights": [["a"], [1]]}, '"input_weights": could not'),
+], ids=["unknown-key", "unknown-rate-key", "unknown-lif-key", "fractional-n", "string-seed",
+        "fractional-dim", "zero-dim", "string-constant", "null-lif-constant", "bool-constant",
+        "infinite-constant", "non-numeric-array"])
+def test_network_spec_errors_name_the_key(tmp_path, capsys, command, spec, message):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(spec))
+    code, _, stderr = run(capsys, command, "--net", str(net), "--steps", "10",
+                          "--drive", "1", "--out-prefix", str(tmp_path / "r"))
+    assert code == 2
+    assert message in stderr
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_sim_spiking_overflow_names_step_and_neuron(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"n": 2, "recurrent_weights": [[0, 0], [0, 0]],
+                               "input_weights": [[2, 0], [0, 2]], "output_weights": [[1, 1]]}))
+    stream = tmp_path / "fin.csv"
+    # finite inputs whose projections overflow: neuron 0's from step 150, neuron 1's from 100
+    stream.write_text("time_s,ch0,ch1\n" + "".join(
+        f"{(k + 1) * 1e-4:.9g},{0 if k < 150 else -1e308},{0 if k < 100 else -1e308}\n"
+        for k in range(200)))
+    code, _, stderr = run(capsys, "sim-spiking", "--net", str(net), "--input",
+                          str(stream), "--out-prefix", str(tmp_path / "r"))
+    assert code == 3
+    assert "non-finite membrane potentials: first at step 100 (t=0.0101 s), neuron 1" \
+        in stderr
 
 
 def test_qsar_fit_and_predict_round_trip(tmp_path, capsys):

@@ -3,11 +3,17 @@
 Each reference visits one sample or one neuron at a time, the way the
 contracts in the kernel docstrings read; the kernels work on whole arrays.
 The pruning reference lives in ``test_prune.py``.
+
+The LIF and rate kernels must also give the same bits as the straight
+per-step array updates they replaced (``vectorised_lif``, ``vectorised_rate``).
 """
 
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protoneuro import _kernels
 from protoneuro._kernels import pure
@@ -183,3 +189,187 @@ def test_rate_matches_unit_loop_without_weights():
     xp, rp = pure.rate_run(np.zeros(2), drive, None, 0.02, 1e-4)
     xr, rr = reference_rate(np.zeros(2), drive, None, 0.02, 1e-4)
     np.testing.assert_allclose(xp, xr, rtol=1e-12, atol=1e-15)
+
+
+# --- bit identity with the straight per-step array updates ---------------------
+
+def vectorised_lif(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt,
+                   tau_syn, record_potentials=True):
+    # One array update per step, refractory clocks counted down in floats.
+    N, steps = drive.shape
+    v = np.array(v0, dtype=np.float64, copy=True)
+    refr = np.zeros(N)
+    syn = np.zeros(N)
+    spikes_prev = np.zeros(N)
+    leak = dt / tau_m
+    syn_decay = math.exp(-dt / tau_syn)
+    syn_jump = 1.0 / tau_syn
+    potentials = np.empty((N, steps)) if record_potentials else None
+    filtered = np.empty((N, steps))
+    spike_steps, spike_neurons = [], []
+    for k in range(steps):
+        active = refr <= 0.0
+        dv = leak * (v_rest - v) + dt * drive[:, k]
+        if weights is not None:
+            dv = dv + weights @ spikes_prev
+        v = np.where(active, v + dv, v_reset)
+        refr = np.maximum(refr - dt, 0.0)
+        fired = active & (v > v_th)
+        if fired.any():
+            v[fired] = v_reset
+            refr[fired] = refractory
+            for j in np.flatnonzero(fired):
+                spike_steps.append(k)
+                spike_neurons.append(int(j))
+        spikes_prev = fired.astype(np.float64)
+        syn = syn * syn_decay + spikes_prev * syn_jump
+        if record_potentials:
+            potentials[:, k] = v
+        filtered[:, k] = syn
+    return (potentials, filtered, np.asarray(spike_steps, dtype=np.int64),
+            np.asarray(spike_neurons, dtype=np.int64))
+
+
+def vectorised_rate(x0, drive, weights, tau, dt):
+    N, steps = drive.shape
+    x = np.array(x0, dtype=np.float64, copy=True)
+    r = np.tanh(x)
+    a = dt / tau
+    state = np.empty((N, steps))
+    activities = np.empty((N, steps))
+    for k in range(steps):
+        if weights is not None:
+            x = x + a * (-x + weights @ r + drive[:, k])
+        else:
+            x = x + a * (-x + drive[:, k])
+        r = np.tanh(x)
+        state[:, k] = x
+        activities[:, k] = r
+    return state, activities
+
+
+def assert_same_bits(got, want):
+    """Equal bit patterns, except which NaN a NaN is.
+
+    When both operands are NaN, NumPy's in-place add returns the second
+    one's sign and payload and the out-of-place add the first one's. Only
+    where the NaNs are can show: a non-finite state is an error, and
+    ``%.9g`` prints every NaN as ``nan``.
+    """
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+            continue
+        assert g.shape == w.shape and g.dtype == w.dtype
+        if w.dtype == np.float64:
+            np.testing.assert_array_equal(np.isnan(g), np.isnan(w))
+            g, w = (np.where(np.isnan(a), 0.0, a).view(np.int64) for a in (g, w))
+        np.testing.assert_array_equal(g, w)
+
+
+def lif_case(n=6, steps=3000, seed=0, low=0.0, high=3.0, refractory=0.002, dt=1e-4,
+             weights=True, v_reset=-0.065):
+    rng = np.random.default_rng(seed)
+    drive = rng.uniform(low, high, (n, steps))
+    w = rng.uniform(-1, 1, (n, n)) * 0.004 if weights else None
+    return (np.full(n, -0.065), drive, w, 0.020, -0.065, -0.050, v_reset, refractory, dt, 0.005)
+
+
+def overflow_case():
+    args = list(lif_case(n=4, steps=400, seed=9))
+    drive = args[1]
+    drive[0, 50:] = -np.inf  # V = -inf, then NaN once the leak meets it
+    drive[1, 100] = np.inf  # V = inf fires and resets
+    drive[2, 150:160] = np.nan
+    drive[3, ::7] = 1.7e308  # near the float limit: fires at once
+    return tuple(args)
+
+
+LIF_CASES = {
+    "refractory-0": lif_case(refractory=0.0),
+    "refractory-not-a-multiple-of-dt": lif_case(refractory=0.00035),
+    "refractory-longer-than-the-run": lif_case(steps=500, refractory=0.5),
+    "dense-firing": lif_case(low=50.0, high=400.0, refractory=1e-4),
+    "reset-above-threshold": lif_case(v_reset=-0.045),  # a held neuron still cannot fire
+    "overflow": overflow_case(),
+    "no-weights": lif_case(weights=False),
+    "one-neuron": lif_case(n=1),
+    "two-hundred-neurons": lif_case(n=200, steps=400, high=4.0),
+    "zero-steps": lif_case(steps=0),
+    "one-step": lif_case(steps=1, low=1e3, high=1e4),
+}
+
+
+@pytest.mark.parametrize("record", [True, False], ids=["potentials", "no-potentials"])
+@pytest.mark.parametrize("case", LIF_CASES.values(), ids=LIF_CASES.keys())
+def test_lif_has_the_bits_of_the_per_step_update(case, record):
+    with np.errstate(all="ignore"):
+        got = pure.lif_run(*case, record_potentials=record)
+        want = vectorised_lif(*case, record_potentials=record)
+    assert_same_bits(got, want)
+
+
+def test_lif_cases_reach_their_regimes():
+    def spikes(name):
+        with np.errstate(all="ignore"):
+            return vectorised_lif(*LIF_CASES[name])
+    assert sorted(spikes("refractory-longer-than-the-run")[3].tolist()) == list(range(6))
+    dense = spikes("dense-firing")[2]
+    assert dense.size > 3000 * 6 // 3
+    pot = spikes("overflow")[0]
+    assert np.isneginf(pot).any() and np.isnan(pot).any()
+    assert spikes("one-step")[2].size == 6
+    assert spikes("two-hundred-neurons")[2].size > 200
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), steps=st.integers(0, 40),
+       refractory=st.sampled_from([0.0, 1e-4, 0.00035, 0.002]))
+def test_lif_has_the_bits_of_the_per_step_update_on_any_drive(data, n, steps, refractory):
+    cells = st.one_of(st.floats(-2e3, 2e3), st.floats(allow_nan=True, allow_infinity=True))
+    drive = np.array(data.draw(st.lists(cells, min_size=n * steps, max_size=n * steps)),
+                     dtype=np.float64).reshape(n, steps)
+    weights = np.linspace(-0.02, 0.03, n * n).reshape(n, n)
+    args = (np.full(n, -0.065), drive, weights, 0.020, -0.065, -0.050, -0.065, refractory,
+            1e-4, 0.005)
+    with np.errstate(all="ignore"):
+        assert_same_bits(pure.lif_run(*args), vectorised_lif(*args))
+
+
+RATE_CASES = {
+    "recurrent": (8, 2000, True, 1.0),
+    "no-weights": (3, 500, False, 1.0),
+    "one-unit": (1, 500, True, 1.0),
+    "two-hundred-units": (200, 200, True, 1.0),
+    "zero-steps": (5, 0, True, 1.0),
+    "one-step": (5, 1, True, 1.0),
+    "overflow": (4, 300, True, 1e308),
+}
+
+
+@pytest.mark.parametrize("n, steps, weights, scale", RATE_CASES.values(), ids=RATE_CASES.keys())
+def test_rate_has_the_bits_of_the_per_step_update(n, steps, weights, scale):
+    rng = np.random.default_rng(n * 1000 + steps)
+    drive = rng.uniform(-1, 1, (n, steps)) * scale
+    w = rng.normal(0, 1.2 / np.sqrt(n), (n, n)) if weights else None
+    x0 = rng.uniform(-0.5, 0.5, n)
+    tau = 0.01 if scale == 1.0 else 1e-6  # a step longer than tau overshoots, to inf and NaN
+    with np.errstate(all="ignore"):
+        got = pure.rate_run(x0, drive, w, tau, 1e-4)
+        want = vectorised_rate(x0, drive, w, tau, 1e-4)
+    if scale != 1.0:
+        assert not np.all(np.isfinite(want[0]))
+    assert_same_bits(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), steps=st.integers(0, 40))
+def test_rate_has_the_bits_of_the_per_step_update_on_any_drive(data, n, steps):
+    cells = st.one_of(st.floats(-10, 10), st.floats(allow_nan=True, allow_infinity=True))
+    drive = np.array(data.draw(st.lists(cells, min_size=n * steps, max_size=n * steps)),
+                     dtype=np.float64).reshape(n, steps)
+    weights = np.linspace(-0.5, 0.6, n * n).reshape(n, n)
+    with np.errstate(all="ignore"):
+        assert_same_bits(pure.rate_run(np.zeros(n), drive, weights, 0.01, 1e-4),
+                         vectorised_rate(np.zeros(n), drive, weights, 0.01, 1e-4))

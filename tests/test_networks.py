@@ -327,7 +327,7 @@ def reference_write_raster(path, raster):
 SPECIAL_VALUES = np.array([
     -0.0, 0.0, 5e-324, -2.225073858507201e-308, 1e-300, -1e300, 1e300, 123456789.5,
     0.1234567895, 9.999999995, 999999999.5, 1.0000000005, 2.5e-7, 1 / 3,
-    np.nextafter(9.999999995, 0.0), np.nextafter(0.1234567895, 1.0),
+    np.nextafter(9.999999995, 0.0), np.nextafter(0.1234567895, 1.0), np.inf, np.nan,
 ])
 
 
@@ -353,7 +353,9 @@ def block_edge_steps(rows):
 
 
 @pytest.mark.parametrize("rows,steps", [(1, s) for s in block_edge_steps(1)]
-                         + [(50, s) for s in block_edge_steps(50)])
+                         + [(50, s) for s in block_edge_steps(50)]
+                         # one step fills a block
+                         + [(r, 2) for r in (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1)])
 def test_trace_writers_match_per_row_writers_across_block_edges(tmp_path, rows, steps):
     rng = np.random.default_rng(rows * 100003 + steps)
     times = (np.arange(steps) + 1) * 1e-4
