@@ -3,27 +3,76 @@
 The series, stream, spike-train and network-trace files hold up to millions
 of numeric rows. Handling them one Python call per row made file I/O the
 bulk of a command's run time, so their readers and writers go through the
-two functions here, which stand in exactly for the per-row code:
+functions here, which stand in exactly for the per-row code.
 
-- ``parse_rows`` hands the body lines to one ``np.loadtxt`` call, which
-  converts each field with the same ``PyOS_string_to_double`` as ``float``.
-  Whenever a line is not exactly ``width`` numbers it returns None, and the
-  caller re-reads with its line loop. That loop accepts what ``float``
-  accepts and ``loadtxt`` does not (``1_0``, metadata lines between rows)
-  and raises every parse error with its line number, as before.
-- ``write_rows`` formats up to ``BLOCK_ROWS`` rows with one ``%`` operation
-  on Python floats and ints. ``"%.9g" % x`` and ``f"{x:.9g}"`` share one
-  formatter, so the bytes equal those of per-row f-strings. The long-format
-  trace and readout files repeat each step's time on N rows, so their writer
-  (``networks._write_long_csv``) builds a per-step format of its own and
-  only shares ``BLOCK_ROWS``.
+Parsing: ``parse_rows`` hands the body lines to one ``np.loadtxt`` call,
+which converts each field with the same ``PyOS_string_to_double`` as
+``float``. Whenever a line is not exactly ``width`` numbers it returns None,
+and the caller re-reads with its line loop. That loop accepts what ``float``
+accepts and ``loadtxt`` does not (``1_0``, metadata lines between rows) and
+raises every parse error with its line number, as before.
+
+Formatting: ``write_rows`` (and ``write_long_rows`` for the time-major
+trace files) writes ``BLOCK_ROWS`` rows at a time with array arithmetic, and
+the bytes equal those of ``row_format % row`` per row (``%.9g`` and
+``f"{x:.9g}"`` share one formatter). Each ``%.Pg`` field is made in three
+steps.
+
+- Digits. ``e = floor(log10|x|)`` and ``m = |x| * 10**(P-1-e)``, where the
+  power is ``float(10**k)`` (exact for |k| <= 22, correctly rounded beyond)
+  and is applied as a multiplication for k >= 0 and a division for k < 0.
+  ``q = rint(m)`` holds the P digits. Where ``m`` falls below 10**(P-1)
+  or ``q`` reaches 10**P (``log10`` one off near a power of ten, or the
+  carry of ``9...9.5`` and up), ``e`` is moved by one and ``m``
+  recomputed; a ``q`` still outside [10**(P-1), 10**P) goes to ``%``.
+  ``%g`` then uses fixed notation for -4 <= e < P and otherwise
+  ``d.ddde±XX``, dropping trailing zeros.
+- Exactness. ``m`` is off from the exact ``|x| * 10**(P-1-e)`` by at most
+  two roundings, less than 2.3e-16 * 10**P: 2.3e-7 for P = 9, 2.3e-4 for
+  P = 12. ``rint(m)`` can differ from printf's correctly rounded digits
+  only if a half-integer lies between ``m`` and the exact value, so every
+  value whose ``m`` (on either pass) has a fraction within
+  ``10**(P-15)`` of 0.5 (1e-6 at P = 9, 1e-3 at P = 12; more than four
+  times the error) is formatted by ``%`` instead, one value at a time. So
+  are inf, NaN, and |x| outside [1e-280, 1e280], where the scaling could
+  leave the normal range (subnormals included). Zero is not a fallback:
+  ``q = 0``, ``e = 0`` gives ``0``, with ``-`` from ``signbit``. Of values
+  with random low digits about one in 500,000 falls back at P = 9 and one
+  in 500 at P = 12; integers never do.
+- Layout. Every ``%.Pg`` value fits the slots ``- | 0 . 0 0 0 | D0 . D1 .
+  ... D(P-1) | e ± E E E``: the sign, the ``0.000`` prefix of fixed
+  notation with e < 0, P digits each followed by a decimal point slot, and
+  the exponent. A field's block is one uint8 matrix of slots by rows; each
+  slot row is its character times a row mask (``np.multiply(mask, char,
+  out=row)``) and digits come from 100000 x 5 and 10000 x 4 ASCII tables
+  gathered with ``take(axis=1)``. Only the slots some row of the block
+  uses get a matrix row. A fallback string is laid into the first slots of
+  its field, which widen when it is longer than the block's live slots
+  (``nan`` among small integers). Separators are constant rows. The
+  fields' slots are laid row by row with one transposing copy and their
+  NUL bytes dropped in one ``bytes.translate`` pass, which leaves the
+  rows' text in order.
+
+``%d`` fields are ``%.12g`` fields: for an integer below 10**12 in size the
+two print the same digits. Other values (larger integers, non-integer
+arrays) go to ``%d`` one at a time.
 """
+
+import functools
+import re
 
 import numpy as np
 
-#: Rows formatted per ``%`` operation: large enough to amortise the call,
-#: small enough that the block's Python objects stay a few megabytes.
+#: Rows formatted per block: large enough to amortise the per-slot array
+#: calls, small enough that a block's arrays (under 100 bytes a row at
+#: their peak) stay a few megabytes.
 BLOCK_ROWS = 65536
+
+_FIELD = re.compile(r"%(?:\.(\d+)g|d)")
+#: ``e`` range covered by the scale tables; |x| in [1e-280, 1e280] needs
+#: -282 <= e <= 281 and 10**(P-1-e) stays a normal float for P <= 14.
+_E_SPAN = 290
+_CHARS = {c: np.uint8(ord(c)) for c in "-0.e+"}
 
 
 def parse_rows(lines, width):
@@ -42,18 +91,258 @@ def parse_rows(lines, width):
     return rows if rows.shape[1] == width else None
 
 
+@functools.cache
+def _digit_table(width):
+    """(width, 10**width) ASCII digits of every ``width``-digit number."""
+    n = np.arange(10 ** width, dtype=np.int32)
+    table = np.empty((width, n.size), np.uint8)
+    for j in range(width):
+        table[j] = n // 10 ** (width - 1 - j) % 10 + 48
+    return table
+
+
+@functools.cache
+def _trailing_zeros(width):
+    """Trailing zero digits of every ``width``-digit number (``width`` for 0)."""
+    n = np.arange(10 ** width, dtype=np.int32)
+    return sum((n % 10 ** j == 0).astype(np.int8) for j in range(1, width + 1))
+
+
+@functools.cache
+def _scales(precision):
+    """Multiplier and divisor tables giving m = |x| * 10**(P-1-e), by e + _E_SPAN."""
+    k = precision - 1 - np.arange(-_E_SPAN, _E_SPAN + 1)
+    mul = np.array([float(10 ** int(i)) if i > 0 else 1.0 for i in k])
+    div = np.array([float(10 ** int(-i)) if i < 0 else 1.0 for i in k])
+    return mul, div
+
+
+def _chunk_widths(precision):
+    """Split P digits into table-sized chunks: 9 -> (5, 4), 12 -> (4, 4, 4)."""
+    widths = []
+    while precision > 5:
+        widths.append(4)
+        precision -= 4
+    return (precision, *widths)
+
+
+def _ascii_digit(d):
+    return (d + 48).astype(np.uint8)
+
+
+def _scaled_digits(x, p):
+    """The P significant digits ``q`` and decimal exponent ``e`` of each |x|.
+
+    Returns (q, e, bad): ``bad`` indexes the values whose digits are not
+    provably printf's (non-finite, outside [1e-280, 1e280], or a rounding
+    of ``m`` near a tie on either pass), which go to ``%``. Zeros and bad
+    values get ``q = 0``, ``e = 0``, which lays out ``0`` for a zero.
+    """
+    lo10, hi10 = 10.0 ** (p - 1), 10.0 ** p
+    half = 0.5 - 10.0 ** (p - 15)
+    mul, div = _scales(p)
+    a = np.abs(x)
+    ok = (a >= 1e-280) & (a <= 1e280)
+    np.copyto(a, 1.0, where=~ok)
+    e = np.log10(a)
+    np.floor(e, out=e)
+    e = e.astype(np.intp)
+    e += _E_SPAN
+    m = mul.take(e)
+    m *= a
+    m /= div.take(e)
+    q = np.rint(m)
+    fix = np.flatnonzero((m < lo10) | (q >= hi10))
+    m -= q
+    near = np.abs(m, out=m) > half
+    del m
+    if fix.size:
+        ef = e[fix] + np.where(q[fix] >= hi10, 1, -1)
+        mf = a[fix] * mul.take(ef) / div.take(ef)
+        qf = np.rint(mf)
+        near[fix] |= np.abs(mf - qf) > half
+        e[fix] = ef
+        q[fix] = qf
+    e -= _E_SPAN
+    valid = ok & ~near & (q >= lo10) & (q < hi10)
+    np.copyto(q, 0.0, where=~valid)
+    np.copyto(e, 0, where=~valid)
+    return q, e, np.flatnonzero(~valid & (x != 0))
+
+
+def _field_slots(column, precision):
+    """The slot rows of a column formatted as ``%.Pg`` (``precision`` None: ``%d``).
+
+    Returns an (h, n) uint8 array holding, for each of the n values, its
+    characters in slot order and NUL in the slots it does not use; h counts
+    only the slots some value uses.
+    """
+    column = np.asarray(column)
+    if precision is None:
+        fmt, p = "%d", 12
+        if column.dtype.kind in "biu":
+            x = column.astype(np.float64)
+            x[~(np.abs(x) < 1e12)] = np.nan
+        else:
+            x = np.full(column.shape, np.nan)
+    else:
+        if not 1 <= precision <= 14:
+            raise ValueError(f"unsupported precision {precision}")
+        fmt, p = f"%.{precision}g", precision
+        x = column.astype(np.float64, copy=False)
+    q, e, bad = _scaled_digits(x, p)
+
+    # Digits, in chunks of at most five, and how many are significant.
+    qi = q.astype(np.int64)
+    del q
+    widths = _chunk_widths(p)
+    chunks = []
+    for w in widths[:0:-1]:
+        top = qi // 10 ** w
+        chunks.append(qi - top * 10 ** w)
+        qi = top
+    chunks.append(qi)
+    chunks.reverse()
+    tz = _trailing_zeros(widths[-1]).take(chunks[-1])
+    below_zero = chunks[-1] == 0
+    for c, w in zip(chunks[-2::-1], widths[-2::-1]):
+        tz = tz + below_zero * _trailing_zeros(w).take(c)
+        below_zero &= c == 0
+    nsig = p - tz.astype(np.int16)
+
+    X = e.astype(np.int16)
+    del e
+    fixed = (X >= -4) & (X < p)
+    upper = fixed & (X >= 0)
+    ndig = np.where(upper, np.maximum(nsig, X + 1), nsig)
+    dot = np.where(upper & (nsig > X + 1), X, np.where(~fixed & (nsig > 1), 0, -1))
+    zeros = np.where(fixed & (X < 0), -X - 1, -1)
+    expo = ~fixed
+    neg = np.signbit(x)
+    ndig[bad] = 0
+    dot[bad] = -1
+    zeros[bad] = -1
+    expo[bad] = False
+    neg[bad] = False
+
+    has_neg = bool(neg.any())
+    n_zeros = int(zeros.max(initial=-1))
+    n_digits = int(ndig.max(initial=0))
+    dots = set(np.flatnonzero(np.bincount(dot + 1, minlength=p + 1)[1:]).tolist())
+    has_expo = bool(expo.any())
+    has_e3 = has_expo and bool((expo & (np.abs(X) >= 100)).any())
+    live = (has_neg + (n_zeros + 2 if n_zeros >= 0 else 0) + n_digits + len(dots)
+            + (4 + has_e3 if has_expo else 0))
+    fallback = [fmt % v for v in column[bad].tolist()]
+
+    c = _CHARS
+    out = np.zeros((max(live, *map(len, fallback), 0), x.size), np.uint8)
+    rows = iter(out)
+    if has_neg:
+        np.multiply(neg, c["-"], out=next(rows))
+    if n_zeros >= 0:
+        prefix = zeros >= 0
+        np.multiply(prefix, c["0"], out=next(rows))
+        np.multiply(prefix, c["."], out=next(rows))
+        for j in range(n_zeros):
+            np.multiply(zeros > j, c["0"], out=next(rows))
+    j = 0
+    for chunk, w in zip(chunks, widths):
+        if j >= n_digits:
+            break
+        for row in _digit_table(w).take(chunk, axis=1):
+            if j >= n_digits:
+                break
+            np.multiply(ndig > j, row, out=next(rows))
+            if j in dots:
+                np.multiply(dot == j, c["."], out=next(rows))
+            j += 1
+    if has_expo:
+        ax = np.abs(X)
+        np.multiply(expo, c["e"], out=next(rows))
+        np.multiply(expo, np.where(X < 0, c["-"], c["+"]), out=next(rows))
+        if has_e3:
+            np.multiply(expo & (ax >= 100), _ascii_digit(ax // 100), out=next(rows))
+        np.multiply(expo, _ascii_digit(ax // 10 % 10), out=next(rows))
+        np.multiply(expo, _ascii_digit(ax % 10), out=next(rows))
+    for i, text in zip(bad, fallback):
+        out[:len(text), i] = np.frombuffer(text.encode("ascii"), np.uint8)
+    return out
+
+
+def _literal_slots(text, n):
+    """Slot rows of a constant text on each of n rows (a broadcast view)."""
+    chars = np.frombuffer(text.encode("ascii"), np.uint8)
+    return np.broadcast_to(chars[:, None], (chars.size, n))
+
+
+def _write_block(fh, parts):
+    """Write the rows whose slot rows are ``parts``, (h, n) arrays in order.
+
+    The slots are laid row by row with one transposing copy and their NUL
+    bytes dropped in one ``bytes.translate`` pass. ``parts`` is emptied and
+    each copy dropped once the next is made, so that a block holds about
+    two copies of its slots at a time.
+    """
+    rows = np.empty((parts[0].shape[1], sum(len(part) for part in parts)), np.uint8)
+    r = 0
+    for part in parts:
+        rows[:, r:r + len(part)] = part.T
+        r += len(part)
+    parts.clear()
+    data = rows.tobytes()
+    del rows
+    text = data.translate(None, b"\0")
+    del data
+    fh.write(text.decode("ascii"))
+
+
+def _parse_format(row_format):
+    """Split ``row_format`` into its literal texts and field precisions (None: %d)."""
+    parts = _FIELD.split(row_format)
+    literals = parts[::2]
+    if any("%" in text for text in literals):
+        raise ValueError(f"unsupported row format {row_format!r}")
+    return literals, [None if g is None else int(g) for g in parts[1::2]]
+
+
 def write_rows(fh, row_format, *columns):
     """Write ``row_format % row`` for each row of the equal-length columns.
 
-    ``row_format`` formats one row, newline included; integer columns come
-    out as Python ints (for ``%d``) and float columns as Python floats.
+    ``row_format`` formats one row, newline included, from ``%.Pg`` and
+    ``%d`` fields; the bytes are those of ``%`` on the row's Python floats
+    and ints.
     """
+    literals, precisions = _parse_format(row_format)
     columns = [np.asarray(col) for col in columns]
-    width = len(columns)
     n = len(columns[0])
     for lo in range(0, n, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, n)
-        fields = [None] * ((hi - lo) * width)
-        for c, col in enumerate(columns):
-            fields[c::width] = col[lo:hi].tolist()
-        fh.write(row_format * (hi - lo) % tuple(fields))
+        parts = [_literal_slots(literals[0], hi - lo)]
+        for col, precision, text in zip(columns, precisions, literals[1:]):
+            parts += [_field_slots(col[lo:hi], precision), _literal_slots(text, hi - lo)]
+        _write_block(fh, parts)
+
+
+def write_long_rows(fh, times, matrix):
+    """``time,index,value`` rows, time-major: ``f"{t:.9g},{i},{x:.9g}\\n"``
+    for each step's time ``t`` and each row ``i`` of ``matrix[:, step]``.
+
+    Each step's time is formatted once and its slots repeated N times, and
+    the index column is formatted once for range(N) and tiled. A (steps, N)
+    buffer seen through ``.T`` hands over each block as one contiguous slice.
+    A matrix with no rows writes nothing.
+    """
+    n = matrix.shape[0]
+    if n == 0:
+        return
+    index = _field_slots(np.arange(n), None)
+    steps_per_block = max(1, BLOCK_ROWS // n)
+    for lo in range(0, len(times), steps_per_block):
+        block = slice(lo, lo + steps_per_block)
+        steps = len(times[block])
+        comma = _literal_slots(",", steps * n)
+        _write_block(fh, [np.repeat(_field_slots(times[block], 9), n, axis=1), comma,
+                          np.tile(index, steps), comma,
+                          _field_slots(matrix[:, block].T.ravel(), 9),
+                          _literal_slots("\n", steps * n)])

@@ -30,9 +30,8 @@ def local_maxima(values):
     if starts.size < 3:
         return np.empty(0, dtype=np.int64)
     rv = v[starts]
-    inner = np.arange(1, starts.size - 1)
-    is_peak = (rv[inner] > rv[inner - 1]) & (rv[inner] > rv[inner + 1])
-    return starts[inner[is_peak]].astype(np.int64)
+    is_peak = (rv[1:-1] > rv[:-2]) & (rv[1:-1] > rv[2:])
+    return starts[1:-1][is_peak].astype(np.int64)
 
 
 def prune_min_distance(times, amplitudes, min_distance):

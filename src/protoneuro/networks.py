@@ -44,13 +44,13 @@ class LifParameters:
     dt: float = 0.0001
 
     def __post_init__(self):
-        if self.membrane_time_constant <= 0:
+        if not self.membrane_time_constant > 0:
             raise ValidationError("membrane_time_constant must be > 0")
-        if self.threshold <= self.reset:
+        if not self.threshold > self.reset:
             raise ValidationError("threshold must exceed reset")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValidationError("dt must be > 0")
-        if self.refractory < 0:
+        if not self.refractory >= 0:
             raise ValidationError("refractory must be >= 0")
         if self.refractory > 0 and self.dt > self.refractory:
             raise ValidationError("dt must not exceed the refractory period")
@@ -79,7 +79,7 @@ class SpikingNetwork:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError("n must be >= 1")
-        if self.tau_syn <= 0:
+        if not self.tau_syn > 0:
             raise ValidationError("tau_syn must be > 0")
         self.recurrent_weights = _as_matrix("recurrent_weights", self.recurrent_weights,
                                             (self.n, self.n))
@@ -111,9 +111,9 @@ class RateNetwork:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError("n must be >= 1")
-        if self.time_constant <= 0:
+        if not self.time_constant > 0:
             raise ValidationError("time_constant must be > 0")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValidationError("dt must be > 0")
         self.recurrent_weights = _as_matrix("recurrent_weights", self.recurrent_weights,
                                             (self.n, self.n))
@@ -363,25 +363,6 @@ def load_network_json(path, kind: str):
     raise ValidationError(f"unknown network kind {kind!r}")
 
 
-def _write_long_csv(fh, times, matrix) -> None:
-    """``time,index,value`` rows, time-major, a block of steps at a time.
-
-    The bytes are those of ``f"{t:.9g},{i},{x:.9g}\\n"`` per row. Each
-    step's time is formatted once and joined with the row indices into that
-    step's format, ``"<t>,0,%.9g\\n<t>,1,%.9g\\n..."`` (a ``%.9g`` time
-    holds no ``%``), so one ``%`` operation per block formats only the
-    values. A (steps, N) buffer seen through ``.T`` hands over each block
-    as one contiguous slice.
-    """
-    n = matrix.shape[0]
-    row_tails = [""] + [f",{i},%.9g\n" for i in range(n)]
-    steps_per_block = max(1, _csvio.BLOCK_ROWS // n)
-    for lo in range(0, len(times), steps_per_block):
-        block = slice(lo, lo + steps_per_block)
-        block_format = "".join([("%.9g" % t).join(row_tails) for t in times[block].tolist()])
-        fh.write(block_format % tuple(matrix[:, block].T.ravel().tolist()))
-
-
 def write_trace_csv(trace: SimulationTrace, path) -> None:
     """Long-format export: ``time_s,neuron,value`` rows."""
     matrix = trace.membrane_potentials if trace.membrane_potentials is not None \
@@ -390,7 +371,7 @@ def write_trace_csv(trace: SimulationTrace, path) -> None:
         fh.write("time_s,neuron,value\n")
         if matrix is None:
             return
-        _write_long_csv(fh, trace.times, matrix)
+        _csvio.write_long_rows(fh, trace.times, matrix)
 
 
 def write_raster_csv(trace: SimulationTrace, path) -> None:
@@ -407,4 +388,4 @@ def write_outputs_csv(trace: SimulationTrace, path) -> None:
         fh.write("time_s,channel,value\n")
         if trace.outputs is None:
             return
-        _write_long_csv(fh, trace.times, np.atleast_2d(trace.outputs))
+        _csvio.write_long_rows(fh, trace.times, np.atleast_2d(trace.outputs))

@@ -17,9 +17,10 @@ and read/write a relative-1e-9 round trip.
 Files of a million rows are common, so the numeric body is parsed and
 formatted in blocks (``_csvio``) rather than one Python call per row. The
 reader peels off the header and the leading ``#`` lines, parses the rest
-with one ``np.loadtxt`` call, and re-reads with the line loop whenever that
-call does not take the body; the loop alone reports parse errors, so their
-messages and line numbers do not depend on the fast path.
+in ``np.loadtxt`` calls of about a megabyte of text each, and re-reads the
+whole file with the line loop whenever one of them does not take its
+chunk; the loop alone reports parse errors, so their messages and line
+numbers do not depend on the fast path.
 
 Recorded traces the toolkit cannot obtain from hardware are synthesised as
 Gaussian bumps on a noisy baseline, sampled once per second to match the
@@ -40,6 +41,9 @@ _UNITS = (UNIT_MICROAMPERE, UNIT_VOLT)
 
 HEADER = "time_s,value"
 
+#: Characters read per body chunk: the chunk's line strings stay a few
+#: megabytes however long the file.
+_READ_CHUNK = 1 << 20
 #: Cells of the (spikes x window) grid on which bumps are evaluated at once.
 _BUMP_GRID_CELLS = 1 << 16
 
@@ -124,25 +128,68 @@ def _parse_series_lines(lines, start: int, meta: dict) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(-1, 2)
 
 
-def read_timeseries_csv(path) -> TimeSeries:
-    """Parse a series file, validating monotone times and finite values.
+def _read_series_blocks(fh, meta):
+    """The numeric body of an open series file, parsed a chunk at a time.
 
-    The metadata lines after the header are read one by one; the numeric
-    body is then parsed in one block. A body the block parser does not
-    take (metadata between rows, ``1_0``, a bad line) is re-read by the
-    line loop, which gives the same values or the same ParseError.
+    The header and the leading metadata lines are read one at a time, then
+    the body in chunks of about ``_READ_CHUNK`` characters cut after their
+    last newline, so only the parsed arrays are ever whole. Each chunk is
+    split with ``str.splitlines``, as the line loop splits the whole text,
+    and parsed by ``_csvio.parse_rows``. Returns None whenever the line loop
+    must decide instead: a bad header, a header or metadata line that
+    ``splitlines`` would split further, no body, or a chunk the block
+    parser does not take.
     """
-    with open(path, "r", newline="") as fh:
-        lines = fh.read().splitlines()
+    line = fh.readline()
+    if len(line.splitlines()) != 1 or line.strip() != HEADER:
+        return None
+    while True:
+        line = fh.readline()
+        if len(line.splitlines()) != 1:
+            return None
+        if not _read_metadata(line.strip(), meta):
+            break
+    blocks, pending = [], line
+    while True:
+        chunk = fh.read(_READ_CHUNK)
+        text = pending + chunk
+        cut = text.rfind("\n") + 1 if chunk else len(text)
+        text, pending = text[:cut], text[cut:]
+        if text:
+            rows = _csvio.parse_rows(text.splitlines(), 2)
+            if rows is None:
+                return None
+            blocks.append(rows)
+        if not chunk:
+            return np.concatenate(blocks)
+
+
+def _read_series_lines(lines, meta):
+    """The whole-text reader: header check, metadata, then the body's rows."""
     if not lines or lines[0].strip() != HEADER:
         raise ParseError(f"expected header {HEADER!r}", line=1)
-    meta = {"unit": UNIT_MICROAMPERE, "label": ""}
     first = 1
     while first < len(lines) and _read_metadata(lines[first].strip(), meta):
         first += 1
     rows = _csvio.parse_rows(lines[first:], 2)
-    if rows is None:
-        rows = _parse_series_lines(lines, first, meta)
+    return rows if rows is not None else _parse_series_lines(lines, first, meta)
+
+
+def read_timeseries_csv(path) -> TimeSeries:
+    """Parse a series file, validating monotone times and finite values.
+
+    The body is parsed in chunks (``_read_series_blocks``). A file they do
+    not take (metadata between rows, ``1_0``, a bad line) is re-read whole,
+    by one block parse and then the line loop, which gives the same values
+    or the same ParseError.
+    """
+    meta = {"unit": UNIT_MICROAMPERE, "label": ""}
+    with open(path, "r", newline="") as fh:
+        rows = _read_series_blocks(fh, meta)
+        if rows is None:
+            fh.seek(0)
+            meta = {"unit": UNIT_MICROAMPERE, "label": ""}
+            rows = _read_series_lines(fh.read().splitlines(), meta)
     try:
         return TimeSeries(rows[:, 0], rows[:, 1], unit=meta["unit"], label=meta["label"])
     except ValidationError as exc:

@@ -40,6 +40,30 @@ def test_lif_parameter_validation():
         LifParameters(dt=0.005, refractory=0.002)
 
 
+def nan_spiking(**kwargs):
+    return SpikingNetwork(n=1, recurrent_weights=[[0.0]], input_weights=[[1.0]],
+                          output_weights=[[1.0]], **kwargs)
+
+
+def nan_rate(**kwargs):
+    return RateNetwork(n=1, recurrent_weights=[[0.0]], input_weights=[[1.0]], **kwargs)
+
+
+@pytest.mark.parametrize("build,field", [
+    (LifParameters, "membrane_time_constant"),
+    (LifParameters, "threshold"),
+    (LifParameters, "reset"),
+    (LifParameters, "dt"),
+    (LifParameters, "refractory"),
+    (nan_spiking, "tau_syn"),
+    (nan_rate, "time_constant"),
+    (nan_rate, "dt"),
+])
+def test_parameters_reject_nan(build, field):
+    with pytest.raises(ValidationError):
+        build(**{field: math.nan})
+
+
 def test_rest_is_a_fixed_point():
     lif = LifParameters()
     net = single_neuron(lif)
@@ -366,6 +390,16 @@ def test_trace_writers_match_per_row_writers_across_block_edges(tmp_path, rows, 
         outputs=matrix[:, ::-1].copy()))
     assert_trace_writers_agree(tmp_path, networks.SimulationTrace(
         times=times, unit_activities=matrix))
+
+
+def test_writers_of_a_trace_with_no_rows_write_the_header_only(tmp_path):
+    trace = networks.SimulationTrace(times=np.arange(3) * 1e-4,
+                                     membrane_potentials=np.empty((0, 3)),
+                                     spike_raster=[], outputs=np.empty((0, 3)))
+    networks.write_outputs_csv(trace, tmp_path / "out.csv")
+    networks.write_trace_csv(trace, tmp_path / "trace.csv")
+    assert (tmp_path / "out.csv").read_text() == "time_s,channel,value\n"
+    assert (tmp_path / "trace.csv").read_text() == "time_s,neuron,value\n"
 
 
 def test_trace_writers_match_per_row_writers_on_special_values(tmp_path):

@@ -344,6 +344,11 @@ def assert_series_readers_agree(text, tmp_path):
     "0,1,2\n1,2,3\n",                                  # every row too wide
     "0\n1\n",                                          # every row too narrow
     "0,1\n1,x\n",                                      # not a number
+    "0,\x0c1\n1,2\n",            # str.splitlines splits at \x0c; loadtxt strips it
+    "0\x0b,1\n1,2\n",
+    "0,1\x1c\n1,2\x85\n",
+    "0,1\u2028\n1,2\n",
+    "# label=a\x0cb\n0,1\n",                          # ... in a metadata line
 ])
 def test_series_reader_matches_line_loop(tmp_path, body):
     assert_series_readers_agree("time_s,value\n# unit=microampere\n" + body, tmp_path)
@@ -400,3 +405,36 @@ def series_bodies(draw):
 @given(body=series_bodies())
 def test_series_reader_matches_line_loop_on_generated_files(tmp_path, body):
     assert_series_readers_agree("time_s,value\n" + body, tmp_path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_series_reader_takes_a_written_file_chunk_by_chunk(tmp_path, monkeypatch, newline):
+    # A file as the writer makes it never needs the whole-text reader, however
+    # its chunks fall.
+    def whole_text_reader(lines, meta):
+        raise AssertionError("fell back to the whole-text reader")
+
+    monkeypatch.setattr(signals, "_read_series_lines", whole_text_reader)
+    monkeypatch.setattr(signals, "_READ_CHUNK", 7)
+    series = TimeSeries(np.arange(50.0), np.linspace(-1e-3, 2e-3, 50), label="x")
+    path = tmp_path / "s.csv"
+    signals.write_timeseries_csv(series, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+    got = signals.read_timeseries_csv(path)
+    assert np.array_equal(got.times, series.times)
+    assert np.array_equal(got.values, np.array([float(f"{v:.9g}") for v in series.values]))
+    assert got.label == "x"
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=series_bodies(), chunk=st.integers(1, 40))
+def test_series_reader_matches_line_loop_across_chunk_edges(tmp_path, body, chunk):
+    # The body is read in chunks of signals._READ_CHUNK characters; small
+    # chunks put the cut next to every kind of line ending and blank line.
+    old = signals._READ_CHUNK
+    signals._READ_CHUNK = chunk
+    try:
+        assert_series_readers_agree("time_s,value\n" + body, tmp_path)
+    finally:
+        signals._READ_CHUNK = old
