@@ -53,9 +53,11 @@ steps.
   NUL bytes dropped in one ``bytes.translate`` pass, which leaves the
   rows' text in order.
 
-``%d`` fields are ``%.12g`` fields: for an integer below 10**12 in size the
-two print the same digits. Other values (larger integers, non-integer
-arrays) go to ``%d`` one at a time.
+The writers use three row formats, ``%.12g,%.9g``, ``%.9g,%.9g`` and
+``%d,%.9g``, and the long rows; so fields are ``%.9g``, ``%.12g`` or
+``%d`` of an integer array, and anything else is a ValueError. A ``%d``
+field is a ``%.12g`` field: for an integer below 10**12 in size the two
+print the same digits, and a larger one goes to ``%d`` on its own.
 """
 
 import functools
@@ -68,9 +70,11 @@ import numpy as np
 #: their peak) stay a few megabytes.
 BLOCK_ROWS = 65536
 
-_FIELD = re.compile(r"%(?:\.(\d+)g|d)")
+_FIELD = re.compile(r"%(?:\.(9|12)g|d)")
+#: The P digits are taken from the digit tables in chunks of these widths.
+_CHUNK_WIDTHS = {9: (5, 4), 12: (4, 4, 4)}
 #: ``e`` range covered by the scale tables; |x| in [1e-280, 1e280] needs
-#: -282 <= e <= 281 and 10**(P-1-e) stays a normal float for P <= 14.
+#: -282 <= e <= 281 and 10**(P-1-e) stays a normal float for P <= 12.
 _E_SPAN = 290
 _CHARS = {c: np.uint8(ord(c)) for c in "-0.e+"}
 
@@ -115,15 +119,6 @@ def _scales(precision):
     mul = np.array([float(10 ** int(i)) if i > 0 else 1.0 for i in k])
     div = np.array([float(10 ** int(-i)) if i < 0 else 1.0 for i in k])
     return mul, div
-
-
-def _chunk_widths(precision):
-    """Split P digits into table-sized chunks: 9 -> (5, 4), 12 -> (4, 4, 4)."""
-    widths = []
-    while precision > 5:
-        widths.append(4)
-        precision -= 4
-    return (precision, *widths)
 
 
 def _ascii_digit(d):
@@ -179,15 +174,12 @@ def _field_slots(column, precision):
     """
     column = np.asarray(column)
     if precision is None:
+        if column.dtype.kind not in "iu":
+            raise ValueError(f"%d needs an integer column, not {column.dtype}")
         fmt, p = "%d", 12
-        if column.dtype.kind in "biu":
-            x = column.astype(np.float64)
-            x[~(np.abs(x) < 1e12)] = np.nan
-        else:
-            x = np.full(column.shape, np.nan)
+        x = column.astype(np.float64)
+        x[~(np.abs(x) < 1e12)] = np.nan
     else:
-        if not 1 <= precision <= 14:
-            raise ValueError(f"unsupported precision {precision}")
         fmt, p = f"%.{precision}g", precision
         x = column.astype(np.float64, copy=False)
     q, e, bad = _scaled_digits(x, p)
@@ -195,7 +187,7 @@ def _field_slots(column, precision):
     # Digits, in chunks of at most five, and how many are significant.
     qi = q.astype(np.int64)
     del q
-    widths = _chunk_widths(p)
+    widths = _CHUNK_WIDTHS[p]
     chunks = []
     for w in widths[:0:-1]:
         top = qi // 10 ** w
@@ -309,9 +301,9 @@ def _parse_format(row_format):
 def write_rows(fh, row_format, *columns):
     """Write ``row_format % row`` for each row of the equal-length columns.
 
-    ``row_format`` formats one row, newline included, from ``%.Pg`` and
-    ``%d`` fields; the bytes are those of ``%`` on the row's Python floats
-    and ints.
+    ``row_format`` formats one row, newline included, from ``%.9g``,
+    ``%.12g`` and ``%d`` fields (``%d`` on integer columns only); the bytes
+    are those of ``%`` on the row's Python floats and ints.
     """
     literals, precisions = _parse_format(row_format)
     columns = [np.asarray(col) for col in columns]

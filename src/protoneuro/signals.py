@@ -135,6 +135,7 @@ def _read_series_blocks(fh, meta):
     the body in chunks of about ``_READ_CHUNK`` characters cut after their
     last newline, so only the parsed arrays are ever whole. Each chunk is
     split with ``str.splitlines``, as the line loop splits the whole text,
+    stripped of the blank lines it starts with (the line loop skips them),
     and parsed by ``_csvio.parse_rows``. Returns None whenever the line loop
     must decide instead: a bad header, a header or metadata line that
     ``splitlines`` would split further, no body, or a chunk the block
@@ -155,33 +156,32 @@ def _read_series_blocks(fh, meta):
         text = pending + chunk
         cut = text.rfind("\n") + 1 if chunk else len(text)
         text, pending = text[:cut], text[cut:]
-        if text:
-            rows = _csvio.parse_rows(text.splitlines(), 2)
+        lines = text.splitlines()
+        first = 0
+        while first < len(lines) and not lines[first].strip():
+            first += 1
+        if first < len(lines):
+            rows = _csvio.parse_rows(lines[first:], 2)
             if rows is None:
                 return None
             blocks.append(rows)
         if not chunk:
-            return np.concatenate(blocks)
+            return np.concatenate(blocks) if blocks else None
 
 
 def _read_series_lines(lines, meta):
-    """The whole-text reader: header check, metadata, then the body's rows."""
+    """The reference reader: header check, then the line loop over the body."""
     if not lines or lines[0].strip() != HEADER:
         raise ParseError(f"expected header {HEADER!r}", line=1)
-    first = 1
-    while first < len(lines) and _read_metadata(lines[first].strip(), meta):
-        first += 1
-    rows = _csvio.parse_rows(lines[first:], 2)
-    return rows if rows is not None else _parse_series_lines(lines, first, meta)
+    return _parse_series_lines(lines, 1, meta)
 
 
 def read_timeseries_csv(path) -> TimeSeries:
     """Parse a series file, validating monotone times and finite values.
 
     The body is parsed in chunks (``_read_series_blocks``). A file they do
-    not take (metadata between rows, ``1_0``, a bad line) is re-read whole,
-    by one block parse and then the line loop, which gives the same values
-    or the same ParseError.
+    not take (metadata between rows, ``1_0``, a bad line) is re-read whole
+    by the line loop, which gives the same values or the same ParseError.
     """
     meta = {"unit": UNIT_MICROAMPERE, "label": ""}
     with open(path, "r", newline="") as fh:

@@ -107,8 +107,16 @@ def test_integer_columns_match_percent_d():
                      10**12, -(10**12), 10**15 + 7, 2**63 - 1, -(2**63)])
     assert formatted("%d,%.9g\n", ints, ints.astype(float)) == \
         reference("%d,%.9g\n", ints, ints.astype(float))
-    floats = np.array([1.5, -2.7, 3.0])   # %d truncates floats, as % does
-    assert formatted("%d\n", floats) == reference("%d\n", floats)
+
+
+@pytest.mark.parametrize("row_format, column", [
+    ("%d\n", np.array([1.5, -2.7, 3.0])),   # %d takes integer columns only
+    ("%.6g\n", np.arange(3.0)),               # only the writers' precisions 9 and 12
+    ("%f\n", np.arange(3.0)),
+])
+def test_unsupported_fields_are_rejected(row_format, column):
+    with pytest.raises(ValueError):
+        formatted(row_format, column)
 
 
 def test_zeros_integers_and_carries_are_formatted_without_fallback():

@@ -426,6 +426,26 @@ def test_series_reader_takes_a_written_file_chunk_by_chunk(tmp_path, monkeypatch
     assert got.label == "x"
 
 
+@pytest.mark.parametrize("body, chunks", [
+    ("0,1\n\n\n1,2\n\n2,3\n\n", range(1, 16)),   # empty lines, wherever the cuts fall
+    ("0,1\n  \n1,2\n\t\n2,3\n \n", [1]),          # whitespace-only lines, each at a cut
+])
+def test_series_reader_takes_blank_lines_at_chunk_edges(tmp_path, monkeypatch, body, chunks):
+    # A chunk may start with blank lines, which the line loop skips; they must
+    # not send the file to the whole-text reader.
+    path = tmp_path / "b.csv"
+    path.write_text("time_s,value\n" + body)
+    expected = outcome(reference_read_series, path)
+
+    def whole_text_reader(lines, meta):
+        raise AssertionError("fell back to the whole-text reader")
+
+    monkeypatch.setattr(signals, "_read_series_lines", whole_text_reader)
+    for chunk in chunks:
+        monkeypatch.setattr(signals, "_READ_CHUNK", chunk)
+        assert outcome(signals.read_timeseries_csv, path) == expected
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(body=series_bodies(), chunk=st.integers(1, 40))
