@@ -10,6 +10,9 @@ failure (rank deficiency, non-finite state). Config file values can be
 overridden per flag; explicit flags always win. The environment variable
 PROTONEURO_SEED overrides the config seed and is itself overridden by
 --seed.
+
+Each subcommand imports the modules it computes with, so ``report`` and
+``qsar-predict`` start without numpy and only ``qsar-fit`` imports scipy.
 """
 
 import argparse
@@ -17,10 +20,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import _csvio, coding, dpv, networks, qsar, signals, spikes
-from .config import RunConfig, derive_seed, load_config, load_manifest
 from .errors import NumericError, ValidationError
 
 EXIT_OK = 0
@@ -29,7 +28,7 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
 
-def _resolve_seed(args, config: RunConfig) -> int:
+def _resolve_seed(args, config) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("PROTONEURO_SEED")
@@ -52,6 +51,8 @@ def _override(base, **updates):
 
 
 def cmd_waveform(args) -> int:
+    from . import dpv
+    from .config import load_config
     config = load_config(args.config)
     params = _override(config.dpv, start_potential=args.start, end_potential=args.end,
                        step_size=args.step_size, pulse_amplitude=args.pulse_amplitude,
@@ -64,6 +65,8 @@ def cmd_waveform(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import signals
+    from .config import load_config
     config = load_config(args.config)
     seed = _resolve_seed(args, config)
     spike_times = tuple(args.spike_times) if args.spike_times else None
@@ -89,12 +92,14 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _detection_config(args, config: RunConfig) -> spikes.SpikeDetectionConfig:
+def _detection_config(args, config):
     return _override(config.detection, threshold=args.threshold,
                      min_peak_distance=args.min_distance)
 
 
 def cmd_detect(args) -> int:
+    from . import signals, spikes
+    from .config import load_config
     config = load_config(args.config)
     detcfg = _detection_config(args, config)
     series = signals.read_timeseries_csv(args.input)
@@ -111,6 +116,10 @@ def cmd_detect(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    import numpy as np
+
+    from . import coding, signals
+    from .config import load_config
     config = load_config(args.config)
     threshold = args.threshold if args.threshold is not None else config.coding.threshold
     series_list = [signals.read_timeseries_csv(p) for p in args.inputs]
@@ -130,6 +139,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_weights(args) -> int:
+    from . import coding
+    from .config import derive_seed, load_config
     config = load_config(args.config)
     if args.table1:
         matrix = coding.reference_weight_matrix()
@@ -146,6 +157,10 @@ def cmd_weights(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    import numpy as np
+
+    from . import coding, signals, spikes
+    from .config import derive_seed, load_manifest
     manifest = load_manifest(args.manifest)
     out_dir = args.output_dir or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -235,6 +250,9 @@ def _read_stream_csv(path, dt, expected_rows=None):
     time is free. Blank lines are skipped but count in the line numbers of
     error messages.
     """
+    import numpy as np
+
+    from . import _csvio
     with open(path, "r", newline="") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("time_s"):
@@ -273,16 +291,22 @@ def _read_stream_csv(path, dt, expected_rows=None):
 
 
 def _constant_stream(args, rows):
+    import numpy as np
     if args.steps is None:
         raise ValidationError("give --input or both --steps and --drive")
     return np.full((rows, args.steps), args.drive)
 
 
 def cmd_sim_spiking(args) -> int:
+    import numpy as np
+
+    from . import networks
     net = networks.load_network_json(args.net, "spiking")
     fin = _read_stream_csv(args.input, net.lif.dt, net.input_dim) if args.input \
         else _constant_stream(args, net.input_dim)
-    trace = networks.run_spiking(net, fin)
+    # An overflow surfaces as the NonFiniteStateError naming its step and neuron.
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = networks.run_spiking(net, fin)
     networks.write_trace_csv(trace, args.out_prefix + "_trace.csv")
     networks.write_raster_csv(trace, args.out_prefix + "_raster.csv")
     networks.write_outputs_csv(trace, args.out_prefix + "_output.csv")
@@ -291,6 +315,9 @@ def cmd_sim_spiking(args) -> int:
 
 
 def cmd_sim_rate(args) -> int:
+    import numpy as np
+
+    from . import networks
     net = networks.load_network_json(args.net, "rate")
     fin = _read_stream_csv(args.input, net.dt, net.input_dim) if args.input \
         else _constant_stream(args, net.input_dim)
@@ -301,13 +328,15 @@ def cmd_sim_rate(args) -> int:
         feedback = _read_stream_csv(args.feedback, net.dt, net.feedback_weights.shape[1])
         if feedback.shape[1] != fin.shape[1]:
             raise ValidationError("feedback and input lengths differ")
-    trace = networks.run_rate(net, fin, output_feedback=feedback)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = networks.run_rate(net, fin, output_feedback=feedback)
     networks.write_trace_csv(trace, args.out_prefix + "_trace.csv")
     print(f"steps={trace.times.size} units={net.n}")
     return EXIT_OK
 
 
 def cmd_qsar_fit(args) -> int:
+    from . import qsar
     observations = qsar.read_observations_csv(args.observations)
     result = qsar.fit(observations)
     coeffs = result.coefficients
@@ -320,6 +349,7 @@ def cmd_qsar_fit(args) -> int:
 
 
 def cmd_qsar_predict(args) -> int:
+    from . import qsar
     coeffs = qsar.read_model_json(args.model) if args.model else qsar.REFERENCE_COEFFICIENTS
     rate = qsar.predict(coeffs, args.x, args.y)
     print(f"predicted_rate_hz={rate:.6g}")

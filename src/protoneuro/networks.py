@@ -228,7 +228,7 @@ def run_rate(net: RateNetwork, inputs, output_feedback=None, initial_state=None,
         expected = (net.feedback_weights.shape[1], steps)
         if fb.shape != expected:
             raise ShapeError(f"feedback must have shape {expected}, got {fb.shape}")
-        drive = drive + net.feedback_weights @ fb
+        drive += net.feedback_weights @ fb
     x0 = np.zeros(net.n) if initial_state is None \
         else _as_matrix("initial_state", initial_state, (net.n,))
 

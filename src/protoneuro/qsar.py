@@ -14,22 +14,35 @@ condition numbers around 1e8. Confidence intervals are the standard
 linear-model ones (t quantile times the standard error derived from the
 residual variance and the design covariance).
 
-scipy is imported inside ``fit`` and ``confidence_bounds``, not here: every
-CLI call imports this module, and only ``qsar-fit`` needs scipy, whose
-import would otherwise dominate the start-up of all the others. The t
-quantile comes from ``scipy.special.stdtrit``, the function behind
-``scipy.stats.t.ppf``, which avoids importing ``scipy.stats`` at all.
+The rank check is a pivoted Householder QR (Businger and Golub, Numer.
+Math. 7:269, 1965) written with numpy on the nine scaled columns, and the
+design covariance inverts R with ``numpy.linalg.solve``; neither needs
+``scipy.linalg``. numpy is imported inside the array functions only, so
+``qsar-predict`` (the bundled or a JSON model at one point) starts without
+it, and scipy inside ``confidence_bounds`` only: the t quantile comes from
+``scipy.special.stdtrit``, the function behind ``scipy.stats.t.ppf``,
+which avoids importing ``scipy.stats`` at all.
+
+The surface is evaluated with products only (``x * x``, ``y * y * y``),
+never ``**``: numpy's float power runs its own vector routines, which can
+round differently from the C library's ``pow`` behind Python's, whereas a
+product rounds the same for a Python float and an array element, so a
+prediction at one point equals the same point of an array prediction bit
+for bit.
 """
 
-import json
-from dataclasses import dataclass, field
+from __future__ import annotations
 
-import numpy as np
+import json
+import math
+from dataclasses import dataclass, field
 
 from .errors import ParseError, RankDeficiencyError, ValidationError
 
 COEFFICIENT_NAMES = ("p00", "p10", "p01", "p20", "p11", "p02", "p21", "p12", "p03")
 BASIS_NAMES = ("1", "x", "y", "x^2", "x*y", "y^2", "x^2*y", "x*y^2", "y^3")
+#: Relative gap below which two column norms tie when pivoting.
+_PIVOT_TIE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -48,8 +61,7 @@ class QsarCoefficients:
     bounds: dict = field(default=None, compare=False)
 
     def __post_init__(self):
-        vec = self.as_array()
-        if not np.all(np.isfinite(vec)):
+        if not all(math.isfinite(getattr(self, n)) for n in COEFFICIENT_NAMES):
             raise ValidationError("coefficients must be finite")
         if self.bounds is not None:
             for name in self.bounds:
@@ -60,10 +72,12 @@ class QsarCoefficients:
                     raise ValidationError(f"{name} outside its own bounds [{lo}, {hi}]")
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
         return np.array([getattr(self, n) for n in COEFFICIENT_NAMES])
 
     @classmethod
     def from_array(cls, values, bounds=None) -> "QsarCoefficients":
+        import numpy as np
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (9,):
             raise ValidationError(f"need 9 coefficients, got shape {values.shape}")
@@ -125,7 +139,7 @@ class QsarObservation:
     mean_firing_rate: float
 
     def __post_init__(self):
-        if not np.isfinite(self.mean_firing_rate):
+        if not math.isfinite(self.mean_firing_rate):
             raise ValidationError("mean_firing_rate must be finite")
 
 
@@ -141,6 +155,7 @@ class FitResult:
 
 def design_matrix(x, y) -> np.ndarray:
     """Rows of basis terms [1, x, y, x^2, xy, y^2, x^2 y, x y^2, y^3]."""
+    import numpy as np
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     return np.column_stack([
@@ -149,15 +164,57 @@ def design_matrix(x, y) -> np.ndarray:
 
 
 def predict(coeffs: QsarCoefficients, x, y):
-    """Evaluate the surface; broadcasts over array-valued x and y."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValidationError("predictors must be finite")
+    """Evaluate the surface; broadcasts over array-valued x and y.
+
+    Two Python floats are evaluated without numpy; the result equals the
+    array path's bit for bit.
+    """
+    if isinstance(x, float) and isinstance(y, float):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValidationError("predictors must be finite")
+    else:
+        import numpy as np
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValidationError("predictors must be finite")
     c = coeffs
-    out = (c.p00 + c.p10 * x + c.p01 * y + c.p20 * x**2 + c.p11 * x * y
-           + c.p02 * y**2 + c.p21 * x**2 * y + c.p12 * x * y**2 + c.p03 * y**3)
-    return float(out) if out.ndim == 0 else out
+    x2, y2 = x * x, y * y
+    out = (c.p00 + c.p10 * x + c.p01 * y + c.p20 * x2 + c.p11 * x * y
+           + c.p02 * y2 + c.p21 * x2 * y + c.p12 * x * y2 + c.p03 * (y2 * y))
+    return out if getattr(out, "ndim", 0) else float(out)
+
+
+def _pivoted_qr_diagonal(a):
+    """|diag R| and the column order of a Householder QR with column pivoting.
+
+    Each step moves the remaining column of largest norm to the front and
+    reflects it onto the axis, so |R[k, k]| is non-increasing and a column
+    dependent on the ones before it ends among the last. Norms within a
+    relative ``_PIVOT_TIE`` of the largest count as equal and the first in
+    basis order wins: proportional columns (every power of a constant y)
+    then keep the simplest term whatever the rounding of their norms.
+    """
+    import numpy as np
+    a = np.array(a, dtype=np.float64)
+    n = a.shape[1]
+    piv = np.arange(n)
+    diag = np.zeros(n)
+    for k in range(n):
+        rest = a[k:, k:]
+        sq = np.einsum("ij,ij->j", rest, rest)
+        tied = np.flatnonzero(sq >= sq.max() * (1.0 - _PIVOT_TIE))
+        j = k + int(tied[np.argmin(piv[k:][tied])])
+        a[:, [k, j]] = a[:, [j, k]]
+        piv[[k, j]] = piv[[j, k]]
+        v = a[k:, k].copy()
+        alpha = -math.copysign(math.sqrt(sq[j - k]), v[0])
+        diag[k] = abs(alpha)
+        v[0] -= alpha
+        vv = float(v @ v)
+        if vv > 0:
+            rest -= np.outer(v, (2.0 / vv) * (v @ rest))
+    return diag, piv
 
 
 def fit(observations) -> FitResult:
@@ -166,21 +223,22 @@ def fit(observations) -> FitResult:
     Raises RankDeficiencyError naming the dependent basis columns when the
     design is singular, and ValidationError with fewer than 9 observations.
     """
-    from scipy import linalg as _sla
+    import numpy as np
     obs = list(observations)
     if len(obs) < 9:
         raise ValidationError(f"need at least 9 observations, got {len(obs)}")
     x = np.array([o.predictors.molecular_weight for o in obs])
     y = np.array([o.predictors.peptide_length for o in obs])
     rates = np.array([o.mean_firing_rate for o in obs])
-    design = design_matrix(x, y)
-
-    norms = np.linalg.norm(design, axis=0)
+    with np.errstate(over="ignore"):
+        design = design_matrix(x, y)
+        norms = np.linalg.norm(design, axis=0)
+    if not np.all(np.isfinite(norms)):
+        raise ValidationError("predictors too large: a design column's norm overflows")
     norms[norms == 0] = 1.0
     scaled = design / norms
     # Pivoted QR both detects deficiency and names the dependent columns.
-    r, piv = _sla.qr(scaled, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r))
+    diag, piv = _pivoted_qr_diagonal(scaled)
     tol = diag.max() * 1e-10 if diag.size else 0.0
     rank = int(np.sum(diag > tol))
     if rank < 9:
@@ -195,7 +253,7 @@ def fit(observations) -> FitResult:
     rss = float(residuals @ residuals)
     # Unit-sigma coefficient covariance: D (Xs' Xs)^-1 D with D = diag(1/norms).
     r_full = np.linalg.qr(scaled, mode="r")
-    rinv = _sla.solve_triangular(r_full, np.eye(9))
+    rinv = np.linalg.solve(r_full, np.eye(9))
     cov_unit = (rinv @ rinv.T) / np.outer(norms, norms)
     return FitResult(coefficients=QsarCoefficients.from_array(coeffs),
                      residual_sum_squares=rss, observation_count=len(obs),
@@ -219,6 +277,7 @@ def confidence_bounds(fit_result: FitResult, observations, level: float = 0.95) 
         )
     if not 0 < level < 1:
         raise ValidationError("level must be in (0, 1)")
+    import numpy as np
     from scipy.special import stdtrit
     s2 = fit_result.residual_sum_squares / dof
     se = np.sqrt(s2 * np.diag(fit_result.covariance_unit))
@@ -285,9 +344,9 @@ def read_model_json(path) -> QsarCoefficients:
     try:
         coeff_map = doc["coefficients"]
         values = [float(coeff_map[n]) for n in COEFFICIENT_NAMES]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed model document ({exc})") from None
     bounds = None
     if "bounds" in doc:
         bounds = {n: tuple(float(b) for b in doc["bounds"][n]) for n in doc["bounds"]}
-    return QsarCoefficients.from_array(values, bounds=bounds)
+    return QsarCoefficients(*values, bounds=bounds)

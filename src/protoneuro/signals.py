@@ -182,18 +182,34 @@ def read_timeseries_csv(path) -> TimeSeries:
     The body is parsed in chunks (``_read_series_blocks``). A file they do
     not take (metadata between rows, ``1_0``, a bad line) is re-read whole
     by the line loop, which gives the same values or the same ParseError.
+    A byte the text encoding rejects is a ParseError naming its line.
     """
     meta = {"unit": UNIT_MICROAMPERE, "label": ""}
-    with open(path, "r", newline="") as fh:
-        rows = _read_series_blocks(fh, meta)
-        if rows is None:
-            fh.seek(0)
-            meta = {"unit": UNIT_MICROAMPERE, "label": ""}
-            rows = _read_series_lines(fh.read().splitlines(), meta)
+    try:
+        with open(path, "r", newline="") as fh:
+            rows = _read_series_blocks(fh, meta)
+            if rows is None:
+                fh.seek(0)
+                meta = {"unit": UNIT_MICROAMPERE, "label": ""}
+                rows = _read_series_lines(fh.read().splitlines(), meta)
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
     try:
         return TimeSeries(rows[:, 0], rows[:, 1], unit=meta["unit"], label=meta["label"])
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
+
+
+def _undecodable(path, error: UnicodeDecodeError) -> ParseError:
+    """The ParseError naming the line (as ``str.splitlines`` counts) of the first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode(error.encoding)
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode(exc.encoding) + "x").splitlines())
+        return ParseError(f"byte 0x{data[exc.start]:02x} is not valid {exc.encoding}", line=line)
+    return ParseError(str(error))
 
 
 def write_timeseries_csv(series: TimeSeries, path) -> None:

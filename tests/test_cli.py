@@ -74,6 +74,14 @@ def test_detect_malformed_file_is_validation_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_detect_file_that_is_not_utf8_is_validation_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"time_s,value\n# unit=volt\n0,1\n1,\xff2\n")
+    code, _, stderr = run(capsys, "detect", str(bad))
+    assert code == 2
+    assert stderr == "error: line 4: byte 0xff is not valid utf-8\n"
+
+
 @pytest.mark.parametrize("distance", ["-1", "nan"])
 def test_detect_bad_min_distance_names_the_field(tmp_path, capsys, distance):
     src = tmp_path / "s.csv"
@@ -502,18 +510,113 @@ def test_every_subcommand_has_help(capsys):
                 assert opt in help_text
 
 
-def test_cli_import_loads_no_scipy():
-    # Only qsar-fit needs scipy; every other command must start without it.
+OBSERVATIONS_12 = """label,molecular_weight_gmol,peptide_length,mean_firing_rate_hz
+s0,505.50,6,18109.6321
+s1,228.59,1,-21.4487
+s2,285.67,3,1068.2165
+s3,579.68,4,-2177.9956
+s4,697.48,5,-8579.0746
+s5,185.34,1,399.1185
+s6,147.24,2,-303.4611
+s7,208.49,3,1756.0875
+s8,315.79,1,-1572.0839
+s9,201.77,6,86498.8158
+s10,453.26,4,358.5681
+s11,470.08,5,5619.5306
+"""
+
+
+def src_env():
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["--x", "147.13", "--y", "2", "--mean", "535.4877"],
+     "predicted_rate_hz=-284.462\npercent_deviation=-153.1221%\n"),
+    (["--x", "623.7", "--y", "5"], "predicted_rate_hz=-5306.68\n"),
+    (["--model", "MODEL", "--x", "333.3", "--y", "4", "--mean", "600"],
+     "predicted_rate_hz=4888.13\npercent_deviation=+714.6884%\n"),
+], ids=["reference-with-mean", "reference", "fitted-with-mean"])
+def test_qsar_predict_stdout_is_pinned(tmp_path, capsys, argv, stdout):
+    obs = tmp_path / "obs.csv"
+    obs.write_text(OBSERVATIONS_12)
+    model = tmp_path / "model.json"
+    assert run(capsys, "qsar-fit", str(obs), "--out", str(model))[1] == \
+        "observations=12 residual_ss=1460.72\n"
+    argv = [str(model) if a == "MODEL" else a for a in argv]
+    assert run(capsys, "qsar-predict", *argv) == (0, stdout, "")
+
+
+def session_argv(name, tmp_path, capsys):
+    """Argv of one ``session`` subcommand on tiny inputs made in ``tmp_path``."""
+    manifest = make_manifest(tmp_path, [("a", [10, 40, 70])])
+    out = tmp_path / "out"
+    obs = tmp_path / "obs.csv"
+    obs.write_text(OBSERVATIONS_12)
+    model = tmp_path / "model.json"
+    if name == "report":
+        assert run(capsys, "pipeline", str(manifest), "--output-dir", str(out))[0] == 0
+    if name == "qsar-predict":
+        assert run(capsys, "qsar-fit", str(obs), "--out", str(model))[0] == 0
+    return {
+        "waveform": ["waveform", "--out", str(tmp_path / "wf.csv"), "--start", "0",
+                     "--end", "0.002", "--equilibrium-time", "0"],
+        "pipeline": ["pipeline", str(manifest), "--output-dir", str(out)],
+        "report": ["report", str(out / "report.json")],
+        "qsar-fit": ["qsar-fit", str(obs), "--out", str(model)],
+        "qsar-predict": ["qsar-predict", "--model", str(model), "--x", "333.3", "--y", "4"],
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["waveform", "pipeline", "report", "qsar-fit",
+                                  "qsar-predict"])
+def test_session_subcommands_import_only_what_they_compute_with(tmp_path, capsys, name):
+    # report and qsar-predict start without numpy; only qsar-fit loads scipy,
+    # and only scipy.special of it.
+    argv = session_argv(name, tmp_path, capsys)
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, protoneuro, protoneuro.cli\n"
-         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
-        env=env, capture_output=True, text=True, timeout=120)
+         "import json, sys\nfrom protoneuro import cli\ncode = cli.main(sys.argv[1:])\n"
+         "print(json.dumps([code, sorted(sys.modules)]))", *argv],
+        env=src_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+
+    def loaded(package):
+        return [m for m in modules if m == package or m.startswith(package + ".")]
+
+    assert loaded("protoneuro")
+    if name in ("report", "qsar-predict"):
+        assert loaded("numpy") == []
+    if name == "qsar-fit":
+        assert "scipy.special" in modules
+        assert loaded("scipy.linalg") == []
+    else:
+        assert loaded("scipy") == []
+
+
+@pytest.mark.parametrize("command, net, what", [
+    ("sim-spiking", {"output_weights": [[1, 1]]}, "membrane potentials"),
+    ("sim-rate", {}, "unit state"),
+], ids=["sim-spiking", "sim-rate"])
+def test_simulation_overflow_prints_only_the_numeric_error(tmp_path, command, net, what):
+    spec = tmp_path / "net.json"
+    spec.write_text(json.dumps({"n": 2, "recurrent_weights": [[0, 0], [0, 0]],
+                                "input_weights": [[2, 0], [0, 2]], **net}))
+    stream = tmp_path / "fin.csv"
+    stream.write_text("time_s,ch0,ch1\n" + "".join(
+        f"{(k + 1) * 1e-4:.9g},{0 if k < 150 else -1e308},{0 if k < 100 else -1e308}\n"
+        for k in range(200)))
+    done = subprocess.run(
+        [sys.executable, "-m", "protoneuro.cli", command, "--net", str(spec), "--input",
+         str(stream), "--out-prefix", str(tmp_path / "r")],
+        env=src_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3
+    assert done.stderr == (f"numeric error: simulation produced non-finite {what}: "
+                           "first at step 100 (t=0.0101 s), neuron 1\n")
 
 
 def test_readme_sim_spiking_example_fires(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -242,3 +244,91 @@ def test_confidence_bounds_equal_the_scipy_stats_t_quantile_bounds():
         expected = {name: (float(values[j] - tq * se[j]), float(values[j] + tq * se[j]))
                     for j, name in enumerate(qsar.COEFFICIENT_NAMES)}
         assert qsar.confidence_bounds(result, obs, level=level) == expected
+
+
+def test_predict_on_floats_equals_the_array_path_bit_for_bit():
+    rng = np.random.default_rng(21)
+    coeffs = [REFERENCE_COEFFICIENTS,
+              QsarCoefficients.from_array(rng.standard_normal(9) * 10.0 ** rng.uniform(-3, 3, 9))]
+    x = np.concatenate([rng.uniform(0.0, 1000.0, 1000), rng.uniform(-1e6, 1e6, 500)])
+    y = np.concatenate([rng.uniform(1.0, 10.0, 1000), rng.uniform(-1e3, 1e3, 500)])
+    for c in coeffs:
+        on_arrays = qsar.predict(c, x, y)
+        on_floats = np.array([qsar.predict(c, float(xi), float(yi)) for xi, yi in zip(x, y)])
+        assert on_arrays.tobytes() == on_floats.tobytes()
+        assert type(qsar.predict(c, float(x[0]), float(y[0]))) is float
+
+
+def test_predict_on_floats_rejects_nonfinite_and_overflows_like_the_array_path():
+    with pytest.raises(ValidationError, match="finite"):
+        qsar.predict(REFERENCE_COEFFICIENTS, 1.0, float("nan"))
+    # x^2 overflows in two terms of opposite sign: NaN, not Python's OverflowError
+    with np.errstate(over="ignore", invalid="ignore"):
+        on_array = qsar.predict(REFERENCE_COEFFICIENTS, np.array([1e200]), np.array([2.0]))
+    assert np.isnan(on_array[0])
+    assert np.isnan(qsar.predict(REFERENCE_COEFFICIENTS, 1e200, 2.0))
+
+
+@pytest.mark.parametrize("x", [np.linspace(100, 800, 9), np.arange(9) * 50.0 + 100,
+                               np.random.default_rng(22).uniform(100, 700, 15)],
+                         ids=["linspace", "step-50", "random"])
+def test_fit_constant_y_names_the_columns_after_the_simplest(x):
+    # With y constant, 1 ~ y ~ y^2 ~ y^3, x ~ x*y ~ x*y^2 and x^2 ~ x^2*y after scaling:
+    # tied pivots go to the first column in basis order, whatever the rounding.
+    obs = make_observations(REFERENCE_COEFFICIENTS, x, np.full(x.size, 3.0))
+    with pytest.raises(RankDeficiencyError, match="rank 3 < 9") as err:
+        qsar.fit(obs)
+    assert err.value.columns == ("x*y", "x*y^2", "x^2*y", "y", "y^2", "y^3")
+
+
+@pytest.mark.parametrize("x", [1e120, 1e200])
+def test_fit_rejects_predictors_whose_design_overflows(x):
+    obs = make_observations(None, np.arange(1.0, 13.0) * x, np.arange(12.0) % 4 + 1,
+                            np.arange(12.0))
+    with pytest.raises(ValidationError, match="overflows"):
+        qsar.fit(obs)
+
+
+def test_fit_constant_x_names_the_columns_after_the_simplest():
+    y = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    obs = make_observations(REFERENCE_COEFFICIENTS, np.full(y.size, 250.0), y)
+    with pytest.raises(RankDeficiencyError, match="rank 4 < 9") as err:
+        qsar.fit(obs)
+    assert err.value.columns == ("x", "x*y", "x*y^2", "x^2", "x^2*y")
+
+
+def test_model_json_with_a_non_numeric_coefficient_is_a_validation_error(tmp_path):
+    path = tmp_path / "model.json"
+    qsar.write_model_json(REFERENCE_COEFFICIENTS, path)
+    doc = json.loads(path.read_text())
+    doc["coefficients"]["p11"] = "lots"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="malformed model document"):
+        qsar.read_model_json(path)
+
+
+def test_pivoted_qr_agrees_with_lapack_on_rank_and_volume():
+    from scipy import linalg
+
+    def scaled(x, y):
+        design = qsar.design_matrix(x, y)
+        return design / np.linalg.norm(design, axis=0)
+
+    def rank(diag):
+        return int(np.sum(diag > diag.max() * 1e-10))
+
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n = int(rng.integers(9, 60))
+        x, y = rng.uniform(100, 700, n), rng.integers(1, 9, n).astype(float)
+        designs = [scaled(x, y), scaled(x, np.full(n, 2.0)), scaled(np.full(n, 300.0), y),
+                   scaled(x, rng.choice([1.0, 2.0], n))]
+        for k, a in enumerate(designs):
+            r, _ = linalg.qr(a, mode="r", pivoting=True)
+            lapack = np.abs(np.diag(r))
+            diag, order = qsar._pivoted_qr_diagonal(a)
+            assert sorted(order) == list(range(9))
+            assert rank(diag) == rank(lapack)
+            if k == 0:  # full rank: prod |R[k, k]| = sqrt(det(A'A)) whatever the pivots
+                assert rank(diag) == 9
+                assert np.prod(diag) == pytest.approx(np.prod(lapack), rel=1e-8)

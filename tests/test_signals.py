@@ -458,3 +458,13 @@ def test_series_reader_matches_line_loop_across_chunk_edges(tmp_path, body, chun
         assert_series_readers_agree("time_s,value\n" + body, tmp_path)
     finally:
         signals._READ_CHUNK = old
+
+
+@pytest.mark.parametrize("chunk", [1 << 20, 16], ids=["one-chunk", "many-chunks"])
+def test_read_rejects_a_byte_that_is_not_utf8_naming_its_line(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(signals, "_READ_CHUNK", chunk)
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"time_s,value\n# unit=volt\n0,1\n" + b"".join(
+        b"%d,1\n" % k for k in range(1, 40)) + b"\r\n40,\xff2\n41,3\n")
+    with pytest.raises(ParseError, match=r"^line 44: byte 0xff is not valid utf-8$"):
+        signals.read_timeseries_csv(path)
