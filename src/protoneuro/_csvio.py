@@ -5,12 +5,12 @@ of numeric rows. Handling them one Python call per row made file I/O the
 bulk of a command's run time, so their readers and writers go through the
 functions here, which stand in exactly for the per-row code.
 
-Parsing: ``parse_rows`` hands the body lines to one ``np.loadtxt`` call,
-which converts each field with the same ``PyOS_string_to_double`` as
-``float``. Whenever a line is not exactly ``width`` numbers it returns None,
-and the caller re-reads with its line loop. That loop accepts what ``float``
-accepts and ``loadtxt`` does not (``1_0``, metadata lines between rows) and
-raises every parse error with its line number, as before.
+Parsing: ``read_rows`` hands each megabyte chunk of a file's lines to one
+``np.loadtxt`` call, which converts each field with the same
+``PyOS_string_to_double`` as ``float``. Whenever a line is not exactly
+``width`` numbers it returns None, and the caller re-reads with its line
+loop. That loop accepts what ``float`` accepts and ``loadtxt`` does not
+(``1_0``, metadata lines between rows) and names the line of every error.
 
 Formatting: ``write_rows`` (and ``write_long_rows`` for the time-major
 trace files) writes ``BLOCK_ROWS`` rows at a time with array arithmetic, and
@@ -69,6 +69,9 @@ import numpy as np
 #: calls, small enough that a block's arrays (under 100 bytes a row at
 #: their peak) stay a few megabytes.
 BLOCK_ROWS = 65536
+#: Characters read per body chunk: the chunk's line strings stay a few
+#: megabytes however long the file.
+_READ_CHUNK = 1 << 20
 
 _FIELD = re.compile(r"%(?:\.(9|12)g|d)")
 #: The P digits are taken from the digit tables in chunks of these widths.
@@ -79,20 +82,31 @@ _E_SPAN = 290
 _CHARS = {c: np.uint8(ord(c)) for c in "-0.e+"}
 
 
-def parse_rows(lines, width):
-    """Parse comma-separated numeric lines into an (n, width) float64 array.
+def read_rows(fh, width, first=""):
+    """The rest of an open text file, from its line ``first``, as an (n, width)
+    float64 array; None when there are no rows or a line is not ``width`` numbers.
 
-    Returns None when ``lines`` is empty, starts with a blank line, or holds
-    any line that is not ``width`` numbers; the caller then falls back to
-    its line loop. Empty lines after the first are skipped, as the loops do.
+    Chunks of about ``_READ_CHUNK`` characters are cut after their last
+    newline, split as a line loop splits the whole text, rid of leading blank
+    lines (``np.loadtxt`` skips only later ones) and parsed by ``np.loadtxt``.
     """
-    if not lines or not lines[0].strip():
-        return None
-    try:
-        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return rows if rows.shape[1] == width else None
+    blocks, pending = [], first
+    while True:
+        chunk = fh.read(_READ_CHUNK)
+        text = pending + chunk
+        cut = text.rfind("\n") + 1 if chunk else len(text)
+        lines, pending = text[:cut].splitlines(), text[cut:]
+        start = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+        if start < len(lines):
+            try:
+                rows = np.loadtxt(lines[start:], delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                return None
+            if rows.shape[1] != width:
+                return None
+            blocks.append(rows)
+        if not chunk:
+            return np.concatenate(blocks) if blocks else None
 
 
 @functools.cache

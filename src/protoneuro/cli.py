@@ -16,11 +16,13 @@ Each subcommand imports the modules it computes with, so ``report`` and
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 
-from .errors import NumericError, ValidationError
+from . import _inputs
+from .errors import NumericError, ParseError, ValidationError
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -30,34 +32,25 @@ EXIT_NUMERIC = 3
 
 def _resolve_seed(args, config) -> int:
     if getattr(args, "seed", None) is not None:
-        return args.seed
+        return _inputs.integer(args.seed, 0, "--seed")
     env = os.environ.get("PROTONEURO_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(f"PROTONEURO_SEED must be an integer, got {env!r}") from None
-    return config.seed
-
-
-def _override(base, **updates):
-    """Rebuild a frozen config dataclass with the non-None flag values."""
-    fields = {k: v for k, v in updates.items() if v is not None}
-    if not fields:
-        return base
-    current = {name: getattr(base, name) for name in base.__dataclass_fields__}
-    current.update(fields)
-    return type(base)(**current)
+    if env is None:
+        return config.seed
+    with contextlib.suppress(ValueError):
+        env = int(env)
+    return _inputs.integer(env, 0, "PROTONEURO_SEED")
 
 
 def cmd_waveform(args) -> int:
+    import dataclasses
+
     from . import dpv
     from .config import load_config
     config = load_config(args.config)
-    params = _override(config.dpv, start_potential=args.start, end_potential=args.end,
-                       step_size=args.step_size, pulse_amplitude=args.pulse_amplitude,
-                       pulse_width=args.pulse_width, scan_rate=args.scan_rate,
-                       equilibrium_time=args.equilibrium_time)
+    flags = dict(start_potential=args.start, end_potential=args.end, step_size=args.step_size,
+                 pulse_amplitude=args.pulse_amplitude, pulse_width=args.pulse_width,
+                 scan_rate=args.scan_rate, equilibrium_time=args.equilibrium_time)
+    params = dataclasses.replace(config.dpv, **{k: v for k, v in flags.items() if v is not None})
     waveform = dpv.generate_waveform(params)
     dpv.write_waveform_csv(waveform, args.out)
     print(f"steps={dpv.step_count(params)} scan_duration_s={dpv.scan_duration(params):g}")
@@ -92,16 +85,14 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _detection_config(args, config):
-    return _override(config.detection, threshold=args.threshold,
-                     min_peak_distance=args.min_distance)
-
-
 def cmd_detect(args) -> int:
+    import dataclasses
+
     from . import signals, spikes
     from .config import load_config
     config = load_config(args.config)
-    detcfg = _detection_config(args, config)
+    detcfg = dataclasses.replace(config.detection, **{k: v for k, v in dict(
+        threshold=args.threshold, min_peak_distance=args.min_distance).items() if v is not None})
     series = signals.read_timeseries_csv(args.input)
     train = spikes.detect_spikes(series, detcfg)
     stats = spikes.compute_stats(train)
@@ -139,7 +130,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    from . import coding
+    from . import _csvio, coding
     from .config import derive_seed, load_config
     config = load_config(args.config)
     if args.table1:
@@ -150,8 +141,7 @@ def cmd_weights(args) -> int:
         matrix = coding.init_weights(args.n, derive_seed(seed, "weights"))
         source = f"seeded({seed})"
     with open(args.out, "w", newline="") as fh:
-        for row in matrix.entries:
-            fh.write(",".join(f"{x:.9g}" for x in row) + "\n")
+        _csvio.write_rows(fh, ",".join(["%.9g"] * matrix.size) + "\n", *matrix.entries.T)
     print(f"n={matrix.size} source={source}")
     return EXIT_OK
 
@@ -237,57 +227,57 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK if not errors else EXIT_IO
 
 
-def _file_line(path, k):
-    """Line number in ``path`` of its ``k``-th non-blank line (the header is 0)."""
-    with open(path, "r", newline="") as fh:
-        return [n for n, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()][k]
-
-
 def _read_stream_csv(path, dt, expected_rows=None):
     """Wide input stream: header time_s,ch0[,ch1...]; returns (d, steps) array.
 
     Consecutive times must be ``dt`` apart within a relative 1e-6; the first
     time is free. Blank lines are skipped but count in the line numbers of
-    error messages.
+    error messages. A file ``_csvio.read_rows`` does not take after a first
+    line header, or whose time steps are off, goes to the line loop.
     """
     import numpy as np
 
     from . import _csvio
-    with open(path, "r", newline="") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("time_s"):
-        raise ValidationError(f"{path}: expected a header starting with time_s")
-    width = len(lines[0].split(",")) - 1
-    if width < 1:
-        raise ValidationError(f"{path}: header lists no channels")
-    block = _csvio.parse_rows(lines[1:], width + 1)
-    if block is not None:
-        times = block[:, 0]
-        # Same (steps, d).T layout as the loop's array, so matmuls add in the same order.
-        arr = np.ascontiguousarray(block[:, 1:]).T
-    else:
-        times, rows = [], []
-        for k, ln in enumerate(lines[1:], start=1):
-            parts = ln.split(",")
-            if len(parts) != width + 1:
-                raise ValidationError(
-                    f"{path}: line {_file_line(path, k)}: expected {width} channels")
-            try:
-                times.append(float(parts[0]))
-                rows.append([float(x) for x in parts[1:]])
-            except ValueError as exc:
-                raise ValidationError(f"{path}: line {_file_line(path, k)}: {exc}") from None
-        arr = np.asarray(rows, dtype=np.float64).T if rows else np.empty((width, 0))
-    steps = np.diff(np.asarray(times, dtype=np.float64))
-    off = np.flatnonzero(~(np.abs(steps - dt) <= 1e-6 * dt))
-    if off.size:
-        i = int(off[0])
-        raise ValidationError(
-            f"{path}: line {_file_line(path, i + 2)}: time step {steps[i]:.9g} s, "
-            f"expected the network's dt {dt:.9g} s")
-    if expected_rows is not None and arr.shape[0] != expected_rows:
-        raise ValidationError(f"{path}: {arr.shape[0]} channels, expected {expected_rows}")
+    with _inputs.blamed(path), _inputs.open_text(path) as fh:
+        header = fh.readline().splitlines()
+        width = len(header[0].split(",")) if len(header) == 1 else 0
+        block = _csvio.read_rows(fh, width) \
+            if width > 1 and header[0].startswith("time_s") else None
+        if block is not None and np.all(np.abs(np.diff(block[:, 0]) - dt) <= 1e-6 * dt):
+            # The loop's (steps, d).T layout, so matmuls add in the same order.
+            arr = np.ascontiguousarray(block[:, 1:]).T
+        else:
+            fh.seek(0)
+            arr = _stream_lines(fh.read().splitlines(), dt)
+        if expected_rows is not None and arr.shape[0] != expected_rows:
+            raise ValidationError(f"{arr.shape[0]} channels, expected {expected_rows}")
     return arr
+
+
+def _stream_lines(lines, dt):
+    """The stream's line loop: its array, or a ParseError naming the bad line."""
+    import numpy as np
+    numbered = [(n, ln) for n, ln in enumerate(lines, start=1) if ln.strip()]
+    if not numbered or not numbered[0][1].startswith("time_s"):
+        raise ValidationError("expected a header starting with time_s")
+    width = len(numbered[0][1].split(",")) - 1
+    if width < 1:
+        raise ValidationError("header lists no channels")
+    times, rows = [], []
+    for lineno, ln in numbered[1:]:
+        parts = ln.split(",")
+        if len(parts) != width + 1:
+            raise ParseError(f"expected {width} channels", line=lineno)
+        try:
+            times.append(float(parts[0]))
+            rows.append([float(x) for x in parts[1:]])
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+    for k in range(1, len(times)):
+        if not abs(times[k] - times[k - 1] - dt) <= 1e-6 * dt:
+            raise ParseError(f"time step {times[k] - times[k - 1]:.9g} s, expected the "
+                             f"network's dt {dt:.9g} s", line=numbered[k + 1][0])
+    return np.asarray(rows, dtype=np.float64).T if rows else np.empty((width, 0))
 
 
 def _constant_stream(args, rows):
@@ -359,12 +349,10 @@ def cmd_qsar_predict(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.report) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{args.report}: invalid JSON ({exc})") from None
+    doc = _inputs.read_json_object(args.report, "report")
     samples = doc.get("samples", [])
+    if not isinstance(samples, list) or not all(isinstance(s, dict) for s in samples):
+        raise ValidationError(f'{args.report}: report "samples" must be a list of objects')
     print(f"{'sample':<24} {'count':>7} {'mean ISI (s)':>13} {'freq (mHz)':>11}")
     for s in samples:
         isi = "n/a" if s.get("mean_isi_s") is None else f"{s['mean_isi_s']:.2f}"

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _csvio
 from .errors import ShapeError, ValidationError
 
 
@@ -29,8 +30,8 @@ class CodingConfig:
     time_window: float = 1.0  # stored for provenance; not used by the code map
 
     def __post_init__(self):
-        if self.neuron_count < 1:
-            raise ValidationError("neuron_count must be >= 1")
+        if not (isinstance(self.neuron_count, (int, np.integer)) and self.neuron_count >= 1):
+            raise ValidationError("neuron_count must be an integer >= 1")
         if not np.isfinite(self.threshold):
             raise ValidationError("threshold must be finite")
         if self.time_window <= 0:
@@ -176,8 +177,7 @@ def write_code_csv(code: CodeMatrix, path) -> None:
     """Export codes with neuron labels as header; one row per time sample."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(code.neuron_labels) + "\n")
-        for k in range(code.sample_count):
-            fh.write(",".join(str(int(x)) for x in code.entries[:, k]) + "\n")
+        _csvio.write_rows(fh, ",".join(["%d"] * code.neuron_count) + "\n", *code.entries)
 
 
 def write_grid_csv(grid: PsiPpiGrid, path, labels=None) -> None:

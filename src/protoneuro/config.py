@@ -18,10 +18,10 @@ existing ones.
 """
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 
+from . import _inputs
 from .coding import CodingConfig
 from .dpv import DpvParameters
 from .errors import ValidationError
@@ -34,11 +34,13 @@ def derive_seed(master_seed: int, component: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _build(cls, section: dict, name: str):
-    try:
-        return cls(**section)
-    except TypeError as exc:
-        raise ValidationError(f"config section {name!r}: {exc}") from None
+def _build(cls, doc, name, what):
+    """Section ``name`` of a config or manifest: ``cls`` fields only, each a finite number."""
+    section = doc.get(name, {})
+    _inputs.check_keys(section, cls.__dataclass_fields__, f'{what} "{name}"')
+    for key, value in section.items():
+        _inputs.number(value, f'{what} "{name}.{key}"')
+    return cls(**section)
 
 
 @dataclass(eq=False)
@@ -56,15 +58,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        known = {"dpv", "detection", "coding", "seed"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        _inputs.check_keys(doc, ("dpv", "detection", "coding", "seed"), "config")
         return cls(
-            dpv=_build(DpvParameters, doc.get("dpv", {}), "dpv"),
-            detection=_build(SpikeDetectionConfig, doc.get("detection", {}), "detection"),
-            coding=_build(CodingConfig, doc.get("coding", {}), "coding"),
-            seed=int(doc.get("seed", 0)),
+            dpv=_build(DpvParameters, doc, "dpv", "config"),
+            detection=_build(SpikeDetectionConfig, doc, "detection", "config"),
+            coding=_build(CodingConfig, doc, "coding", "config"),
+            seed=_inputs.integer(doc.get("seed", 0), 0, 'config "seed"'),
         )
 
 
@@ -72,14 +71,9 @@ def load_config(path=None) -> RunConfig:
     """Load a config file, or the defaults when no path is given."""
     if path is None:
         return RunConfig()
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
-    return RunConfig.from_dict(doc)
+    doc = _inputs.read_json_object(path, "config")
+    with _inputs.blamed(path):
+        return RunConfig.from_dict(doc)
 
 
 @dataclass(eq=False)
@@ -108,28 +102,27 @@ class ExperimentManifest:
 
 def load_manifest(path) -> ExperimentManifest:
     """Read and validate a manifest; referenced files must exist."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-    try:
+    doc = _inputs.read_json_object(path, "manifest")
+    with _inputs.blamed(path):
+        _inputs.check_keys(doc, ("sample_labels", "source_files", "detection", "coding", "seed",
+                                 "weights"), "manifest")
+        for key in ("sample_labels", "source_files"):
+            if not isinstance(doc.get(key), list):
+                raise ValidationError(f'manifest "{key}" must be a list, got {doc.get(key)!r}')
         manifest = ExperimentManifest(
             sample_labels=[str(s) for s in doc["sample_labels"]],
             source_files=[str(s) for s in doc["source_files"]],
-            detection=_build(SpikeDetectionConfig, doc.get("detection", {}), "detection"),
-            coding=_build(CodingConfig, doc.get("coding", {}), "coding"),
-            seed=int(doc.get("seed", 0)),
+            detection=_build(SpikeDetectionConfig, doc, "detection", "manifest"),
+            coding=_build(CodingConfig, doc, "coding", "manifest"),
+            seed=_inputs.integer(doc.get("seed", 0), 0, 'manifest "seed"'),
             weights=str(doc.get("weights", "seeded")),
         )
-    except KeyError as exc:
-        raise ValidationError(f"{path}: manifest missing key {exc}") from None
-    base = os.path.dirname(os.path.abspath(path))
-    resolved = []
-    for rel in manifest.source_files:
-        full = rel if os.path.isabs(rel) else os.path.join(base, rel)
-        if not os.path.exists(full):
-            raise ValidationError(f"{path}: source file not found: {rel}")
-        resolved.append(full)
+        base = os.path.dirname(os.path.abspath(path))
+        resolved = []
+        for rel in manifest.source_files:
+            full = rel if os.path.isabs(rel) else os.path.join(base, rel)
+            if not os.path.exists(full):
+                raise ValidationError(f"source file not found: {rel}")
+            resolved.append(full)
     manifest.source_files = resolved
     return manifest

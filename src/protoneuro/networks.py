@@ -22,13 +22,11 @@ volts per second, so a constant drive I reaches the steady state
 V_rest + tau_m * I.
 """
 
-import json
-import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import _csvio, _kernels
+from . import _csvio, _inputs, _kernels
 from .errors import NonFiniteStateError, ShapeError, ValidationError
 
 
@@ -250,39 +248,15 @@ def _non_finite(what, recorded, dt) -> NonFiniteStateError:
                                f"(t={(step + 1) * dt:.9g} s), neuron {neuron}")
 
 
-def _check_keys(section, known, where):
-    if not isinstance(section, dict):
-        raise ValidationError(f"{where} must be a JSON object")
-    unknown = sorted(set(section) - set(known))
-    if unknown:
-        raise ValidationError(f"{where}: unknown keys {unknown}")
-
-
-def _spec_int(spec, key, default, minimum):
-    """``spec[key]`` (or ``default``) as an int; an integral float counts."""
-    value = spec.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValidationError(
-            f'network spec "{key}" must be an integer >= {minimum}, got {value!r}')
-    return value
-
-
-def _spec_number(section, key, default, prefix=""):
-    """``section[key]`` (or ``default``) as a finite float."""
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not -sys.float_info.max <= value <= sys.float_info.max:
-        raise ValidationError(
-            f'network spec "{prefix}{key}" must be a finite number, got {value!r}')
-    return float(value)
+#: The name of a spec key in error messages.
+_SPEC = 'network spec "{}"'.format
 
 
 def _spec_lif(spec) -> LifParameters:
     section = spec.get("lif", {})
-    _check_keys(section, [f.name for f in fields(LifParameters)], 'network spec "lif"')
-    return LifParameters(**{key: _spec_number(section, key, None, "lif.") for key in section})
+    _inputs.check_keys(section, [f.name for f in fields(LifParameters)], _SPEC("lif"))
+    return LifParameters(**{key: _inputs.number(value, _SPEC(f"lif.{key}"))
+                            for key, value in section.items()})
 
 
 def _spec_weights(spec: dict, own_keys):
@@ -297,13 +271,11 @@ def _spec_weights(spec: dict, own_keys):
     generator in call order, so a matrix given explicitly shifts the draws
     after it.
     """
-    _check_keys(spec, ("n", "input_dim", "seed", "recurrent_weights", "input_weights")
-                + own_keys, "network spec")
-    if "n" not in spec:
-        raise ValidationError('network spec needs "n"')
-    n = _spec_int(spec, "n", None, 1)
-    d_in = _spec_int(spec, "input_dim", 1, 1)
-    rng = np.random.default_rng(_spec_int(spec, "seed", 0, 0))
+    _inputs.check_keys(spec, ("n", "input_dim", "seed", "recurrent_weights", "input_weights")
+                       + own_keys, "network spec")
+    n = _inputs.integer(spec.get("n"), 1, _SPEC("n"))
+    d_in = _inputs.integer(spec.get("input_dim", 1), 1, _SPEC("input_dim"))
+    rng = np.random.default_rng(_inputs.integer(spec.get("seed", 0), 0, _SPEC("seed")))
     scale = 1.0 / np.sqrt(n)
 
     def weights(key, shape):
@@ -311,7 +283,7 @@ def _spec_weights(spec: dict, own_keys):
             try:
                 return np.asarray(spec[key], dtype=np.float64)
             except (TypeError, ValueError) as exc:
-                raise ValidationError(f'network spec "{key}": {exc}') from None
+                raise ValidationError(f"{_SPEC(key)}: {exc}") from None
         return None if shape is None else rng.uniform(-1.0, 1.0, size=shape) * scale
 
     return n, weights("recurrent_weights", (n, n)), weights("input_weights", (n, d_in)), weights
@@ -328,10 +300,11 @@ def spiking_network_from_dict(spec: dict) -> SpikingNetwork:
     """
     n, j, u, weights = _spec_weights(
         spec, ("output_dim", "output_weights", "lif", "tau_syn"))
-    w = weights("output_weights", (_spec_int(spec, "output_dim", 1, 1), n))
+    d_out = _inputs.integer(spec.get("output_dim", 1), 1, _SPEC("output_dim"))
+    w = weights("output_weights", (d_out, n))
     return SpikingNetwork(n=n, recurrent_weights=j, input_weights=u, output_weights=w,
                           lif=_spec_lif(spec),
-                          tau_syn=_spec_number(spec, "tau_syn", 0.005))
+                          tau_syn=_inputs.number(spec.get("tau_syn", 0.005), _SPEC("tau_syn")))
 
 
 def rate_network_from_dict(spec: dict) -> RateNetwork:
@@ -342,25 +315,22 @@ def rate_network_from_dict(spec: dict) -> RateNetwork:
     """
     n, j, u, weights = _spec_weights(
         spec, ("feedback_dim", "feedback_weights", "time_constant", "dt"))
-    d_fb = _spec_int(spec, "feedback_dim", 0, 0)
+    d_fb = _inputs.integer(spec.get("feedback_dim", 0), 0, _SPEC("feedback_dim"))
     fb = weights("feedback_weights", (n, d_fb) if d_fb > 0 else None)
     return RateNetwork(n=n, recurrent_weights=j, input_weights=u, feedback_weights=fb,
-                       time_constant=_spec_number(spec, "time_constant", 0.010),
-                       dt=_spec_number(spec, "dt", 0.0001))
+                       time_constant=_inputs.number(spec.get("time_constant", 0.010),
+                                                    _SPEC("time_constant")),
+                       dt=_inputs.number(spec.get("dt", 0.0001), _SPEC("dt")))
 
 
 def load_network_json(path, kind: str):
     """Read a network spec file; ``kind`` is "spiking" or "rate"."""
-    with open(path) as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-    if kind == "spiking":
-        return spiking_network_from_dict(spec)
-    if kind == "rate":
-        return rate_network_from_dict(spec)
-    raise ValidationError(f"unknown network kind {kind!r}")
+    build = {"spiking": spiking_network_from_dict, "rate": rate_network_from_dict}.get(kind)
+    if build is None:
+        raise ValidationError(f"unknown network kind {kind!r}")
+    spec = _inputs.read_json_object(path, "network spec")
+    with _inputs.blamed(path):
+        return build(spec)
 
 
 def write_trace_csv(trace: SimulationTrace, path) -> None:

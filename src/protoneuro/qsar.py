@@ -37,6 +37,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from . import _inputs
 from .errors import ParseError, RankDeficiencyError, ValidationError
 
 COEFFICIENT_NAMES = ("p00", "p10", "p01", "p20", "p11", "p02", "p21", "p12", "p03")
@@ -300,23 +301,23 @@ def read_observations_csv(path) -> list[QsarObservation]:
     """Parse ``label,molecular_weight_gmol,peptide_length,mean_firing_rate_hz``."""
     expected = "label,molecular_weight_gmol,peptide_length,mean_firing_rate_hz"
     out = []
-    with open(path, "r", newline="") as fh:
+    with _inputs.blamed(path), _inputs.open_text(path) as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != expected:
-        raise ParseError(f"expected header {expected!r}", line=1)
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ParseError(f"expected 4 fields, got {len(parts)}", line=lineno)
-        try:
-            pred = SamplePredictors(label=parts[0], molecular_weight=float(parts[1]),
-                                    peptide_length=float(parts[2]))
-            out.append(QsarObservation(pred, float(parts[3])))
-        except (ValueError, ValidationError) as exc:
-            raise ParseError(str(exc), line=lineno) from None
+        if not lines or lines[0].strip() != expected:
+            raise ParseError(f"expected header {expected!r}", line=1)
+        for lineno, raw in enumerate(lines[1:], start=2):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if len(parts) != 4:
+                raise ParseError(f"expected 4 fields, got {len(parts)}", line=lineno)
+            try:
+                pred = SamplePredictors(label=parts[0], molecular_weight=float(parts[1]),
+                                        peptide_length=float(parts[2]))
+                out.append(QsarObservation(pred, float(parts[3])))
+            except (ValueError, ValidationError) as exc:
+                raise ParseError(str(exc), line=lineno) from None
     return out
 
 
@@ -336,17 +337,20 @@ def write_model_json(coeffs: QsarCoefficients, path, residual_sum_squares=None) 
 
 
 def read_model_json(path) -> QsarCoefficients:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-    try:
-        coeff_map = doc["coefficients"]
-        values = [float(coeff_map[n]) for n in COEFFICIENT_NAMES]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: malformed model document ({exc})") from None
-    bounds = None
-    if "bounds" in doc:
-        bounds = {n: tuple(float(b) for b in doc["bounds"][n]) for n in doc["bounds"]}
-    return QsarCoefficients(*values, bounds=bounds)
+    """Read a model JSON; a malformed coefficient or bound is an error naming it."""
+    bad = "malformed model document"
+    doc = _inputs.read_json_object(path, "model")
+    with _inputs.blamed(path):
+        coeffs, bounds = doc.get("coefficients"), doc.get("bounds")
+        if not isinstance(coeffs, dict) or not set(COEFFICIENT_NAMES) <= set(coeffs):
+            raise ValidationError(f"{bad}: need the coefficients {', '.join(COEFFICIENT_NAMES)}")
+        values = [_inputs.number(coeffs[n], f'{bad}: coefficient "{n}"')
+                  for n in COEFFICIENT_NAMES]
+        if bounds is not None:
+            _inputs.check_keys(bounds, COEFFICIENT_NAMES, f'{bad}: "bounds"')
+            for name, pair in bounds.items():
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise ValidationError(f'{bad}: bounds "{name}" must be a [low, high] pair')
+            bounds = {name: tuple(_inputs.number(b, f'{bad}: bounds "{name}"') for b in pair)
+                      for name, pair in bounds.items()}
+        return QsarCoefficients(*values, bounds=bounds)

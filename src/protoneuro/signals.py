@@ -15,12 +15,9 @@ with 9 significant digits, which makes write -> read -> write byte-identical
 and read/write a relative-1e-9 round trip.
 
 Files of a million rows are common, so the numeric body is parsed and
-formatted in blocks (``_csvio``) rather than one Python call per row. The
-reader peels off the header and the leading ``#`` lines, parses the rest
-in ``np.loadtxt`` calls of about a megabyte of text each, and re-reads the
-whole file with the line loop whenever one of them does not take its
-chunk; the loop alone reports parse errors, so their messages and line
-numbers do not depend on the fast path.
+formatted in blocks (``_csvio``) rather than one Python call per row; a file
+the block parser does not take is re-read by the line loop, which alone
+reports parse errors, so messages do not depend on the fast path.
 
 Recorded traces the toolkit cannot obtain from hardware are synthesised as
 Gaussian bumps on a noisy baseline, sampled once per second to match the
@@ -32,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _csvio
+from . import _csvio, _inputs
 from .errors import ParseError, ValidationError
 
 UNIT_MICROAMPERE = "microampere"
@@ -41,9 +38,6 @@ _UNITS = (UNIT_MICROAMPERE, UNIT_VOLT)
 
 HEADER = "time_s,value"
 
-#: Characters read per body chunk: the chunk's line strings stay a few
-#: megabytes however long the file.
-_READ_CHUNK = 1 << 20
 #: Cells of the (spikes x window) grid on which bumps are evaluated at once.
 _BUMP_GRID_CELLS = 1 << 16
 
@@ -107,14 +101,32 @@ def _read_metadata(line: str, meta: dict) -> bool:
     return True
 
 
-def _parse_series_lines(lines, start: int, meta: dict) -> np.ndarray:
-    """Line-by-line parse of ``lines[start:]`` into an (n, 2) array.
+def _read_series_blocks(fh, meta):
+    """The body of an open series file by ``_csvio.read_rows``, after the
+    header and leading metadata lines; None when the line loop must decide
+    (a bad header, a line ``str.splitlines`` would split further, a body
+    ``read_rows`` does not take)."""
+    line = fh.readline()
+    if len(line.splitlines()) != 1 or line.strip() != HEADER:
+        return None
+    while True:
+        line = fh.readline()
+        if len(line.splitlines()) != 1:
+            return None
+        if not _read_metadata(line.strip(), meta):
+            return _csvio.read_rows(fh, 2, line)
+
+
+def _read_series_lines(lines, meta):
+    """The reference reader: the header, then a loop over the body lines.
 
     Accepts metadata anywhere and anything ``float`` accepts, and raises
     ParseError naming the first bad line.
     """
+    if not lines or lines[0].strip() != HEADER:
+        raise ParseError(f"expected header {HEADER!r}", line=1)
     rows = []
-    for lineno, raw in enumerate(lines[start:], start=start + 1):
+    for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if _read_metadata(line, meta):
             continue
@@ -128,88 +140,21 @@ def _parse_series_lines(lines, start: int, meta: dict) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(-1, 2)
 
 
-def _read_series_blocks(fh, meta):
-    """The numeric body of an open series file, parsed a chunk at a time.
-
-    The header and the leading metadata lines are read one at a time, then
-    the body in chunks of about ``_READ_CHUNK`` characters cut after their
-    last newline, so only the parsed arrays are ever whole. Each chunk is
-    split with ``str.splitlines``, as the line loop splits the whole text,
-    stripped of the blank lines it starts with (the line loop skips them),
-    and parsed by ``_csvio.parse_rows``. Returns None whenever the line loop
-    must decide instead: a bad header, a header or metadata line that
-    ``splitlines`` would split further, no body, or a chunk the block
-    parser does not take.
-    """
-    line = fh.readline()
-    if len(line.splitlines()) != 1 or line.strip() != HEADER:
-        return None
-    while True:
-        line = fh.readline()
-        if len(line.splitlines()) != 1:
-            return None
-        if not _read_metadata(line.strip(), meta):
-            break
-    blocks, pending = [], line
-    while True:
-        chunk = fh.read(_READ_CHUNK)
-        text = pending + chunk
-        cut = text.rfind("\n") + 1 if chunk else len(text)
-        text, pending = text[:cut], text[cut:]
-        lines = text.splitlines()
-        first = 0
-        while first < len(lines) and not lines[first].strip():
-            first += 1
-        if first < len(lines):
-            rows = _csvio.parse_rows(lines[first:], 2)
-            if rows is None:
-                return None
-            blocks.append(rows)
-        if not chunk:
-            return np.concatenate(blocks) if blocks else None
-
-
-def _read_series_lines(lines, meta):
-    """The reference reader: header check, then the line loop over the body."""
-    if not lines or lines[0].strip() != HEADER:
-        raise ParseError(f"expected header {HEADER!r}", line=1)
-    return _parse_series_lines(lines, 1, meta)
-
-
 def read_timeseries_csv(path) -> TimeSeries:
     """Parse a series file, validating monotone times and finite values.
 
-    The body is parsed in chunks (``_read_series_blocks``). A file they do
-    not take (metadata between rows, ``1_0``, a bad line) is re-read whole
-    by the line loop, which gives the same values or the same ParseError.
-    A byte the text encoding rejects is a ParseError naming its line.
+    A file the chunks do not take (metadata between rows, ``1_0``, a bad
+    line) is re-read by the line loop: the same values or its ParseError.
     """
     meta = {"unit": UNIT_MICROAMPERE, "label": ""}
-    try:
-        with open(path, "r", newline="") as fh:
-            rows = _read_series_blocks(fh, meta)
-            if rows is None:
-                fh.seek(0)
-                meta = {"unit": UNIT_MICROAMPERE, "label": ""}
-                rows = _read_series_lines(fh.read().splitlines(), meta)
-    except UnicodeDecodeError as exc:
-        raise _undecodable(path, exc) from None
-    try:
+    with _inputs.open_text(path) as fh:
+        rows = _read_series_blocks(fh, meta)
+        if rows is None:
+            fh.seek(0)
+            meta = {"unit": UNIT_MICROAMPERE, "label": ""}
+            rows = _read_series_lines(fh.read().splitlines(), meta)
+    with _inputs.blamed(path):
         return TimeSeries(rows[:, 0], rows[:, 1], unit=meta["unit"], label=meta["label"])
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-
-
-def _undecodable(path, error: UnicodeDecodeError) -> ParseError:
-    """The ParseError naming the line (as ``str.splitlines`` counts) of the first bad byte."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode(error.encoding)
-    except UnicodeDecodeError as exc:
-        line = len((data[:exc.start].decode(exc.encoding) + "x").splitlines())
-        return ParseError(f"byte 0x{data[exc.start]:02x} is not valid {exc.encoding}", line=line)
-    return ParseError(str(error))
 
 
 def write_timeseries_csv(series: TimeSeries, path) -> None:

@@ -178,6 +178,19 @@ def test_weights_seeded_and_fixed(tmp_path, capsys):
     assert first == "-1,1,1,1,-1,1,-1,1,-1,1"
 
 
+def test_weights_csv_bytes_equal_the_per_row_loop(tmp_path, capsys, monkeypatch):
+    from protoneuro import coding
+    entries = np.array([[-0.0, 0.0, 1.0], [-1.0, 0.123456789012, -3.5e-7],
+                        [1e-5, -0.999999999, 2.0 / 3.0]])
+    monkeypatch.setattr(coding, "reference_weight_matrix",
+                        lambda: coding.WeightMatrix(entries))
+    out = tmp_path / "w.csv"
+    assert run(capsys, "weights", "--table1", "--out", str(out))[0] == 0
+    loop = "".join(",".join(f"{x:.9g}" for x in row) + "\n" for row in entries)
+    assert out.read_bytes() == loop.encode()
+    assert out.read_text().startswith("-0,0,1\n")
+
+
 def make_manifest(tmp_path, rows, seed=7, weights="seeded", coding=None):
     labels = []
     files = []
@@ -743,3 +756,115 @@ def test_sim_rate_checks_feedback_stream_against_network_dt(tmp_path, capsys):
     code, _, stderr = run(capsys, *args, "--feedback", str(fb))
     assert code == 2
     assert f"{fb}: line 3: time step" in stderr
+
+
+def _model_with_bounds(bounds):
+    from protoneuro import qsar
+    doc = qsar.model_to_dict(qsar.REFERENCE_COEFFICIENTS)
+    doc["bounds"] = bounds
+    return json.dumps(doc).encode()
+
+
+_NET = json.dumps({"n": 1}).encode()
+_MANIFEST = {"sample_labels": ["a"], "source_files": ["a.csv"]}
+
+# Each case: (files to write, argv with @name for a path in the test's
+# directory, the file the error must name, the line or key it must name).
+BAD_INPUTS = {
+    "observations-not-utf8": (
+        {"obs.csv": b"label,molecular_weight_gmol,peptide_length,mean_firing_rate_hz\n"
+                    b"s0,1\xff,2,3\n"},
+        ["qsar-fit", "@obs.csv", "--out", "@model.json"], "obs.csv", "line 2: byte 0xff"),
+    "net-not-utf8": (
+        {"net.json": b'{"n": 1,\n "seed": "\xff"}'},
+        ["sim-spiking", "--net", "@net.json", "--steps", "5", "--out-prefix", "@r"],
+        "net.json", "line 2: byte 0xff"),
+    "config-not-utf8": (
+        {"cfg.json": b'{\n\n"seed": 1}\xfe'},
+        ["waveform", "--config", "@cfg.json", "--out", "@w.csv"], "cfg.json", "line 3: byte 0xfe"),
+    "manifest-not-utf8": (
+        {"m.json": b'{"sample_labels": ["\xe9"]}'},
+        ["pipeline", "@m.json", "--output-dir", "@out"], "m.json", "line 1: byte 0xe9"),
+    "report-not-utf8": (
+        {"report.json": b'{"samples": []}\r\n\xff'},
+        ["report", "@report.json"], "report.json", "line 2: byte 0xff"),
+    "stream-not-utf8": (
+        {"net.json": _NET, "fin.csv": b"time_s,ch0\n0.0001,1\n0.0002,\x80\n"},
+        ["sim-spiking", "--net", "@net.json", "--input", "@fin.csv", "--out-prefix", "@r"],
+        "fin.csv", "line 3: byte 0x80"),
+    "model-bound-not-a-number": (
+        {"model.json": _model_with_bounds({"p00": ["ab", 1e4]})},
+        ["qsar-predict", "--model", "@model.json", "--x", "1", "--y", "1"],
+        "model.json", 'bounds "p00" must be a finite number'),
+    "model-bound-of-three": (
+        {"model.json": _model_with_bounds({"p00": [-1e4, 0, 1e4]})},
+        ["qsar-predict", "--model", "@model.json", "--x", "1", "--y", "1"],
+        "model.json", 'bounds "p00" must be a [low, high] pair'),
+    "model-bounds-a-list": (
+        {"model.json": _model_with_bounds([[-1e4, 1e4]])},
+        ["qsar-predict", "--model", "@model.json", "--x", "1", "--y", "1"],
+        "model.json", '"bounds" must be a JSON object'),
+    "config-string-seed": (
+        {"cfg.json": b'{"seed": "x"}'},
+        ["waveform", "--config", "@cfg.json", "--out", "@w.csv"],
+        "cfg.json", "config \"seed\" must be an integer >= 0, got 'x'"),
+    "config-fractional-seed": (
+        {"cfg.json": b'{"seed": 1.5}'},
+        ["synth", "--config", "@cfg.json", "--out", "@s.csv", "--count", "2",
+         "--mean-isi", "10"],
+        "cfg.json", 'config "seed" must be an integer >= 0, got 1.5'),
+    "manifest-string-seed": (
+        {"m.json": json.dumps({**_MANIFEST, "seed": "x"}).encode(), "a.csv": b"time_s,value\n0,0\n"},
+        ["pipeline", "@m.json", "--output-dir", "@out"], "m.json", 'manifest "seed"'),
+    "config-nan-in-a-section": (
+        {"cfg.json": b'{"dpv": {"start_potential": NaN}}'},
+        ["waveform", "--config", "@cfg.json", "--out", "@w.csv"],
+        "cfg.json", 'config "dpv.start_potential" must be a finite number, got nan'),
+    "manifest-fractional-neuron-count": (
+        {"m.json": json.dumps({**_MANIFEST, "coding": {"neuron_count": 2.5}}).encode(),
+         "a.csv": b"time_s,value\n0,0\n"},
+        ["pipeline", "@m.json", "--output-dir", "@out"], "m.json",
+        "neuron_count must be an integer >= 1"),
+    "manifest-an-array": (
+        {"m.json": b"[]"},
+        ["pipeline", "@m.json", "--output-dir", "@out"], "m.json", "must be a JSON object"),
+    "manifest-labels-a-number": (
+        {"m.json": json.dumps({**_MANIFEST, "sample_labels": 5}).encode()},
+        ["pipeline", "@m.json", "--output-dir", "@out"], "m.json",
+        'manifest "sample_labels" must be a list'),
+    "report-an-array": (
+        {"report.json": b"[]"}, ["report", "@report.json"], "report.json",
+        "must be a JSON object"),
+    "report-sample-not-an-object": (
+        {"report.json": b'{"samples": [5]}'}, ["report", "@report.json"], "report.json",
+        'report "samples" must be a list of objects'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_files_exit_2_naming_path_and_place(tmp_path, case):
+    files, argv, culprit, place = BAD_INPUTS[case]
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    done = subprocess.run([sys.executable, "-m", "protoneuro.cli", *argv], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 2, done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith(f"error: {tmp_path / culprit}: ")
+    assert place in line
+
+
+@pytest.mark.parametrize("flag, env", [(["--seed", "-1"], {}),
+                                       ([], {"PROTONEURO_SEED": "-1"})],
+                         ids=["flag", "environment"])
+def test_negative_seed_names_its_source(tmp_path, flag, env):
+    done = subprocess.run(
+        [sys.executable, "-m", "protoneuro.cli", "synth", "--out", str(tmp_path / "s.csv"),
+         "--count", "2", "--mean-isi", "10", *flag], env={**src_env(), **env},
+        capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 2
+    name = flag[0] if flag else "PROTONEURO_SEED"
+    assert done.stderr == f"error: {name} must be an integer >= 0, got -1\n"

@@ -184,6 +184,16 @@ def test_code_csv_export(tmp_path):
     assert lines == ["a,b", "1,0", "0,1", "1,0"]
 
 
+def test_code_csv_bytes_equal_the_per_sample_loop(tmp_path):
+    entries = np.array([[1, 0, 0, 1, 1], [0, 0, 1, 1, 0], [1, 1, 1, 0, 0]])
+    code = CodeMatrix(entries, neuron_labels=["a", "b", "c"])
+    path = tmp_path / "code.csv"
+    coding.write_code_csv(code, path)
+    loop = "a,b,c\n" + "".join(",".join(str(int(x)) for x in code.entries[:, k]) + "\n"
+                                for k in range(code.sample_count))
+    assert path.read_bytes() == loop.encode()
+
+
 def test_grid_csv_export(tmp_path):
     grid = coding.psi_ppi(coding.init_weights(3, 1), CodeMatrix(np.ones((3, 2))))
     path = tmp_path / "grid.csv"

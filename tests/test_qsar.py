@@ -307,6 +307,21 @@ def test_model_json_with_a_non_numeric_coefficient_is_a_validation_error(tmp_pat
         qsar.read_model_json(path)
 
 
+@pytest.mark.parametrize("bounds, message", [
+    ({"p00": ["ab", 1.0]}, 'bounds "p00" must be a finite number'),
+    ({"p00": [-1.0, 0.0, 1.0]}, 'bounds "p00" must be a [low, high] pair'),
+    ([[-1.0, 1.0]], '"bounds" must be a JSON object'),
+], ids=["not-a-number", "three-values", "a-list"])
+def test_model_json_with_malformed_bounds_names_the_coefficient(tmp_path, bounds, message):
+    path = tmp_path / "model.json"
+    doc = qsar.model_to_dict(REFERENCE_COEFFICIENTS)
+    doc["bounds"] = bounds
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as err:
+        qsar.read_model_json(path)
+    assert str(err.value).startswith(f"{path}: malformed model document: {message}")
+
+
 def test_pivoted_qr_agrees_with_lapack_on_rank_and_volume():
     from scipy import linalg
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from protoneuro import dpv, signals, spikes
+from protoneuro import _csvio, dpv, signals, spikes
 from protoneuro._csvio import BLOCK_ROWS
 from protoneuro.errors import ParseError, ValidationError
 from protoneuro.signals import SyntheticSpikeSpec, TimeSeries
@@ -415,7 +415,7 @@ def test_series_reader_takes_a_written_file_chunk_by_chunk(tmp_path, monkeypatch
         raise AssertionError("fell back to the whole-text reader")
 
     monkeypatch.setattr(signals, "_read_series_lines", whole_text_reader)
-    monkeypatch.setattr(signals, "_READ_CHUNK", 7)
+    monkeypatch.setattr(_csvio, "_READ_CHUNK", 7)
     series = TimeSeries(np.arange(50.0), np.linspace(-1e-3, 2e-3, 50), label="x")
     path = tmp_path / "s.csv"
     signals.write_timeseries_csv(series, path)
@@ -442,7 +442,7 @@ def test_series_reader_takes_blank_lines_at_chunk_edges(tmp_path, monkeypatch, b
 
     monkeypatch.setattr(signals, "_read_series_lines", whole_text_reader)
     for chunk in chunks:
-        monkeypatch.setattr(signals, "_READ_CHUNK", chunk)
+        monkeypatch.setattr(_csvio, "_READ_CHUNK", chunk)
         assert outcome(signals.read_timeseries_csv, path) == expected
 
 
@@ -450,19 +450,19 @@ def test_series_reader_takes_blank_lines_at_chunk_edges(tmp_path, monkeypatch, b
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(body=series_bodies(), chunk=st.integers(1, 40))
 def test_series_reader_matches_line_loop_across_chunk_edges(tmp_path, body, chunk):
-    # The body is read in chunks of signals._READ_CHUNK characters; small
+    # The body is read in chunks of _csvio._READ_CHUNK characters; small
     # chunks put the cut next to every kind of line ending and blank line.
-    old = signals._READ_CHUNK
-    signals._READ_CHUNK = chunk
+    old = _csvio._READ_CHUNK
+    _csvio._READ_CHUNK = chunk
     try:
         assert_series_readers_agree("time_s,value\n" + body, tmp_path)
     finally:
-        signals._READ_CHUNK = old
+        _csvio._READ_CHUNK = old
 
 
 @pytest.mark.parametrize("chunk", [1 << 20, 16], ids=["one-chunk", "many-chunks"])
 def test_read_rejects_a_byte_that_is_not_utf8_naming_its_line(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(signals, "_READ_CHUNK", chunk)
+    monkeypatch.setattr(_csvio, "_READ_CHUNK", chunk)
     path = tmp_path / "bad.csv"
     path.write_bytes(b"time_s,value\n# unit=volt\n0,1\n" + b"".join(
         b"%d,1\n" % k for k in range(1, 40)) + b"\r\n40,\xff2\n41,3\n")
