@@ -16,9 +16,10 @@ __version__ = "0.1.0"
 #: Public name -> (defining submodule, attribute there).
 _EXPORTS = {"kernel_backend": ("_kernels", "backend")}
 for _module, _names in (
-    ("coding", "CodeMatrix CodingConfig PsiPpiGrid WeightMatrix encode fire_step "
-               "init_weights psi_ppi reference_weight_matrix"),
-    ("config", "ExperimentManifest RunConfig derive_seed load_config load_manifest"),
+    ("coding", "CodeMatrix PsiPpiGrid WeightMatrix encode fire_step init_weights psi_ppi "
+               "reference_weight_matrix"),
+    ("config", "CodingConfig ExperimentManifest RunConfig SpikeDetectionConfig derive_seed "
+               "load_config load_manifest"),
     ("dpv", "DpvParameters PotentialWaveform generate_waveform sample_instants "
             "scan_duration step_count"),
     ("errors", "NonFiniteStateError NumericError ParseError ProtoneuroError "
@@ -30,9 +31,8 @@ for _module, _names in (
              "predict"),
     ("signals", "SyntheticSpikeSpec TimeSeries read_timeseries_csv "
                 "synthesize_spiky_series write_timeseries_csv"),
-    ("spikes", "INCONSISTENT_REFERENCE_ROWS REFERENCE_SPIKE_TABLE SpikeDetectionConfig "
-               "SpikeStats SpikeTrain aggregate_stats compute_stats detect_spikes "
-               "detect_spikes_naive"),
+    ("spikes", "INCONSISTENT_REFERENCE_ROWS REFERENCE_SPIKE_TABLE SpikeStats SpikeTrain "
+               "aggregate_stats compute_stats detect_spikes detect_spikes_naive"),
 ):
     _EXPORTS.update((name, (_module, name)) for name in _names.split())
 del _module, _names

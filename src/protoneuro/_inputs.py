@@ -83,3 +83,17 @@ def number(value, name):
             or not -sys.float_info.max <= value <= sys.float_info.max:
         raise ValidationError(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def string(value, name):
+    """``value``, which must be a str."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def array(value, name):
+    """``value``, which must be a JSON array (a list)."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{name} must be a list, got {value!r}")
+    return value

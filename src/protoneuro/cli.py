@@ -11,8 +11,9 @@ overridden per flag; explicit flags always win. The environment variable
 PROTONEURO_SEED overrides the config seed and is itself overridden by
 --seed.
 
-Each subcommand imports the modules it computes with, so ``report`` and
-``qsar-predict`` start without numpy and only ``qsar-fit`` imports scipy.
+Each subcommand imports the modules it computes with, so ``waveform``,
+``report`` and ``qsar-predict`` start without numpy and only ``qsar-fit``
+imports scipy.
 """
 
 import argparse
@@ -350,29 +351,56 @@ def cmd_qsar_predict(args) -> int:
 
 def cmd_report(args) -> int:
     doc = _inputs.read_json_object(args.report, "report")
+    with _inputs.blamed(args.report):
+        lines = _report_lines(doc)
+    print("\n".join(lines))
+    return EXIT_OK
+
+
+def _report_lines(doc):
+    """What ``report`` prints; a field of the wrong type is a ValidationError naming it."""
+    field = 'report "{}"'.format
+
+    def number_or_na(value, name):
+        return "n/a" if value is None else f"{_inputs.number(value, field(name)):.2f}"
+
     samples = doc.get("samples", [])
     if not isinstance(samples, list) or not all(isinstance(s, dict) for s in samples):
-        raise ValidationError(f'{args.report}: report "samples" must be a list of objects')
-    print(f"{'sample':<24} {'count':>7} {'mean ISI (s)':>13} {'freq (mHz)':>11}")
-    for s in samples:
-        isi = "n/a" if s.get("mean_isi_s") is None else f"{s['mean_isi_s']:.2f}"
-        freq = "n/a" if s.get("frequency_mhz") is None else f"{s['frequency_mhz']:.2f}"
-        print(f"{s.get('label', '?'):<24} {s.get('count', 0):>7} {isi:>13} {freq:>11}")
+        raise ValidationError('report "samples" must be a list of objects')
+    lines = [f"{'sample':<24} {'count':>7} {'mean ISI (s)':>13} {'freq (mHz)':>11}"]
+    for i, s in enumerate(samples):
+        label = _inputs.string(s.get("label", "?"), field(f"samples[{i}].label"))
+        count = _inputs.integer(s.get("count", 0), 0, field(f"samples[{i}].count"))
+        isi, freq = (number_or_na(s.get(key), f"samples[{i}].{key}")
+                     for key in ("mean_isi_s", "frequency_mhz"))
+        lines.append(f"{label:<24} {count:>7} {isi:>13} {freq:>11}")
     agg = doc.get("aggregate")
+    if agg is not None and not isinstance(agg, dict):
+        raise ValidationError(f'{field("aggregate")} must be a JSON object or null, '
+                              f"got {agg!r}")
     if agg:
-        isi = agg.get("mean_isi_of_means_s")
-        isi = "n/a" if isi is None else f"{isi:.2f}"
-        print(f"{'mean':<24} {agg.get('mean_count', 0):>7.2f} {isi:>13}")
+        mean_count = _inputs.number(agg.get("mean_count", 0), field("aggregate.mean_count"))
+        isi = number_or_na(agg.get("mean_isi_of_means_s"), "aggregate.mean_isi_of_means_s")
+        lines.append(f"{'mean':<24} {mean_count:>7.2f} {isi:>13}")
     errors = doc.get("errors") or {}
+    if not isinstance(errors, dict):
+        raise ValidationError(f'{field("errors")} must be a JSON object, got {errors!r}')
     for label, msg in sorted(errors.items()):
-        print(f"failed: {label}: {msg}")
+        lines.append(f"failed: {label}: {_inputs.string(msg, field(f'errors.{label}'))}")
     psi = doc.get("psi")
     if psi is not None:
-        ranked = sorted(enumerate(psi), key=lambda kv: -kv[1])
+        psi = [_inputs.number(v, field(f"psi[{j}]"))
+               for j, v in enumerate(_inputs.array(psi, field("psi")))]
         labels = doc.get("neuron_labels", [str(j) for j in range(len(psi))])
+        labels = [_inputs.string(x, field(f"neuron_labels[{j}]"))
+                  for j, x in enumerate(_inputs.array(labels, field("neuron_labels")))]
+        if len(labels) < len(psi):
+            raise ValidationError(f'{field("neuron_labels")} lists {len(labels)} labels '
+                                  f"for {len(psi)} psi entries")
+        ranked = sorted(enumerate(psi), key=lambda kv: -kv[1])
         top = ", ".join(f"{labels[j]}={v:.3f}" for j, v in ranked[:3])
-        print(f"top PSI: {top}")
-    return EXIT_OK
+        lines.append(f"top PSI: {top}")
+    return lines
 
 
 def _add_config(p):

@@ -18,24 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _csvio
+from .config import CodingConfig  # re-exported; defined in config
 from .errors import ShapeError, ValidationError
-
-
-@dataclass(frozen=True)
-class CodingConfig:
-    """Coding parameters: network size, threshold and time window."""
-
-    neuron_count: int = 10
-    threshold: float = 0.0005
-    time_window: float = 1.0  # stored for provenance; not used by the code map
-
-    def __post_init__(self):
-        if not (isinstance(self.neuron_count, (int, np.integer)) and self.neuron_count >= 1):
-            raise ValidationError("neuron_count must be an integer >= 1")
-        if not np.isfinite(self.threshold):
-            raise ValidationError("threshold must be finite")
-        if self.time_window <= 0:
-            raise ValidationError("time_window must be > 0")
 
 
 @dataclass(eq=False)

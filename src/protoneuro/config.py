@@ -15,21 +15,25 @@ Every component draws its randomness from a stream derived from the single
 top-level seed by hashing the component name into it (sha256 of
 "<seed>:<component>"), so adding a component never perturbs the streams of
 existing ones.
+
+The module is standard library only: the detection and coding sections are
+defined here (``spikes`` and ``coding`` re-export them), so loading a
+config imports no numpy and ``waveform`` starts without it.
 """
 
-import hashlib
+import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
 from . import _inputs
-from .coding import CodingConfig
 from .dpv import DpvParameters
 from .errors import ValidationError
-from .spikes import SpikeDetectionConfig
 
 
 def derive_seed(master_seed: int, component: str) -> int:
     """Deterministic 64-bit child seed for a named component."""
+    import hashlib
     digest = hashlib.sha256(f"{master_seed}:{component}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
 
@@ -41,6 +45,37 @@ def _build(cls, doc, name, what):
     for key, value in section.items():
         _inputs.number(value, f'{what} "{name}.{key}"')
     return cls(**section)
+
+
+@dataclass(frozen=True)
+class SpikeDetectionConfig:
+    """Threshold in the unit of the analysed series; distance in seconds."""
+
+    threshold: float = 0.0005
+    min_peak_distance: float = 5.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.threshold):
+            raise ValidationError("threshold must be finite")
+        if not self.min_peak_distance >= 0:  # NaN fails this test too
+            raise ValidationError("min_peak_distance must be >= 0")
+
+
+@dataclass(frozen=True)
+class CodingConfig:
+    """Coding parameters: network size, threshold and time window."""
+
+    neuron_count: int = 10
+    threshold: float = 0.0005
+    time_window: float = 1.0  # stored for provenance; not used by the code map
+
+    def __post_init__(self):
+        if not (isinstance(self.neuron_count, numbers.Integral) and self.neuron_count >= 1):
+            raise ValidationError("neuron_count must be an integer >= 1")
+        if not math.isfinite(self.threshold):
+            raise ValidationError("threshold must be finite")
+        if self.time_window <= 0:
+            raise ValidationError("time_window must be > 0")
 
 
 @dataclass(eq=False)
@@ -106,12 +141,11 @@ def load_manifest(path) -> ExperimentManifest:
     with _inputs.blamed(path):
         _inputs.check_keys(doc, ("sample_labels", "source_files", "detection", "coding", "seed",
                                  "weights"), "manifest")
-        for key in ("sample_labels", "source_files"):
-            if not isinstance(doc.get(key), list):
-                raise ValidationError(f'manifest "{key}" must be a list, got {doc.get(key)!r}')
+        labels, files = (_inputs.array(doc.get(key), f'manifest "{key}"')
+                         for key in ("sample_labels", "source_files"))
         manifest = ExperimentManifest(
-            sample_labels=[str(s) for s in doc["sample_labels"]],
-            source_files=[str(s) for s in doc["source_files"]],
+            sample_labels=[str(s) for s in labels],
+            source_files=[str(s) for s in files],
             detection=_build(SpikeDetectionConfig, doc, "detection", "manifest"),
             coding=_build(CodingConfig, doc, "coding", "manifest"),
             seed=_inputs.integer(doc.get("seed", 0), 0, 'manifest "seed"'),

@@ -6,13 +6,12 @@ final part of every step, and the current is sampled twice per step, once
 just before the pulse and once at its end. This module builds the potential
 programme from the instrument parameters and exposes the sampling schedule;
 it does not model the electrochemical cell.
+
+The module is standard library only, so ``waveform`` starts without numpy.
 """
 
-import csv
 from bisect import bisect_right
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -91,11 +90,10 @@ class PotentialWaveform:
 
     segments: tuple[Segment, ...]
     total_duration: float
-    _starts: np.ndarray = field(repr=False, compare=False, default=None)
+    _starts: tuple[float, ...] = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        starts = np.array([s.start_time for s in self.segments])
-        object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "_starts", tuple(s.start_time for s in self.segments))
 
     def potential_at(self, t: float) -> float:
         """Potential at time ``t``; each segment covers [start, end)."""
@@ -170,10 +168,9 @@ def write_waveform_csv(waveform: PotentialWaveform, path) -> None:
     One row per segment boundary: the potential sampled at the start of each
     segment plus a terminal row at the waveform end.
     """
+    last = waveform.segments[-1]
+    rows = "".join(f"{s.start_time:.9g},{s.potential:.9g},{s.phase}\r\n"
+                   for s in waveform.segments)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "potential_V", "phase"])
-        for seg in waveform.segments:
-            writer.writerow([f"{seg.start_time:.9g}", f"{seg.potential:.9g}", seg.phase])
-        last = waveform.segments[-1]
-        writer.writerow([f"{waveform.total_duration:.9g}", f"{last.potential:.9g}", last.phase])
+        fh.write(f"time_s,potential_V,phase\r\n{rows}"
+                 f"{waveform.total_duration:.9g},{last.potential:.9g},{last.phase}\r\n")

@@ -269,22 +269,29 @@ def _spec_weights(spec: dict, own_keys):
     or else draws one uniform [-1, 1] scaled by 1/sqrt(n) from the spec's
     seed (``None`` when ``shape`` is None). All draws come from one
     generator in call order, so a matrix given explicitly shifts the draws
-    after it.
+    after it. The generator is made at the first draw: a spec that gives
+    every matrix does not load ``numpy.random``.
     """
     _inputs.check_keys(spec, ("n", "input_dim", "seed", "recurrent_weights", "input_weights")
                        + own_keys, "network spec")
     n = _inputs.integer(spec.get("n"), 1, _SPEC("n"))
     d_in = _inputs.integer(spec.get("input_dim", 1), 1, _SPEC("input_dim"))
-    rng = np.random.default_rng(_inputs.integer(spec.get("seed", 0), 0, _SPEC("seed")))
+    seed = _inputs.integer(spec.get("seed", 0), 0, _SPEC("seed"))
     scale = 1.0 / np.sqrt(n)
+    rng = None
 
     def weights(key, shape):
+        nonlocal rng
         if key in spec:
             try:
                 return np.asarray(spec[key], dtype=np.float64)
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"{_SPEC(key)}: {exc}") from None
-        return None if shape is None else rng.uniform(-1.0, 1.0, size=shape) * scale
+        if shape is None:
+            return None
+        if rng is None:
+            rng = np.random.default_rng(seed)
+        return rng.uniform(-1.0, 1.0, size=shape) * scale
 
     return n, weights("recurrent_weights", (n, n)), weights("input_weights", (n, d_in)), weights
 

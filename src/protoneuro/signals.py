@@ -225,7 +225,7 @@ class SyntheticSpikeSpec:
                 raise ValidationError("jitter_fraction must be in [0, 1)")
 
 
-def _placed_spike_times(spec: SyntheticSpikeSpec, rng: np.random.Generator) -> np.ndarray:
+def _placed_spike_times(spec: SyntheticSpikeSpec, rng: "np.random.Generator") -> np.ndarray:
     if spec.spike_times is not None:
         return np.asarray(spec.spike_times, dtype=np.float64)
     if spec.count == 0:

@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import _csvio, _kernels
+from .config import SpikeDetectionConfig  # re-exported; defined in config
 from .errors import ValidationError
 from .signals import TimeSeries
 
@@ -52,20 +53,6 @@ REFERENCE_SPIKE_TABLE = (
 #: 1000 / mean ISI; they are kept in the table but excluded from
 #: consistency checks.
 INCONSISTENT_REFERENCE_ROWS = frozenset({"L-Glu:L-Arg", "L-Asp"})
-
-
-@dataclass(frozen=True)
-class SpikeDetectionConfig:
-    """Threshold in the unit of the analysed series; distance in seconds."""
-
-    threshold: float = 0.0005
-    min_peak_distance: float = 5.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.threshold):
-            raise ValidationError("threshold must be finite")
-        if not self.min_peak_distance >= 0:  # NaN fails this test too
-            raise ValidationError("min_peak_distance must be >= 0")
 
 
 @dataclass(eq=False)

@@ -306,7 +306,12 @@ def test_report_summary(tmp_path, capsys):
     run(capsys, "pipeline", str(manifest), "--output-dir", str(tmp_path / "out"))
     code, stdout, _ = run(capsys, "report", str(tmp_path / "out" / "report.json"))
     assert code == 0
-    assert "a" in stdout and "mean" in stdout and "top PSI" in stdout
+    assert stdout == (
+        "sample                     count  mean ISI (s)  freq (mHz)\n"
+        "a                              3         30.00       33.33\n"
+        "b                              2         40.00       25.00\n"
+        "mean                        2.50         35.00\n"
+        "top PSI: unassigned8=0.143, unassigned3=0.092, unassigned7=0.055\n")
 
 
 def test_sim_spiking_command(tmp_path, capsys):
@@ -583,12 +588,8 @@ def session_argv(name, tmp_path, capsys):
     }[name]
 
 
-@pytest.mark.parametrize("name", ["waveform", "pipeline", "report", "qsar-fit",
-                                  "qsar-predict"])
-def test_session_subcommands_import_only_what_they_compute_with(tmp_path, capsys, name):
-    # report and qsar-predict start without numpy; only qsar-fit loads scipy,
-    # and only scipy.special of it.
-    argv = session_argv(name, tmp_path, capsys)
+def modules_loaded_by(argv):
+    """Run ``cli.main(argv)`` in a fresh interpreter; the names of the modules it loaded."""
     done = subprocess.run(
         [sys.executable, "-c",
          "import json, sys\nfrom protoneuro import cli\ncode = cli.main(sys.argv[1:])\n"
@@ -597,18 +598,41 @@ def test_session_subcommands_import_only_what_they_compute_with(tmp_path, capsys
     assert done.returncode == 0, done.stderr
     code, modules = json.loads(done.stdout.splitlines()[-1])
     assert code == 0
+    return modules
+
+
+@pytest.mark.parametrize("name", ["waveform", "pipeline", "report", "qsar-fit",
+                                  "qsar-predict"])
+def test_session_subcommands_import_only_what_they_compute_with(tmp_path, capsys, name):
+    # waveform, report and qsar-predict start without numpy; only qsar-fit
+    # loads scipy, and only scipy.special of it.
+    modules = modules_loaded_by(session_argv(name, tmp_path, capsys))
 
     def loaded(package):
         return [m for m in modules if m == package or m.startswith(package + ".")]
 
     assert loaded("protoneuro")
-    if name in ("report", "qsar-predict"):
+    if name in ("waveform", "report", "qsar-predict"):
         assert loaded("numpy") == []
     if name == "qsar-fit":
         assert "scipy.special" in modules
         assert loaded("scipy.linalg") == []
     else:
         assert loaded("scipy") == []
+
+
+@pytest.mark.parametrize("command", ["detect", "sim-spiking"])
+def test_commands_that_draw_nothing_leave_numpy_random_unloaded(tmp_path, command):
+    write_series(tmp_path / "s.csv", np.arange(50.0), np.sin(np.arange(50.0)))
+    (tmp_path / "net.json").write_text(json.dumps({
+        "n": 2, "recurrent_weights": [[0, 0.5], [0.5, 0]], "input_weights": [[1], [1]],
+        "output_weights": [[1, -1]]}))
+    argv = {"detect": ["detect", str(tmp_path / "s.csv")],
+            "sim-spiking": ["sim-spiking", "--net", str(tmp_path / "net.json"), "--steps", "20",
+                            "--drive", "1", "--out-prefix", str(tmp_path / "r")]}[command]
+    modules = modules_loaded_by(argv)
+    assert "numpy" in modules
+    assert "numpy.random" not in modules
 
 
 @pytest.mark.parametrize("command, net, what", [
@@ -838,6 +862,19 @@ BAD_INPUTS = {
     "report-sample-not-an-object": (
         {"report.json": b'{"samples": [5]}'}, ["report", "@report.json"], "report.json",
         'report "samples" must be a list of objects'),
+    **{f"report-{case}": ({"report.json": doc}, ["report", "@report.json"], "report.json",
+                          place) for case, doc, place in [
+        ("isi-a-string", b'{"samples": [{"mean_isi_s": "x"}]}',
+         'report "samples[0].mean_isi_s" must be a finite number'),
+        ("label-a-list", b'{"samples": [{"label": ["a"]}]}',
+         'report "samples[0].label" must be a string'),
+        ("aggregate-a-number", b'{"aggregate": 3}', 'report "aggregate" must be a JSON object'),
+        ("errors-a-number", b'{"errors": 5}', 'report "errors" must be a JSON object'),
+        ("error-not-a-string", b'{"errors": {"a": 1}}', 'report "errors.a" must be a string'),
+        ("psi-not-numbers", b'{"psi": [1, "a"]}', 'report "psi[1]" must be a finite number'),
+        ("labels-short-of-psi", b'{"psi": [1, 2], "neuron_labels": ["a"]}',
+         'report "neuron_labels" lists 1 labels for 2 psi entries'),
+    ]},
 }
 
 

@@ -174,6 +174,9 @@ def test_coding_config_validation():
         CodingConfig(time_window=0.0)
     with pytest.raises(ValidationError):
         CodingConfig(threshold=np.nan)
+    assert CodingConfig(neuron_count=np.int64(10)).neuron_count == 10
+    with pytest.raises(ValidationError, match="neuron_count must be an integer >= 1"):
+        CodingConfig(neuron_count=1.5)
 
 
 def test_code_csv_export(tmp_path):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -158,3 +160,33 @@ def test_waveform_csv_export(tmp_path):
     assert lines[0] == "time_s,potential_V,phase"
     assert len(lines) == len(w.segments) + 2  # header + boundaries + terminal row
     assert lines[1].endswith(",base")
+
+
+def csv_writer_waveform(waveform, path):
+    """Reference export: the same rows through ``csv.writer``, one call per row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time_s", "potential_V", "phase"])
+        for seg in waveform.segments:
+            writer.writerow([f"{seg.start_time:.9g}", f"{seg.potential:.9g}", seg.phase])
+        last = waveform.segments[-1]
+        writer.writerow([f"{waveform.total_duration:.9g}", f"{last.potential:.9g}", last.phase])
+
+
+@pytest.mark.parametrize("params, exponent", [
+    (two_step_params(equilibrium=2.0), False),
+    (dpv.DpvParameters(equilibrium_time=0.0, start_potential=0.5, end_potential=-0.5,
+                       step_size=0.1, pulse_amplitude=0.05, pulse_width=0.04,
+                       scan_rate=1.0), False),
+    (dpv.DpvParameters(equilibrium_time=3.5, start_potential=0.0, end_potential=5e-5,
+                       step_size=1e-5, pulse_amplitude=2e-6, pulse_width=0.08,
+                       scan_rate=1e-14), True),
+], ids=["upward", "downward-no-hold", "exponent-form"])
+def test_waveform_csv_bytes_equal_the_csv_writer_loop(tmp_path, params, exponent):
+    w = dpv.generate_waveform(params)
+    dpv.write_waveform_csv(w, tmp_path / "wf.csv")
+    csv_writer_waveform(w, tmp_path / "ref.csv")
+    data = (tmp_path / "wf.csv").read_bytes()
+    assert data == (tmp_path / "ref.csv").read_bytes()
+    assert (b"e-05" in data and b"e+09" in data) == exponent
+    assert data.count(b"equilibrium") == (params.equilibrium_time > 0)

@@ -34,6 +34,13 @@ def test_public_name_is_the_defining_modules_object(module, name):
     assert getattr(protoneuro, name) is getattr(defining, name)
 
 
+def test_config_sections_are_reexported_as_the_same_objects():
+    from protoneuro import coding, config, spikes
+
+    assert coding.CodingConfig is config.CodingConfig
+    assert spikes.SpikeDetectionConfig is config.SpikeDetectionConfig
+
+
 def test_kernel_backend_and_version_resolve():
     from protoneuro import _kernels
 
