@@ -5,12 +5,17 @@ of numeric rows. Handling them one Python call per row made file I/O the
 bulk of a command's run time, so their readers and writers go through the
 functions here, which stand in exactly for the per-row code.
 
-Parsing: ``read_rows`` hands each megabyte chunk of a file's lines to one
-``np.loadtxt`` call, which converts each field with the same
-``PyOS_string_to_double`` as ``float``. Whenever a line is not exactly
-``width`` numbers it returns None, and the caller re-reads with its line
-loop. That loop accepts what ``float`` accepts and ``loadtxt`` does not
-(``1_0``, metadata lines between rows) and names the line of every error.
+Parsing: ``read_header`` takes a file's header line and ``read_rows`` its
+body, in one pass that never returns to an earlier chunk. Each megabyte
+chunk of the body's lines, rid of its leading blank and metadata lines,
+goes to one ``np.loadtxt`` call, which converts each field with the same
+``PyOS_string_to_double`` as ``float``. A chunk that ``np.loadtxt`` does not
+take (a line that is not exactly ``width`` numbers, ``1_0``, a series
+metadata line between rows) goes, on its own, through the line loop
+``_parse_lines``. That loop skips blank lines, hands ``#`` lines to the
+format's hook if it has one (a stream has none, so ``#`` is an error there),
+accepts what ``float`` accepts and raises a ParseError naming the first bad
+line, numbered file-wide as ``str.splitlines`` numbers the whole text.
 
 Formatting: ``write_rows`` (and ``write_long_rows`` for the time-major
 trace files) writes ``BLOCK_ROWS`` rows at a time with array arithmetic, and
@@ -65,6 +70,8 @@ import re
 
 import numpy as np
 
+from .errors import ParseError
+
 #: Rows formatted per block: large enough to amortise the per-slot array
 #: calls, small enough that a block's arrays (under 100 bytes a row at
 #: their peak) stay a few megabytes.
@@ -82,31 +89,95 @@ _E_SPAN = 290
 _CHARS = {c: np.uint8(ord(c)) for c in "-0.e+"}
 
 
-def read_rows(fh, width, first=""):
-    """The rest of an open text file, from its line ``first``, as an (n, width)
-    float64 array; None when there are no rows or a line is not ``width`` numbers.
+def read_header(fh, skip_blank=False):
+    """(header, rest, line): the first line of an open text file (with
+    ``skip_blank``, the first that is not blank; "" if there is none), the
+    text read past it, and the number of the line after it."""
+    text, line = "", 1
+    while True:
+        text = text or fh.readline()
+        if not text:
+            return "", "", line
+        first = text.splitlines(keepends=True)[0]
+        text = text[len(first):]
+        line += 1
+        header = first.splitlines()[0]
+        if header.strip() or not skip_blank:
+            return header, text, line
 
-    Chunks of about ``_READ_CHUNK`` characters are cut after their last
-    newline, split as a line loop splits the whole text, rid of leading blank
-    lines (``np.loadtxt`` skips only later ones) and parsed by ``np.loadtxt``.
-    """
-    blocks, pending = [], first
+
+def read_lines(fh, first=""):
+    """The lines of the rest of an open text file, from its text ``first``, in
+    lists of about ``_READ_CHUNK`` characters, split as ``str.splitlines``
+    splits the whole text: each chunk is cut after its last newline."""
+    pending = first
     while True:
         chunk = fh.read(_READ_CHUNK)
         text = pending + chunk
         cut = text.rfind("\n") + 1 if chunk else len(text)
-        lines, pending = text[:cut].splitlines(), text[cut:]
-        start = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+        yield text[:cut].splitlines()
+        pending = text[cut:]
+        if not chunk:
+            return
+
+
+def _is_data(line, comment):
+    """Whether a line holds a row: not blank, and not a ``#`` line when the
+    format has a ``comment`` hook, which is handed the stripped line."""
+    text = line.strip()
+    if comment is not None and text.startswith("#"):
+        comment(text)
+        return False
+    return bool(text)
+
+
+def _parse_lines(lines, width, line, comment, strip):
+    """The rows of ``lines``, the first of which is the file's line ``line``.
+
+    Skips what ``_is_data`` skips and splits the rest at commas (the
+    stripped line with ``strip``, which only a ``float`` error message
+    shows); a line that is not ``width`` numbers ``float`` accepts is a
+    ParseError naming it.
+    """
+    rows = []
+    for number, text in enumerate(lines, start=line):
+        if not _is_data(text, comment):
+            continue
+        fields = (text.strip() if strip else text).split(",")
+        if len(fields) != width:
+            raise ParseError(f"expected {width} fields, got {len(fields)}", line=number)
+        try:
+            rows.append([float(field) for field in fields])
+        except ValueError as exc:
+            raise ParseError(str(exc), line=number) from None
+    return np.array(rows, dtype=np.float64).reshape(-1, width)
+
+
+def read_rows(fh, width, first="", line=1, comment=None, strip=False):
+    """The rest of an open text file, from its text ``first`` (the file's line
+    ``line``), as an (n, width) float64 array, or a ParseError naming the
+    first bad line.
+
+    Each chunk from ``read_lines`` is rid of its leading blank and ``#``
+    lines (``np.loadtxt`` skips only later blank ones) and parsed by
+    ``np.loadtxt``; the lines of a chunk it does not take go to
+    ``_parse_lines``, which gives the same rows or the error. ``comment``
+    and ``strip`` are as there.
+    """
+    blocks = []
+    for lines in read_lines(fh, first):
+        start = next((i for i, text in enumerate(lines) if _is_data(text, comment)),
+                     len(lines))
         if start < len(lines):
             try:
                 rows = np.loadtxt(lines[start:], delimiter=",", comments=None, ndmin=2)
             except ValueError:
-                return None
-            if rows.shape[1] != width:
-                return None
+                rows = None
+            if rows is None or rows.shape[1] != width:
+                rows = _parse_lines(lines[start:], width, line + start, comment, strip)
             blocks.append(rows)
-        if not chunk:
-            return np.concatenate(blocks) if blocks else None
+        line += len(lines)
+    return np.concatenate(blocks) if blocks else np.empty((0, width))
 
 
 @functools.cache

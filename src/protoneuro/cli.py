@@ -13,7 +13,10 @@ PROTONEURO_SEED overrides the config seed and is itself overridden by
 
 Each subcommand imports the modules it computes with, so ``waveform``,
 ``report`` and ``qsar-predict`` start without numpy and only ``qsar-fit``
-imports scipy.
+imports scipy. The module defines no file parser: series, network specs
+and streams, QSAR files, configs and manifests are read by ``signals``,
+``networks``, ``qsar`` and ``config``, and a report by ``_inputs``, which
+also checks the flags no dataclass checks (``--seed``, ``--steps``).
 """
 
 import argparse
@@ -23,7 +26,7 @@ import os
 import sys
 
 from . import _inputs
-from .errors import NumericError, ParseError, ValidationError
+from .errors import NumericError, ValidationError
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -228,64 +231,11 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK if not errors else EXIT_IO
 
 
-def _read_stream_csv(path, dt, expected_rows=None):
-    """Wide input stream: header time_s,ch0[,ch1...]; returns (d, steps) array.
-
-    Consecutive times must be ``dt`` apart within a relative 1e-6; the first
-    time is free. Blank lines are skipped but count in the line numbers of
-    error messages. A file ``_csvio.read_rows`` does not take after a first
-    line header, or whose time steps are off, goes to the line loop.
-    """
-    import numpy as np
-
-    from . import _csvio
-    with _inputs.blamed(path), _inputs.open_text(path) as fh:
-        header = fh.readline().splitlines()
-        width = len(header[0].split(",")) if len(header) == 1 else 0
-        block = _csvio.read_rows(fh, width) \
-            if width > 1 and header[0].startswith("time_s") else None
-        if block is not None and np.all(np.abs(np.diff(block[:, 0]) - dt) <= 1e-6 * dt):
-            # The loop's (steps, d).T layout, so matmuls add in the same order.
-            arr = np.ascontiguousarray(block[:, 1:]).T
-        else:
-            fh.seek(0)
-            arr = _stream_lines(fh.read().splitlines(), dt)
-        if expected_rows is not None and arr.shape[0] != expected_rows:
-            raise ValidationError(f"{arr.shape[0]} channels, expected {expected_rows}")
-    return arr
-
-
-def _stream_lines(lines, dt):
-    """The stream's line loop: its array, or a ParseError naming the bad line."""
-    import numpy as np
-    numbered = [(n, ln) for n, ln in enumerate(lines, start=1) if ln.strip()]
-    if not numbered or not numbered[0][1].startswith("time_s"):
-        raise ValidationError("expected a header starting with time_s")
-    width = len(numbered[0][1].split(",")) - 1
-    if width < 1:
-        raise ValidationError("header lists no channels")
-    times, rows = [], []
-    for lineno, ln in numbered[1:]:
-        parts = ln.split(",")
-        if len(parts) != width + 1:
-            raise ParseError(f"expected {width} channels", line=lineno)
-        try:
-            times.append(float(parts[0]))
-            rows.append([float(x) for x in parts[1:]])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-    for k in range(1, len(times)):
-        if not abs(times[k] - times[k - 1] - dt) <= 1e-6 * dt:
-            raise ParseError(f"time step {times[k] - times[k - 1]:.9g} s, expected the "
-                             f"network's dt {dt:.9g} s", line=numbered[k + 1][0])
-    return np.asarray(rows, dtype=np.float64).T if rows else np.empty((width, 0))
-
-
 def _constant_stream(args, rows):
     import numpy as np
     if args.steps is None:
         raise ValidationError("give --input or both --steps and --drive")
-    return np.full((rows, args.steps), args.drive)
+    return np.full((rows, _inputs.integer(args.steps, 0, "--steps")), args.drive)
 
 
 def cmd_sim_spiking(args) -> int:
@@ -293,7 +243,7 @@ def cmd_sim_spiking(args) -> int:
 
     from . import networks
     net = networks.load_network_json(args.net, "spiking")
-    fin = _read_stream_csv(args.input, net.lif.dt, net.input_dim) if args.input \
+    fin = networks.read_stream_csv(args.input, net.lif.dt, net.input_dim) if args.input \
         else _constant_stream(args, net.input_dim)
     # An overflow surfaces as the NonFiniteStateError naming its step and neuron.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -310,13 +260,13 @@ def cmd_sim_rate(args) -> int:
 
     from . import networks
     net = networks.load_network_json(args.net, "rate")
-    fin = _read_stream_csv(args.input, net.dt, net.input_dim) if args.input \
+    fin = networks.read_stream_csv(args.input, net.dt, net.input_dim) if args.input \
         else _constant_stream(args, net.input_dim)
     feedback = None
     if args.feedback:
         if net.feedback_weights is None:
             raise ValidationError("network spec has no feedback weights")
-        feedback = _read_stream_csv(args.feedback, net.dt, net.feedback_weights.shape[1])
+        feedback = networks.read_stream_csv(args.feedback, net.dt, net.feedback_weights.shape[1])
         if feedback.shape[1] != fin.shape[1]:
             raise ValidationError("feedback and input lengths differ")
     with np.errstate(over="ignore", invalid="ignore"):

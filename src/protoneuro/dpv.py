@@ -10,8 +10,10 @@ it does not model the electrochemical cell.
 The module is standard library only, so ``waveform`` starts without numpy.
 """
 
+import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import ValidationError
 
@@ -41,6 +43,10 @@ class DpvParameters:
     scan_rate: float = 0.001
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value!r}")
         for name in ("step_size", "pulse_width", "scan_rate"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be > 0")
@@ -67,8 +73,7 @@ class DpvParameters:
         return 1.0 if self.end_potential > self.start_potential else -1.0
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     start_time: float
     duration: float
     potential: float
@@ -90,16 +95,12 @@ class PotentialWaveform:
 
     segments: tuple[Segment, ...]
     total_duration: float
-    _starts: tuple[float, ...] = field(repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_starts", tuple(s.start_time for s in self.segments))
 
     def potential_at(self, t: float) -> float:
         """Potential at time ``t``; each segment covers [start, end)."""
         if t < 0 or t > self.total_duration:
             raise ValidationError(f"time {t} outside waveform [0, {self.total_duration}]")
-        i = bisect_right(self._starts, t) - 1
+        i = bisect_right(self.segments, t, key=lambda s: s.start_time) - 1
         i = min(max(i, 0), len(self.segments) - 1)
         return self.segments[i].potential
 

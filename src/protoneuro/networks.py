@@ -20,14 +20,20 @@ Both integrators live in the kernel layer (``protoneuro._kernels``) and are
 deterministic given the initial state. External input units for the LIF are
 volts per second, so a constant drive I reaches the steady state
 V_rest + tau_m * I.
+
+The module also reads what a simulation takes: the network spec JSON
+(``load_network_json``) and the input and feedback stream CSVs
+(``read_stream_csv``, one ``_csvio.read_rows`` pass and one array test of
+the time steps), and writes the trace, raster and readout CSVs.
 """
 
+import itertools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import _csvio, _inputs, _kernels
-from .errors import NonFiniteStateError, ShapeError, ValidationError
+from .errors import NonFiniteStateError, ParseError, ShapeError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -338,6 +344,45 @@ def load_network_json(path, kind: str):
     spec = _inputs.read_json_object(path, "network spec")
     with _inputs.blamed(path):
         return build(spec)
+
+
+def read_stream_csv(path, dt, expected_rows=None):
+    """Wide input stream: header time_s,ch0[,ch1...]; returns a (d, steps) array.
+
+    Consecutive times must be ``dt`` apart within a relative 1e-6; the first
+    time is free. Blank lines, before the header too, are skipped but count
+    in the line numbers of error messages. The body is parsed in one pass
+    and the steps checked after it, so a parse error wins over an earlier
+    bad step; only a bad step re-reads the file, to name its line.
+    """
+    with _inputs.blamed(path):
+        with _inputs.open_text(path) as fh:
+            header, rest, line = _csvio.read_header(fh, skip_blank=True)
+            if not header.startswith("time_s"):
+                raise ValidationError("expected a header starting with time_s")
+            width = len(header.split(","))
+            if width < 2:
+                raise ValidationError("header lists no channels")
+            rows = _csvio.read_rows(fh, width, rest, line)
+        step = np.diff(rows[:, 0])
+        bad = np.flatnonzero(~(np.abs(step - dt) <= 1e-6 * dt))
+        if bad.size:
+            raise ParseError(f"time step {step[bad[0]]:.9g} s, expected the network's dt "
+                             f"{dt:.9g} s", line=_stream_row_line(path, bad[0] + 1))
+        # The (steps, d).T layout of the per-row loop, so matmuls add in the same order.
+        arr = rows[:, 1:].copy().T
+        if expected_rows is not None and arr.shape[0] != expected_rows:
+            raise ValidationError(f"{arr.shape[0]} channels, expected {expected_rows}")
+    return arr
+
+
+def _stream_row_line(path, row):
+    """The line number of data row ``row`` of a stream file: the header and the
+    rows are its lines that are not blank."""
+    with _inputs.open_text(path) as fh:
+        lines = itertools.chain.from_iterable(_csvio.read_lines(fh))
+        held = (number for number, text in enumerate(lines, start=1) if text.strip())
+        return next(itertools.islice(held, row + 1, None))
 
 
 def write_trace_csv(trace: SimulationTrace, path) -> None:

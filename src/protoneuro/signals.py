@@ -15,16 +15,19 @@ with 9 significant digits, which makes write -> read -> write byte-identical
 and read/write a relative-1e-9 round trip.
 
 Files of a million rows are common, so the numeric body is parsed and
-formatted in blocks (``_csvio``) rather than one Python call per row; a file
-the block parser does not take is re-read by the line loop, which alone
-reports parse errors, so messages do not depend on the fast path.
+formatted in blocks (``_csvio``) rather than one Python call per row. The
+reader makes one pass: only a megabyte chunk the block parser does not take
+(a metadata line between rows, a bad line) goes through the line loop, which
+alone reports parse errors, so messages do not depend on the fast path.
 
 Recorded traces the toolkit cannot obtain from hardware are synthesised as
 Gaussian bumps on a noisy baseline, sampled once per second to match the
 data-logger convention used throughout.
 """
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,71 +91,29 @@ class TimeSeries:
         return float(self.times[-1] - self.times[0])
 
 
-def _read_metadata(line: str, meta: dict) -> bool:
-    """Apply a stripped blank or ``#`` line to ``meta``; False for a data line."""
-    if not line:
-        return True
-    if not line.startswith("#"):
-        return False
-    text = line[1:].strip()
-    for key in ("unit", "label"):
-        if text.startswith(key + "="):
-            meta[key] = text[len(key) + 1:]
-    return True
-
-
-def _read_series_blocks(fh, meta):
-    """The body of an open series file by ``_csvio.read_rows``, after the
-    header and leading metadata lines; None when the line loop must decide
-    (a bad header, a line ``str.splitlines`` would split further, a body
-    ``read_rows`` does not take)."""
-    line = fh.readline()
-    if len(line.splitlines()) != 1 or line.strip() != HEADER:
-        return None
-    while True:
-        line = fh.readline()
-        if len(line.splitlines()) != 1:
-            return None
-        if not _read_metadata(line.strip(), meta):
-            return _csvio.read_rows(fh, 2, line)
-
-
-def _read_series_lines(lines, meta):
-    """The reference reader: the header, then a loop over the body lines.
-
-    Accepts metadata anywhere and anything ``float`` accepts, and raises
-    ParseError naming the first bad line.
-    """
-    if not lines or lines[0].strip() != HEADER:
-        raise ParseError(f"expected header {HEADER!r}", line=1)
-    rows = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if _read_metadata(line, meta):
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"expected 2 fields, got {len(parts)}", line=lineno)
-        try:
-            rows.append((float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-    return np.array(rows, dtype=np.float64).reshape(-1, 2)
-
-
 def read_timeseries_csv(path) -> TimeSeries:
     """Parse a series file, validating monotone times and finite values.
 
-    A file the chunks do not take (metadata between rows, ``1_0``, a bad
-    line) is re-read by the line loop: the same values or its ParseError.
+    The header must be the first line; ``#`` lines anywhere after it set
+    ``unit`` and ``label`` (the last one wins), and a bad line is a
+    ParseError naming it.
     """
     meta = {"unit": UNIT_MICROAMPERE, "label": ""}
+
+    def comment(text):
+        text = text[1:].strip()
+        for key in meta:
+            if text.startswith(key + "="):
+                # Interned, a unit is this module's own constant: a new string
+                # made among a chunk's line strings would keep one of the
+                # allocator's 1 MiB arenas resident (1 MB of detect's peak RSS).
+                meta[key] = sys.intern(text[len(key) + 1:])
+
     with _inputs.open_text(path) as fh:
-        rows = _read_series_blocks(fh, meta)
-        if rows is None:
-            fh.seek(0)
-            meta = {"unit": UNIT_MICROAMPERE, "label": ""}
-            rows = _read_series_lines(fh.read().splitlines(), meta)
+        header, rest, line = _csvio.read_header(fh)
+        if header.strip() != HEADER:
+            raise ParseError(f"expected header {HEADER!r}", line=1)
+        rows = _csvio.read_rows(fh, 2, rest, line, comment=comment, strip=True)
     with _inputs.blamed(path):
         return TimeSeries(rows[:, 0], rows[:, 1], unit=meta["unit"], label=meta["label"])
 
@@ -197,6 +158,18 @@ class SyntheticSpikeSpec:
     label: str = ""
 
     def __post_init__(self):
+        if self.spike_times is not None:
+            object.__setattr__(self, "spike_times", tuple(float(t) for t in self.spike_times))
+        # Every float first, the duration last: a command line derives a
+        # missing duration from the spike times, mean_isi or half width.
+        for t in self.spike_times or ():
+            if not math.isfinite(t):
+                raise ValidationError(f"spike_times must be finite, got {t!r}")
+        for name in ("mean_isi", "jitter_fraction", "spike_amplitude", "spike_half_width",
+                     "baseline", "noise_sd", "duration"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if self.duration <= 0:
             raise ValidationError("duration must be > 0")
         if self.spike_amplitude <= 0:
@@ -208,12 +181,11 @@ class SyntheticSpikeSpec:
         if self.spike_times is not None:
             if self.count is not None or self.mean_isi is not None:
                 raise ValidationError("give either spike_times or (count, mean_isi), not both")
-            st = tuple(float(t) for t in self.spike_times)
+            st = self.spike_times
             if any(b <= a for a, b in zip(st, st[1:])):
                 raise ValidationError("spike_times must be strictly increasing")
             if st and (st[0] < 0 or st[-1] > self.duration):
                 raise ValidationError("spike_times must lie within [0, duration]")
-            object.__setattr__(self, "spike_times", st)
         else:
             if self.count is None:
                 raise ValidationError("need spike_times or (count, mean_isi)")
@@ -226,6 +198,8 @@ class SyntheticSpikeSpec:
 
 
 def _placed_spike_times(spec: SyntheticSpikeSpec, rng: "np.random.Generator") -> np.ndarray:
+    """The spike times of ``spec``; ``rng`` draws the jitter of two or more
+    spikes placed by count (otherwise it may be None)."""
     if spec.spike_times is not None:
         return np.asarray(spec.spike_times, dtype=np.float64)
     if spec.count == 0:
@@ -239,9 +213,14 @@ def _placed_spike_times(spec: SyntheticSpikeSpec, rng: "np.random.Generator") ->
 
 
 def synthesize_spiky_series(spec: SyntheticSpikeSpec) -> TimeSeries:
-    """Deterministic surrogate trace for a spec (the seed is part of the spec)."""
-    rng = np.random.default_rng(spec.seed)
-    spike_times = _placed_spike_times(spec, rng)
+    """Deterministic surrogate trace for a spec (the seed is part of the spec).
+
+    The jitter and then the noise are drawn from one generator, made at the
+    first draw: a spec that draws nothing does not load ``numpy.random``.
+    """
+    rng = functools.cache(lambda: np.random.default_rng(spec.seed))
+    jittered = spec.spike_times is None and spec.count > 1
+    spike_times = _placed_spike_times(spec, rng() if jittered else None)
     if spike_times.size and spike_times[-1] > spec.duration:
         raise ValidationError(
             f"generated spikes extend to {spike_times[-1]:.1f} s, beyond duration {spec.duration}"
@@ -263,5 +242,5 @@ def synthesize_spiky_series(spec: SyntheticSpikeSpec) -> TimeSeries:
         # Unbuffered and in index order: overlapping bumps add spike by spike.
         np.add.at(values, pos[inside], bump[inside])
     if spec.noise_sd > 0:
-        values = values + spec.noise_sd * rng.standard_normal(times.size)
+        values = values + spec.noise_sd * rng().standard_normal(times.size)
     return TimeSeries(times, values, unit=UNIT_MICROAMPERE, label=spec.label)

@@ -9,8 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from protoneuro import cli, signals
+from protoneuro import _csvio, cli, networks, signals
 from protoneuro.errors import ValidationError
 from protoneuro.signals import SyntheticSpikeSpec, TimeSeries
 
@@ -621,7 +623,7 @@ def test_session_subcommands_import_only_what_they_compute_with(tmp_path, capsys
         assert loaded("scipy") == []
 
 
-@pytest.mark.parametrize("command", ["detect", "sim-spiking"])
+@pytest.mark.parametrize("command", ["detect", "sim-spiking", "synth"])
 def test_commands_that_draw_nothing_leave_numpy_random_unloaded(tmp_path, command):
     write_series(tmp_path / "s.csv", np.arange(50.0), np.sin(np.arange(50.0)))
     (tmp_path / "net.json").write_text(json.dumps({
@@ -629,7 +631,9 @@ def test_commands_that_draw_nothing_leave_numpy_random_unloaded(tmp_path, comman
         "output_weights": [[1, -1]]}))
     argv = {"detect": ["detect", str(tmp_path / "s.csv")],
             "sim-spiking": ["sim-spiking", "--net", str(tmp_path / "net.json"), "--steps", "20",
-                            "--drive", "1", "--out-prefix", str(tmp_path / "r")]}[command]
+                            "--drive", "1", "--out-prefix", str(tmp_path / "r")],
+            "synth": ["synth", "--out", str(tmp_path / "t.csv"), "--spike-times", "10", "20",
+                      "--duration", "40"]}[command]
     modules = modules_loaded_by(argv)
     assert "numpy" in modules
     assert "numpy.random" not in modules
@@ -673,7 +677,7 @@ def test_readme_sim_spiking_example_fires(tmp_path, capsys, monkeypatch):
 
 
 def reference_read_stream(path, dt, expected_rows=None):
-    # The line loop that _read_stream_csv's block parse stands in for.
+    # The line loop that read_stream_csv's block parse stands in for.
     with open(path, "r", newline="") as fh:
         numbered = [(n, ln) for n, ln in enumerate(fh.read().splitlines(), start=1)
                     if ln.strip()]
@@ -686,7 +690,8 @@ def reference_read_stream(path, dt, expected_rows=None):
     for lineno, ln in numbered[1:]:
         parts = ln.split(",")
         if len(parts) != width + 1:
-            raise ValidationError(f"{path}: line {lineno}: expected {width} channels")
+            raise ValidationError(f"{path}: line {lineno}: expected {width + 1} fields, "
+                                  f"got {len(parts)}")
         try:
             times.append(float(parts[0]))
             rows.append([float(x) for x in parts[1:]])
@@ -735,8 +740,56 @@ def stream_outcome(reader, path, dt):
 def test_stream_reader_matches_line_loop(tmp_path, body):
     path = tmp_path / "stream.csv"
     path.write_text("time_s,ch0,ch1\n" + body, newline="")
-    assert stream_outcome(cli._read_stream_csv, path, 1.0) == \
+    assert stream_outcome(networks.read_stream_csv, path, 1.0) == \
         stream_outcome(reference_read_stream, path, 1.0)
+
+
+STREAM_FIELD = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-9, 9).map(str),
+    st.sampled_from(["1_0", "nan", "inf", "", "x", " 2 ", "\t-0", "# n", "1e5", "2 # n"]),
+)
+
+
+@st.composite
+def stream_files(draw):
+    """Stream files around the header ``time_s,ch0,ch1`` at dt = 1: mostly
+    rows on the step, with blank, comment and malformed lines and bad steps."""
+    lines = [draw(st.sampled_from(["", " "])) for _ in range(draw(st.integers(0, 2)))]
+    lines.append("time_s,ch0,ch1")
+    t = 0.0
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["step", "blank", "comment", "raw"]))
+        if kind in ("row", "step"):
+            t += 1.0 if kind == "row" else draw(st.sampled_from([0.0, 2.0, -1.0, 1.0000005]))
+            pad = draw(st.sampled_from(["", " ", "\t"]))
+            values = [draw(STREAM_FIELD) if draw(st.booleans()) else "0.5" for _ in range(2)]
+            lines.append(",".join([f"{pad}{t!r}{pad}", *values]))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t "])))
+        elif kind == "comment":
+            lines.append("# note")
+        else:
+            lines.append(",".join(draw(st.lists(STREAM_FIELD, min_size=0, max_size=4))))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=stream_files(), chunk=st.integers(1, 40))
+def test_stream_reader_matches_line_loop_across_chunk_edges(tmp_path, text, chunk):
+    # Small chunks put the cut next to every kind of line ending, blank line
+    # and bad line, the header included.
+    path = tmp_path / "stream.csv"
+    path.write_text(text, newline="")
+    old = _csvio._READ_CHUNK
+    _csvio._READ_CHUNK = chunk
+    try:
+        assert stream_outcome(networks.read_stream_csv, path, 1.0) == \
+            stream_outcome(reference_read_stream, path, 1.0)
+    finally:
+        _csvio._READ_CHUNK = old
 
 
 @pytest.mark.parametrize("body, line", [
@@ -750,7 +803,7 @@ def test_stream_reader_names_the_offending_line(tmp_path, body, line):
     path = tmp_path / "stream.csv"
     path.write_text("time_s,ch0,ch1\n" + body, newline="")
     with pytest.raises(ValidationError, match=f"line {line}: "):
-        cli._read_stream_csv(path, 1.0)
+        networks.read_stream_csv(path, 1.0)
 
 
 @pytest.mark.parametrize("dt, ok", [(1e-4, True), (1e-3, False)])
@@ -905,3 +958,45 @@ def test_negative_seed_names_its_source(tmp_path, flag, env):
     assert done.returncode == 2
     name = flag[0] if flag else "PROTONEURO_SEED"
     assert done.stderr == f"error: {name} must be an integer >= 0, got -1\n"
+
+
+BAD_FLAGS = [
+    (["synth", "--count", "2", "--mean-isi", "10", "--duration", "nan"], "duration"),
+    (["synth", "--count", "2", "--mean-isi", "10", "--duration", "inf"], "duration"),
+    (["synth", "--count", "3", "--mean-isi", "nan"], "mean_isi"),
+    (["synth", "--count", "3", "--mean-isi", "nan", "--duration", "100"], "mean_isi"),
+    (["synth", "--spike-times", "nan"], "spike_times"),
+    (["synth", "--spike-times", "10", "nan", "--duration", "40"], "spike_times"),
+    (["synth", "--spike-times", "10", "--half-width", "inf"], "spike_half_width"),
+    (["synth", "--count", "2", "--mean-isi", "10", "--noise-sd", "nan"], "noise_sd"),
+    (["waveform", "--start", "nan"], "start_potential"),
+    (["waveform", "--end", "inf"], "end_potential"),
+    (["waveform", "--pulse-amplitude", "nan"], "pulse_amplitude"),
+    (["waveform", "--equilibrium-time", "nan"], "equilibrium_time"),
+    (["sim-spiking", "--steps", "-1"], "--steps"),
+    (["sim-rate", "--steps", "-1"], "--steps"),
+]
+
+
+@pytest.mark.parametrize("argv, field", BAD_FLAGS, ids=[" ".join(argv) for argv, _ in BAD_FLAGS])
+def test_non_finite_and_negative_flags_exit_2_naming_the_field(tmp_path, argv, field):
+    (tmp_path / "net.json").write_text(json.dumps({"n": 2}))
+    out = {"synth": ["--out", str(tmp_path / "s.csv")],
+           "waveform": ["--out", str(tmp_path / "w.csv")]}.get(
+        argv[0], ["--net", str(tmp_path / "net.json"), "--out-prefix", str(tmp_path / "r")])
+    done = subprocess.run([sys.executable, "-m", "protoneuro.cli", *argv, *out],
+                          env=src_env(), capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 2, done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith(f"error: {field} must be ")
+    assert list(tmp_path.iterdir()) == [tmp_path / "net.json"]
+
+
+@pytest.mark.parametrize("command", ["sim-spiking", "sim-rate"])
+def test_zero_steps_of_constant_drive_run(tmp_path, capsys, command):
+    (tmp_path / "net.json").write_text(json.dumps({"n": 2}))
+    code, stdout, _ = run(capsys, command, "--net", str(tmp_path / "net.json"), "--steps", "0",
+                          "--out-prefix", str(tmp_path / "r"))
+    assert code == 0
+    assert stdout.startswith("steps=0 ")

@@ -409,12 +409,12 @@ def test_series_reader_matches_line_loop_on_generated_files(tmp_path, body):
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
 def test_series_reader_takes_a_written_file_chunk_by_chunk(tmp_path, monkeypatch, newline):
-    # A file as the writer makes it never needs the whole-text reader, however
-    # its chunks fall.
-    def whole_text_reader(lines, meta):
-        raise AssertionError("fell back to the whole-text reader")
+    # A file as the writer makes it never needs the line loop, however its
+    # chunks fall.
+    def line_loop(*args):
+        raise AssertionError("fell back to the line loop")
 
-    monkeypatch.setattr(signals, "_read_series_lines", whole_text_reader)
+    monkeypatch.setattr(_csvio, "_parse_lines", line_loop)
     monkeypatch.setattr(_csvio, "_READ_CHUNK", 7)
     series = TimeSeries(np.arange(50.0), np.linspace(-1e-3, 2e-3, 50), label="x")
     path = tmp_path / "s.csv"
@@ -432,18 +432,45 @@ def test_series_reader_takes_a_written_file_chunk_by_chunk(tmp_path, monkeypatch
 ])
 def test_series_reader_takes_blank_lines_at_chunk_edges(tmp_path, monkeypatch, body, chunks):
     # A chunk may start with blank lines, which the line loop skips; they must
-    # not send the file to the whole-text reader.
+    # not send the chunk to the line loop.
     path = tmp_path / "b.csv"
     path.write_text("time_s,value\n" + body)
     expected = outcome(reference_read_series, path)
 
-    def whole_text_reader(lines, meta):
-        raise AssertionError("fell back to the whole-text reader")
+    def line_loop(*args):
+        raise AssertionError("fell back to the line loop")
 
-    monkeypatch.setattr(signals, "_read_series_lines", whole_text_reader)
+    monkeypatch.setattr(_csvio, "_parse_lines", line_loop)
     for chunk in chunks:
         monkeypatch.setattr(_csvio, "_READ_CHUNK", chunk)
         assert outcome(signals.read_timeseries_csv, path) == expected
+
+
+@pytest.mark.parametrize("late", ["# label=late", "04950,x"], ids=["metadata", "bad-line"])
+def test_series_reader_sends_only_the_late_lines_chunk_to_the_line_loop(
+        tmp_path, monkeypatch, late):
+    # A metadata or bad line near the end of a many-chunk file costs the line
+    # loop one chunk, not the whole file. Rows are 10 characters, so the late
+    # line starts 367 characters into the last of 13 chunks of 4096.
+    path = tmp_path / "late.csv"
+    rows = [f"{k:05d},0.5" for k in range(5000)]
+    rows.insert(4950, late)
+    path.write_text("time_s,value\n# unit=microampere\n" + "\n".join(rows) + "\n")
+    late_line = 4950 + 3
+    chunk = 4096
+    looped = []
+    parse_lines = _csvio._parse_lines
+
+    def line_loop(lines, width, line, *rest):
+        looped.append((line, list(lines)))
+        return parse_lines(lines, width, line, *rest)
+
+    monkeypatch.setattr(_csvio, "_parse_lines", line_loop)
+    monkeypatch.setattr(_csvio, "_READ_CHUNK", chunk)
+    assert outcome(signals.read_timeseries_csv, path) == outcome(reference_read_series, path)
+    [(first, lines)] = looped
+    assert first <= late_line < first + len(lines)
+    assert sum(map(len, lines)) < chunk + 30
 
 
 @settings(max_examples=150, deadline=None,
