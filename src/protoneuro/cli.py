@@ -125,8 +125,7 @@ def cmd_encode(args) -> int:
             raise ValidationError(f"{s.label or 'series'}: time base differs from the first input")
     matrix = np.vstack([s.values[:n] for s in series_list])
     labels = [s.label or f"n{i + 1}" for i, s in enumerate(series_list)]
-    time_base = float(base[1] - base[0]) if n > 1 else 1.0
-    code = coding.encode(matrix, threshold, labels=labels, time_base=time_base)
+    code = coding.encode(matrix, threshold, labels=labels)
     coding.write_code_csv(code, args.out)
     print(f"neurons={code.neuron_count} samples={code.sample_count} "
           f"active_fraction={code.entries.mean():.6g}")
@@ -142,7 +141,8 @@ def cmd_weights(args) -> int:
         source = "table1"
     else:
         seed = _resolve_seed(args, config)
-        matrix = coding.init_weights(args.n, derive_seed(seed, "weights"))
+        n = args.n if args.n is not None else config.coding.neuron_count
+        matrix = coding.init_weights(n, derive_seed(seed, "weights"))
         source = f"seeded({seed})"
     with open(args.out, "w", newline="") as fh:
         _csvio.write_rows(fh, ",".join(["%.9g"] * matrix.size) + "\n", *matrix.entries.T)
@@ -166,6 +166,7 @@ def cmd_pipeline(args) -> int:
         )
 
     per_sample = []
+    stats_objs = []
     errors = {}
     series_by_label = {}
     for label, path in zip(manifest.sample_labels, manifest.source_files):
@@ -174,12 +175,11 @@ def cmd_pipeline(args) -> int:
             train = spikes.detect_spikes(series, manifest.detection)
             stats = spikes.compute_stats(train)
             series_by_label[label] = series
+            stats_objs.append(stats)
             per_sample.append(spikes.stats_to_dict(stats, label))
         except (ValidationError, OSError) as exc:
             errors[label] = str(exc)
 
-    stats_objs = [spikes.SpikeStats(d["count"], d["mean_isi_s"], d["frequency_mhz"],
-                                    d["duration_s"]) for d in per_sample]
     aggregate = None
     if stats_objs:
         mean_count, mean_isi = spikes.aggregate_stats(stats_objs)
@@ -277,13 +277,15 @@ def cmd_sim_rate(args) -> int:
 
 
 def cmd_qsar_fit(args) -> int:
+    import dataclasses
+
     from . import qsar
     observations = qsar.read_observations_csv(args.observations)
     result = qsar.fit(observations)
     coeffs = result.coefficients
     if len(observations) > 9:
         bounds = qsar.confidence_bounds(result, observations, level=args.level)
-        coeffs = qsar.QsarCoefficients.from_array(coeffs.as_array(), bounds=bounds)
+        coeffs = dataclasses.replace(coeffs, bounds=bounds)
     qsar.write_model_json(coeffs, args.out, residual_sum_squares=result.residual_sum_squares)
     print(f"observations={len(observations)} residual_ss={result.residual_sum_squares:.6g}")
     return EXIT_OK
@@ -291,11 +293,12 @@ def cmd_qsar_fit(args) -> int:
 
 def cmd_qsar_predict(args) -> int:
     from . import qsar
+    mean = None if args.mean is None else _inputs.number(args.mean, "--mean")
     coeffs = qsar.read_model_json(args.model) if args.model else qsar.REFERENCE_COEFFICIENTS
     rate = qsar.predict(coeffs, args.x, args.y)
     print(f"predicted_rate_hz={rate:.6g}")
-    if args.mean is not None:
-        print(f"percent_deviation={qsar.percent_deviation(args.mean, rate):+.4f}%")
+    if mean is not None:
+        print(f"percent_deviation={qsar.percent_deviation(mean, rate):+.4f}%")
     return EXIT_OK
 
 
@@ -416,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weights", help="emit a synaptic weight matrix CSV")
     _add_config(p)
     _add_seed(p)
-    p.add_argument("--n", type=int, default=10, help="network size for seeded weights")
+    p.add_argument("--n", type=int,
+                   help="network size for seeded weights (default: config coding.neuron_count)")
     p.add_argument("--table1", action="store_true",
                    help="use the bundled fixed 10x10 matrix instead of seeded weights")
     p.add_argument("--out", required=True, help="output CSV")

@@ -28,7 +28,6 @@ class CodeMatrix:
 
     entries: np.ndarray
     neuron_labels: list[str] = None
-    time_base: float = 1.0
 
     def __post_init__(self):
         e = np.asarray(self.entries)
@@ -83,8 +82,8 @@ class PsiPpiGrid:
     """Weight-activity products plus their row (PSI) and column (PPI) sums."""
 
     grid: np.ndarray
-    psi: np.ndarray = field(default=None)
-    ppi: np.ndarray = field(default=None)
+    psi: np.ndarray = field(init=False)
+    ppi: np.ndarray = field(init=False)
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=np.float64)
@@ -95,7 +94,7 @@ class PsiPpiGrid:
         self.ppi = g.sum(axis=0)
 
 
-def encode(potentials, threshold: float, labels=None, time_base: float = 1.0) -> CodeMatrix:
+def encode(potentials, threshold: float, labels=None) -> CodeMatrix:
     """Threshold a potential matrix into a binary code.
 
     Entry [j][k] is 1 exactly when potentials[j][k] > threshold; equality
@@ -106,8 +105,7 @@ def encode(potentials, threshold: float, labels=None, time_base: float = 1.0) ->
         raise ShapeError("potentials must be a 2-D matrix (neurons x samples)")
     if not np.isfinite(threshold):
         raise ValidationError("threshold must be finite")
-    return CodeMatrix((p > threshold).astype(np.uint8), neuron_labels=labels,
-                      time_base=time_base)
+    return CodeMatrix((p > threshold).astype(np.uint8), neuron_labels=labels)
 
 
 def init_weights(n: int, seed: int) -> WeightMatrix:

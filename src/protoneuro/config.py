@@ -10,6 +10,11 @@ One JSON config file describes a whole run, with one section per concern:
     }
 
 Any other key, at the top level or in a section, is a ValidationError.
+Each field is read by these subcommands: ``dpv`` by ``waveform``,
+``detection`` by ``detect``, ``coding.threshold`` by ``encode``,
+``coding.neuron_count`` by ``weights`` (unless ``--n`` is given) and
+``seed`` by ``synth`` and ``weights``. ``coding.time_window`` is read by
+no subcommand; only a manifest's value is used, echoed into ``report.json``.
 
 Every component draws its randomness from a stream derived from the single
 top-level seed by hashing the component name into it (sha256 of
@@ -74,7 +79,7 @@ class CodingConfig:
             raise ValidationError("neuron_count must be an integer >= 1")
         if not math.isfinite(self.threshold):
             raise ValidationError("threshold must be finite")
-        if self.time_window <= 0:
+        if not self.time_window > 0:  # NaN fails this test too
             raise ValidationError("time_window must be > 0")
 
 

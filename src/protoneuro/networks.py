@@ -17,9 +17,9 @@ output feedback stream:
     tau * dx/dt = -x + J @ tanh(x) + U @ F_in(t) + u @ F_fb(t)
 
 Both integrators live in the kernel layer (``protoneuro._kernels``) and are
-deterministic given the initial state. External input units for the LIF are
-volts per second, so a constant drive I reaches the steady state
-V_rest + tau_m * I.
+deterministic: every LIF neuron starts at rest and every rate unit at
+x = 0. External input units for the LIF are volts per second, so a
+constant drive I reaches the steady state V_rest + tau_m * I.
 
 The module also reads what a simulation takes: the network spec JSON
 (``load_network_json``) and the input and feedback stream CSVs
@@ -148,44 +148,7 @@ class SimulationTrace:
     outputs: np.ndarray = None
 
 
-def step_lif(potentials, refractory_clocks, input_current, lif: LifParameters,
-             recurrent_weights=None, spikes_prev=None):
-    """Advance the LIF state one step of lif.dt; returns (V, clocks, spikes).
-
-    Single-step convenience wrapper over the same arithmetic the kernel
-    loop uses: leak toward rest, external drive, plus recurrent deposits
-    from the previous step's spikes. Refractory neurons sit at the reset
-    potential until their clock expires.
-    """
-    v = np.asarray(potentials, dtype=np.float64)
-    refr = np.asarray(refractory_clocks, dtype=np.float64)
-    drive = np.asarray(input_current, dtype=np.float64)
-    if not (v.shape == refr.shape == drive.shape):
-        raise ShapeError("state, clocks and input must share one shape")
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteStateError("membrane potentials contain non-finite entries")
-    if not np.all(np.isfinite(drive)):
-        raise NonFiniteStateError("input current contains non-finite entries")
-
-    active = refr <= 0.0
-    dv = (lif.dt / lif.membrane_time_constant) * (lif.rest - v) + lif.dt * drive
-    if recurrent_weights is not None and spikes_prev is not None:
-        j = np.asarray(recurrent_weights, dtype=np.float64)
-        s = np.asarray(spikes_prev, dtype=np.float64)
-        if j.shape != (v.size, v.size) or s.shape != v.shape:
-            raise ShapeError("recurrent weights / previous spikes shape mismatch")
-        dv = dv + j @ s
-    v = np.where(active, v + dv, lif.reset)
-    refr = np.maximum(refr - lif.dt, 0.0)
-    spikes = (active & (v > lif.threshold)).astype(np.uint8)
-    fired = spikes.astype(bool)
-    v = np.where(fired, lif.reset, v)
-    refr = np.where(fired, lif.refractory, refr)
-    return v, refr, spikes
-
-
-def run_spiking(net: SpikingNetwork, inputs, initial_potentials=None,
-                record_potentials=True) -> SimulationTrace:
+def run_spiking(net: SpikingNetwork, inputs, record_potentials=True) -> SimulationTrace:
     """Integrate the spiking network over the columns of ``inputs``.
 
     ``inputs`` has shape (input_dim, steps); the readout is the output
@@ -198,13 +161,11 @@ def run_spiking(net: SpikingNetwork, inputs, initial_potentials=None,
         raise ValidationError("inputs contain non-finite entries")
     lif = net.lif
     steps = fin.shape[1]
-    v0 = np.full(net.n, lif.rest) if initial_potentials is None \
-        else _as_matrix("initial_potentials", initial_potentials, (net.n,))
     drive = net.input_weights @ fin
 
     potentials, filtered, spike_steps, spike_neurons = _kernels.lif_run(
-        v0, drive, net.recurrent_weights, lif.membrane_time_constant, lif.rest,
-        lif.threshold, lif.reset, lif.refractory, lif.dt, net.tau_syn,
+        np.full(net.n, lif.rest), drive, net.recurrent_weights, lif.membrane_time_constant,
+        lif.rest, lif.threshold, lif.reset, lif.refractory, lif.dt, net.tau_syn,
         record_potentials=record_potentials,
     )
     if potentials is not None and not np.all(np.isfinite(potentials)):
@@ -215,8 +176,7 @@ def run_spiking(net: SpikingNetwork, inputs, initial_potentials=None,
                            spike_raster=raster, outputs=net.output_weights @ filtered)
 
 
-def run_rate(net: RateNetwork, inputs, output_feedback=None, initial_state=None,
-             ) -> SimulationTrace:
+def run_rate(net: RateNetwork, inputs, output_feedback=None) -> SimulationTrace:
     """Integrate the rate network; returns unit activities tanh(x) per step."""
     fin = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     if fin.shape[0] != net.input_dim:
@@ -233,10 +193,8 @@ def run_rate(net: RateNetwork, inputs, output_feedback=None, initial_state=None,
         if fb.shape != expected:
             raise ShapeError(f"feedback must have shape {expected}, got {fb.shape}")
         drive += net.feedback_weights @ fb
-    x0 = np.zeros(net.n) if initial_state is None \
-        else _as_matrix("initial_state", initial_state, (net.n,))
 
-    state, activities = _kernels.rate_run(x0, drive, net.recurrent_weights,
+    state, activities = _kernels.rate_run(np.zeros(net.n), drive, net.recurrent_weights,
                                           net.time_constant, net.dt)
     if not np.all(np.isfinite(state)):
         raise _non_finite("unit state", state, net.dt)

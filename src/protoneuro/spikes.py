@@ -59,7 +59,6 @@ INCONSISTENT_REFERENCE_ROWS = frozenset({"L-Glu:L-Arg", "L-Asp"})
 class SpikeTrain:
     spike_times: np.ndarray
     spike_amplitudes: np.ndarray
-    source_label: str = ""
     duration: float = 0.0
 
     def __post_init__(self):
@@ -93,8 +92,7 @@ def detect_spikes(series: TimeSeries, config: SpikeDetectionConfig) -> SpikeTrai
     t = series.times[idx]
     a = series.values[idx]
     kept = _kernels.prune_min_distance(t, a, config.min_peak_distance)
-    train = SpikeTrain(t[kept], a[kept], source_label=series.label,
-                       duration=series.duration)
+    train = SpikeTrain(t[kept], a[kept], duration=series.duration)
     _check_train_valid(train, config)
     return train
 
@@ -126,7 +124,7 @@ def detect_spikes_naive(series: TimeSeries, config: SpikeDetectionConfig) -> Spi
                      if abs(t[i] - t[best]) >= config.min_peak_distance and i != best]
     kept.sort()
     idx = np.array(kept, dtype=np.int64)
-    return SpikeTrain(t[idx], v[idx], source_label=series.label, duration=series.duration)
+    return SpikeTrain(t[idx], v[idx], duration=series.duration)
 
 
 def _check_train_valid(train: SpikeTrain, config: SpikeDetectionConfig) -> None:

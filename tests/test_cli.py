@@ -180,6 +180,19 @@ def test_weights_seeded_and_fixed(tmp_path, capsys):
     assert first == "-1,1,1,1,-1,1,-1,1,-1,1"
 
 
+def test_weights_size_comes_from_the_config_unless_n_is_given(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PROTONEURO_SEED", raising=False)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"coding": {"neuron_count": 5}}))
+    out = tmp_path / "w.csv"
+    code, stdout, _ = run(capsys, "weights", "--config", str(config), "--out", str(out))
+    assert (code, stdout) == (0, "n=5 source=seeded(0)\n")
+    assert [len(r.split(",")) for r in out.read_text().splitlines()] == [5] * 5
+    code, stdout, _ = run(capsys, "weights", "--config", str(config), "--n", "3",
+                          "--out", str(out))
+    assert (code, stdout) == (0, "n=3 source=seeded(0)\n")
+
+
 def test_weights_csv_bytes_equal_the_per_row_loop(tmp_path, capsys, monkeypatch):
     from protoneuro import coding
     entries = np.array([[-0.0, 0.0, 1.0], [-1.0, 0.123456789012, -3.5e-7],
@@ -975,6 +988,8 @@ BAD_FLAGS = [
     (["waveform", "--equilibrium-time", "nan"], "equilibrium_time"),
     (["sim-spiking", "--steps", "-1"], "--steps"),
     (["sim-rate", "--steps", "-1"], "--steps"),
+    (["qsar-predict", "--x", "300", "--y", "4", "--mean", "nan"], "--mean"),
+    (["qsar-predict", "--x", "300", "--y", "4", "--mean", "inf"], "--mean"),
 ]
 
 
@@ -982,7 +997,8 @@ BAD_FLAGS = [
 def test_non_finite_and_negative_flags_exit_2_naming_the_field(tmp_path, argv, field):
     (tmp_path / "net.json").write_text(json.dumps({"n": 2}))
     out = {"synth": ["--out", str(tmp_path / "s.csv")],
-           "waveform": ["--out", str(tmp_path / "w.csv")]}.get(
+           "waveform": ["--out", str(tmp_path / "w.csv")],
+           "qsar-predict": []}.get(
         argv[0], ["--net", str(tmp_path / "net.json"), "--out-prefix", str(tmp_path / "r")])
     done = subprocess.run([sys.executable, "-m", "protoneuro.cli", *argv, *out],
                           env=src_env(), capture_output=True, text=True, timeout=120)
@@ -990,6 +1006,7 @@ def test_non_finite_and_negative_flags_exit_2_naming_the_field(tmp_path, argv, f
     assert done.returncode == 2, done.stderr
     [line] = done.stderr.splitlines()
     assert line.startswith(f"error: {field} must be ")
+    assert done.stdout == ""
     assert list(tmp_path.iterdir()) == [tmp_path / "net.json"]
 
 

@@ -172,6 +172,8 @@ def test_coding_config_validation():
         CodingConfig(neuron_count=0)
     with pytest.raises(ValidationError):
         CodingConfig(time_window=0.0)
+    with pytest.raises(ValidationError, match="time_window must be > 0"):
+        CodingConfig(time_window=np.nan)
     with pytest.raises(ValidationError):
         CodingConfig(threshold=np.nan)
     assert CodingConfig(neuron_count=np.int64(10)).neuron_count == 10

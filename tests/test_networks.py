@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from protoneuro import networks
 from protoneuro._csvio import BLOCK_ROWS
-from protoneuro.errors import NonFiniteStateError, ShapeError, ValidationError
+from protoneuro.errors import ShapeError, ValidationError
 from protoneuro.networks import LifParameters, RateNetwork, SpikingNetwork
 
 NO_REFRACTORY = LifParameters(refractory=0.0)
@@ -173,28 +173,6 @@ def test_spiking_determinism():
     b = networks.run_spiking(net, fin)
     assert a.spike_raster == b.spike_raster
     np.testing.assert_array_equal(a.outputs, b.outputs)
-
-
-def test_step_lif_single_step():
-    lif = LifParameters()
-    v, refr, spk = networks.step_lif(np.array([lif.rest]), np.zeros(1), np.zeros(1), lif)
-    assert v[0] == pytest.approx(lif.rest)
-    assert not spk.any()
-    # a large impulse through the recurrent weights triggers a spike
-    v, refr, spk = networks.step_lif(np.array([lif.rest]), np.zeros(1), np.zeros(1), lif,
-                                     recurrent_weights=np.array([[0.02]]),
-                                     spikes_prev=np.array([1.0]))
-    assert spk[0] == 1
-    assert v[0] == lif.reset
-    assert refr[0] == lif.refractory
-
-
-def test_step_lif_rejects_nonfinite():
-    lif = LifParameters()
-    with pytest.raises(NonFiniteStateError):
-        networks.step_lif(np.array([np.nan]), np.zeros(1), np.zeros(1), lif)
-    with pytest.raises(ShapeError):
-        networks.step_lif(np.zeros(2), np.zeros(1), np.zeros(1), lif)
 
 
 def test_run_spiking_shape_mismatch():

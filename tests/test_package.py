@@ -15,7 +15,7 @@ PUBLIC_NAMES = {
     "errors": ["NonFiniteStateError", "NumericError", "ParseError", "ProtoneuroError",
                "RankDeficiencyError", "ShapeError", "ValidationError"],
     "networks": ["LifParameters", "RateNetwork", "SimulationTrace", "SpikingNetwork",
-                 "run_rate", "run_spiking", "step_lif"],
+                 "run_rate", "run_spiking"],
     "qsar": ["REFERENCE_COEFFICIENTS", "REFERENCE_RATES", "FitResult", "QsarCoefficients",
              "QsarObservation", "SamplePredictors", "confidence_bounds", "fit",
              "percent_deviation", "predict"],
