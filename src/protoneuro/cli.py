@@ -5,18 +5,21 @@
 Subcommands: waveform, synth, detect, encode, weights, pipeline,
 sim-spiking, sim-rate, qsar-fit, qsar-predict, report.
 
-Exit codes: 0 success, 1 I/O failure, 2 validation failure, 3 numeric
-failure (rank deficiency, non-finite state). Config file values can be
-overridden per flag; explicit flags always win. The environment variable
-PROTONEURO_SEED overrides the config seed and is itself overridden by
---seed.
+Exit codes: 0 success, 1 I/O failure, 2 validation failure (also a size
+too large to allocate), 3 numeric failure (rank deficiency, non-finite
+state). Config file values can be overridden per flag; explicit flags always
+win. The environment variable PROTONEURO_SEED overrides the config seed and
+is itself overridden by --seed.
 
 Each subcommand imports the modules it computes with, so ``waveform``,
 ``report`` and ``qsar-predict`` start without numpy and only ``qsar-fit``
 imports scipy. The module defines no file parser: series, network specs
 and streams, QSAR files, configs and manifests are read by ``signals``,
 ``networks``, ``qsar`` and ``config``, and a report by ``_inputs``, which
-also checks the flags no dataclass checks (``--seed``, ``--steps``).
+also checks the flags no dataclass checks (``--seed``, ``--steps``, ``--n``,
+``--mean``). Each analysis stage is built once, outside this module:
+``signals.stack_values`` for the potential matrix and ``coding.weight_matrix``
+for the weights, shared by ``encode``, ``weights`` and ``pipeline``.
 """
 
 import argparse
@@ -66,20 +69,15 @@ def cmd_synth(args) -> int:
     from .config import load_config
     config = load_config(args.config)
     seed = _resolve_seed(args, config)
-    spike_times = tuple(args.spike_times) if args.spike_times else None
+    # The spec checks the flags; a missing duration comes only from flags that were given.
     duration = args.duration
-    if duration is None:
-        if spike_times:
-            duration = spike_times[-1] + 5 * args.half_width
-        elif args.count:
-            duration = (args.count + 1) * args.mean_isi
-        else:
-            raise ValidationError("--duration is required when no spikes are placed")
+    if duration is None and args.spike_times:
+        duration = args.spike_times[-1] + 5 * args.half_width
+    elif duration is None and args.count is not None and args.mean_isi is not None:
+        duration = (args.count + 1) * args.mean_isi
     spec = signals.SyntheticSpikeSpec(
-        duration=duration, spike_times=spike_times,
-        count=args.count if spike_times is None else None,
-        mean_isi=args.mean_isi if spike_times is None else None,
-        jitter_fraction=args.jitter, spike_amplitude=args.amplitude,
+        duration=duration, spike_times=args.spike_times, count=args.count,
+        mean_isi=args.mean_isi, jitter_fraction=args.jitter, spike_amplitude=args.amplitude,
         spike_half_width=args.half_width, baseline=args.baseline,
         noise_sd=args.noise_sd, seed=seed, label=args.label,
     )
@@ -111,21 +109,13 @@ def cmd_detect(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    import numpy as np
-
     from . import coding, signals
     from .config import load_config
     config = load_config(args.config)
     threshold = args.threshold if args.threshold is not None else config.coding.threshold
     series_list = [signals.read_timeseries_csv(p) for p in args.inputs]
-    n = min(len(s) for s in series_list)
-    base = series_list[0].times[:n]
-    for s in series_list[1:]:
-        if not np.array_equal(s.times[:n], base):
-            raise ValidationError(f"{s.label or 'series'}: time base differs from the first input")
-    matrix = np.vstack([s.values[:n] for s in series_list])
     labels = [s.label or f"n{i + 1}" for i, s in enumerate(series_list)]
-    code = coding.encode(matrix, threshold, labels=labels)
+    code = coding.encode(signals.stack_values(series_list, labels), threshold, labels=labels)
     coding.write_code_csv(code, args.out)
     print(f"neurons={code.neuron_count} samples={code.sample_count} "
           f"active_fraction={code.entries.mean():.6g}")
@@ -134,27 +124,20 @@ def cmd_encode(args) -> int:
 
 def cmd_weights(args) -> int:
     from . import _csvio, coding
-    from .config import derive_seed, load_config
+    from .config import load_config
     config = load_config(args.config)
-    if args.table1:
-        matrix = coding.reference_weight_matrix()
-        source = "table1"
-    else:
-        seed = _resolve_seed(args, config)
-        n = args.n if args.n is not None else config.coding.neuron_count
-        matrix = coding.init_weights(n, derive_seed(seed, "weights"))
-        source = f"seeded({seed})"
+    n = config.coding.neuron_count if args.n is None else _inputs.integer(args.n, 1, "--n")
+    seed = None if args.table1 else _resolve_seed(args, config)
+    matrix = coding.weight_matrix("reference" if args.table1 else "seeded", n, seed)
     with open(args.out, "w", newline="") as fh:
         _csvio.write_rows(fh, ",".join(["%.9g"] * matrix.size) + "\n", *matrix.entries.T)
-    print(f"n={matrix.size} source={source}")
+    print(f"n={matrix.size} source={'table1' if args.table1 else f'seeded({seed})'}")
     return EXIT_OK
 
 
 def cmd_pipeline(args) -> int:
-    import numpy as np
-
     from . import coding, signals, spikes
-    from .config import derive_seed, load_manifest
+    from .config import load_manifest
     manifest = load_manifest(args.manifest)
     out_dir = args.output_dir or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -165,52 +148,35 @@ def cmd_pipeline(args) -> int:
             f"but the coding network has {n_neurons} neurons"
         )
 
-    per_sample = []
-    stats_objs = []
+    samples = {}  # label -> (series, stats), in manifest order
     errors = {}
-    series_by_label = {}
     for label, path in zip(manifest.sample_labels, manifest.source_files):
         try:
             series = signals.read_timeseries_csv(path)
             train = spikes.detect_spikes(series, manifest.detection)
-            stats = spikes.compute_stats(train)
-            series_by_label[label] = series
-            stats_objs.append(stats)
-            per_sample.append(spikes.stats_to_dict(stats, label))
+            samples[label] = series, spikes.compute_stats(train)
         except (ValidationError, OSError) as exc:
             errors[label] = str(exc)
 
-    aggregate = None
-    if stats_objs:
-        mean_count, mean_isi = spikes.aggregate_stats(stats_objs)
-        aggregate = {"mean_count": mean_count, "mean_isi_of_means_s": mean_isi}
-
     report = {
-        "aggregate": aggregate,
+        "aggregate": None,
         "detection": {"threshold": manifest.detection.threshold,
                       "min_peak_distance_s": manifest.detection.min_peak_distance},
         "coding": {"neuron_count": n_neurons, "threshold": manifest.coding.threshold,
                    "time_window_s": manifest.coding.time_window},
         "errors": errors,
+        "samples": [spikes.stats_to_dict(stats, label) for label, (_, stats) in samples.items()],
         "seed": manifest.seed,
         "weights_source": manifest.weights,
     }
 
-    ok_labels = [lab for lab in manifest.sample_labels if lab in series_by_label]
-    if ok_labels:
-        n_samples = min(len(series_by_label[lab]) for lab in ok_labels)
-        potentials = np.zeros((n_neurons, n_samples))
-        labels = list(ok_labels) + [f"unassigned{j + 1}"
-                                    for j in range(n_neurons - len(ok_labels))]
-        for j, lab in enumerate(ok_labels):
-            potentials[j] = series_by_label[lab].values[:n_samples]
+    if samples:
+        mean_count, mean_isi = spikes.aggregate_stats([stats for _, stats in samples.values()])
+        report["aggregate"] = {"mean_count": mean_count, "mean_isi_of_means_s": mean_isi}
+        labels = list(samples) + [f"unassigned{j + 1}" for j in range(n_neurons - len(samples))]
+        potentials = signals.stack_values([series for series, _ in samples.values()], labels)
         code = coding.encode(potentials, manifest.coding.threshold, labels=labels)
-        if manifest.weights == "reference":
-            if n_neurons != 10:
-                raise ValidationError("the reference weight matrix is 10x10")
-            weights = coding.reference_weight_matrix()
-        else:
-            weights = coding.init_weights(n_neurons, derive_seed(manifest.seed, "weights"))
+        weights = coding.weight_matrix(manifest.weights, n_neurons, manifest.seed)
         grid = coding.psi_ppi(weights, code)
         coding.write_heatmap_svg(grid, os.path.join(out_dir, "psi_ppi.svg"), labels=labels)
         report.update({
@@ -222,12 +188,11 @@ def cmd_pipeline(args) -> int:
             "grid": grid.grid.tolist(),
         })
 
-    report["samples"] = per_sample
     report_path = os.path.join(out_dir, "report.json")
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"report={report_path} samples_ok={len(per_sample)} samples_failed={len(errors)}")
+    print(f"report={report_path} samples_ok={len(samples)} samples_failed={len(errors)}")
     return EXIT_OK if not errors else EXIT_IO
 
 
@@ -484,6 +449,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _csvio
-from .config import CodingConfig  # re-exported; defined in config
+from .config import CodingConfig, derive_seed  # CodingConfig is re-exported
 from .errors import ShapeError, ValidationError
 
 
@@ -137,6 +137,16 @@ def reference_weight_matrix() -> WeightMatrix:
     return WeightMatrix(np.array(_REFERENCE_WEIGHTS))
 
 
+def weight_matrix(source: str, n: int, seed: int) -> WeightMatrix:
+    """The ``"reference"`` matrix, which needs n = 10, or else seeded n x n weights
+    drawn from the ``"weights"`` stream of ``seed``."""
+    if source == "reference":
+        if n != 10:
+            raise ValidationError(f"the reference weight matrix is 10x10, not {n}x{n}")
+        return reference_weight_matrix()
+    return init_weights(n, derive_seed(seed, "weights"))
+
+
 def psi_ppi(weights: WeightMatrix, codes: CodeMatrix) -> PsiPpiGrid:
     """Connection-potency grid: grid[j][i] = W[j][i] * mean activity of neuron i."""
     if weights.size != codes.neuron_count:
@@ -160,17 +170,6 @@ def write_code_csv(code: CodeMatrix, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(code.neuron_labels) + "\n")
         _csvio.write_rows(fh, ",".join(["%d"] * code.neuron_count) + "\n", *code.entries)
-
-
-def write_grid_csv(grid: PsiPpiGrid, path, labels=None) -> None:
-    """Export the grid with pre-synaptic labels as columns, post-synaptic as rows."""
-    n = grid.grid.shape[0]
-    labels = labels or [f"n{j + 1}" for j in range(n)]
-    with open(path, "w", newline="") as fh:
-        fh.write("post_neuron," + ",".join(labels) + "\n")
-        for j in range(n):
-            row = ",".join(f"{x:.9g}" for x in grid.grid[j])
-            fh.write(f"{labels[j]},{row}\n")
 
 
 def _ramp_color(frac: float) -> str:

@@ -132,6 +132,25 @@ def write_timeseries_csv(series: TimeSeries, path) -> None:
         _csvio.write_rows(fh, "%.12g,%.9g\n", series.times, series.values)
 
 
+def stack_values(series_list, labels) -> np.ndarray:
+    """The ``(len(labels), n)`` potential matrix of ``series_list``.
+
+    Each series is cut to the shortest length ``n`` and becomes the row of its
+    label; rows after the last series are zero. A series whose times over that
+    length differ from the first series' is a ValidationError naming its label.
+    """
+    if len(series_list) > len(labels):
+        raise ValidationError(f"{len(series_list)} series for {len(labels)} labels")
+    n = min(len(s) for s in series_list)
+    base = series_list[0].times[:n]
+    matrix = np.zeros((len(labels), n))
+    for row, (series, label) in enumerate(zip(series_list, labels)):
+        if not np.array_equal(series.times[:n], base):
+            raise ValidationError(f"{label}: time base differs from the first input")
+        matrix[row] = series.values[:n]
+    return matrix
+
+
 @dataclass(frozen=True)
 class SyntheticSpikeSpec:
     """Recipe for a surrogate spiky trace.
@@ -160,8 +179,8 @@ class SyntheticSpikeSpec:
     def __post_init__(self):
         if self.spike_times is not None:
             object.__setattr__(self, "spike_times", tuple(float(t) for t in self.spike_times))
-        # Every float first, the duration last: a command line derives a
-        # missing duration from the spike times, mean_isi or half width.
+        # The duration last: a command line derives a missing duration from
+        # the spike times, mean_isi or half width, when those were given.
         for t in self.spike_times or ():
             if not math.isfinite(t):
                 raise ValidationError(f"spike_times must be finite, got {t!r}")
@@ -170,22 +189,18 @@ class SyntheticSpikeSpec:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value!r}")
-        if self.duration <= 0:
-            raise ValidationError("duration must be > 0")
         if self.spike_amplitude <= 0:
             raise ValidationError("spike_amplitude must be > 0")
         if self.spike_half_width <= 0:
             raise ValidationError("spike_half_width must be > 0")
         if self.noise_sd < 0:
             raise ValidationError("noise_sd must be >= 0")
-        if self.spike_times is not None:
+        st = self.spike_times
+        if st is not None:
             if self.count is not None or self.mean_isi is not None:
                 raise ValidationError("give either spike_times or (count, mean_isi), not both")
-            st = self.spike_times
             if any(b <= a for a, b in zip(st, st[1:])):
                 raise ValidationError("spike_times must be strictly increasing")
-            if st and (st[0] < 0 or st[-1] > self.duration):
-                raise ValidationError("spike_times must lie within [0, duration]")
         else:
             if self.count is None:
                 raise ValidationError("need spike_times or (count, mean_isi)")
@@ -195,6 +210,10 @@ class SyntheticSpikeSpec:
                 raise ValidationError("mean_isi must be > 0")
             if not 0 <= self.jitter_fraction < 1:
                 raise ValidationError("jitter_fraction must be in [0, 1)")
+        if self.duration is None or self.duration <= 0:
+            raise ValidationError(f"duration must be > 0, got {self.duration!r}")
+        if st and (st[0] < 0 or st[-1] > self.duration):
+            raise ValidationError("spike_times must lie within [0, duration]")
 
 
 def _placed_spike_times(spec: SyntheticSpikeSpec, rng: "np.random.Generator") -> np.ndarray:

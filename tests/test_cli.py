@@ -163,6 +163,15 @@ def test_encode_rejects_mismatched_time_base(tmp_path, capsys):
     assert "time base" in stderr
 
 
+def test_synth_rejects_spike_times_with_count_and_mean_isi(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code, stdout, stderr = run(capsys, "synth", "--spike-times", "10", "20", "--count", "5",
+                               "--mean-isi", "3", "--duration", "40", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: give either spike_times or (count, mean_isi), not both\n"
+    assert not out.exists()
+
+
 def test_weights_seeded_and_fixed(tmp_path, capsys):
     seeded = tmp_path / "w1.csv"
     code, _, _ = run(capsys, "weights", "--seed", "3", "--n", "4", "--out", str(seeded))
@@ -191,6 +200,26 @@ def test_weights_size_comes_from_the_config_unless_n_is_given(tmp_path, capsys, 
     code, stdout, _ = run(capsys, "weights", "--config", str(config), "--n", "3",
                           "--out", str(out))
     assert (code, stdout) == (0, "n=3 source=seeded(0)\n")
+
+
+def test_weights_table1_needs_ten_neurons(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"coding": {"neuron_count": 5}}))
+    out = tmp_path / "w.csv"
+    for argv in (["--n", "5"], ["--config", str(config)]):
+        code, stdout, stderr = run(capsys, "weights", "--table1", *argv, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: the reference weight matrix is 10x10, not 5x5\n"
+        assert not out.exists()
+
+
+def test_weights_too_large_for_memory_exits_2(tmp_path, capsys):
+    # 8e18 bytes: the allocation is refused at once, touching no memory.
+    code, stdout, stderr = run(capsys, "weights", "--n", "1000000000",
+                               "--out", str(tmp_path / "w.csv"))
+    assert (code, stdout) == (2, "")
+    [line] = stderr.splitlines()
+    assert line.startswith("error: out of memory: ")
 
 
 def test_weights_csv_bytes_equal_the_per_row_loop(tmp_path, capsys, monkeypatch):
@@ -292,6 +321,36 @@ def test_pipeline_partial_failure_reported(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert "bad" in report["errors"]
     assert len(report["samples"]) == 1
+
+
+def test_pipeline_rejects_mismatched_time_base(tmp_path, capsys):
+    write_series(tmp_path / "a.csv", np.arange(81.0), np.zeros(81), label="a")
+    write_series(tmp_path / "b.csv", np.arange(81.0) + 1000, np.zeros(81), label="b")
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"sample_labels": ["first", "second"],
+                                    "source_files": ["a.csv", "b.csv"], "seed": 0}))
+    out = tmp_path / "out"
+    code, stdout, stderr = run(capsys, "pipeline", str(manifest), "--output-dir", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: second: time base differs from the first input\n"
+    assert list(out.iterdir()) == []
+
+
+def test_encode_rows_equal_the_pipeline_code_matrix(tmp_path, capsys):
+    manifest = make_manifest(tmp_path, [("a", [10, 40, 70]), ("b", [20, 60]), ("c", [])],
+                             coding={"neuron_count": 5, "threshold": 2e-4})
+    assert run(capsys, "pipeline", str(manifest), "--output-dir", str(tmp_path / "out"))[0] == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    out = tmp_path / "code.csv"
+    code, _, _ = run(capsys, "encode", *(str(tmp_path / f"{x}.csv") for x in "abc"),
+                     "--threshold", "2e-4", "--out", str(out))
+    assert code == 0
+    header, *rows = out.read_text().splitlines()
+    assert header == "a,b,c"
+    columns = [[int(v) for v in row.split(",")] for row in rows]
+    assert [list(r) for r in zip(*columns)] == report["code_matrix"][:3]
+    assert report["code_matrix"][3:] == [[0] * len(rows)] * 2
+    assert any(1 in r for r in report["code_matrix"])
 
 
 def test_pipeline_reference_surrogates_aggregate(tmp_path, capsys):
@@ -990,6 +1049,8 @@ BAD_FLAGS = [
     (["sim-rate", "--steps", "-1"], "--steps"),
     (["qsar-predict", "--x", "300", "--y", "4", "--mean", "nan"], "--mean"),
     (["qsar-predict", "--x", "300", "--y", "4", "--mean", "inf"], "--mean"),
+    (["synth", "--count", "5"], "mean_isi"),
+    (["weights", "--n", "0"], "--n"),
 ]
 
 
@@ -998,6 +1059,7 @@ def test_non_finite_and_negative_flags_exit_2_naming_the_field(tmp_path, argv, f
     (tmp_path / "net.json").write_text(json.dumps({"n": 2}))
     out = {"synth": ["--out", str(tmp_path / "s.csv")],
            "waveform": ["--out", str(tmp_path / "w.csv")],
+           "weights": ["--out", str(tmp_path / "w.csv")],
            "qsar-predict": []}.get(
         argv[0], ["--net", str(tmp_path / "net.json"), "--out-prefix", str(tmp_path / "r")])
     done = subprocess.run([sys.executable, "-m", "protoneuro.cli", *argv, *out],

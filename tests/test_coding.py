@@ -87,6 +87,16 @@ def test_weight_matrix_validation():
         WeightMatrix(np.array([[np.inf, 0.0], [0.0, 0.0]]))
 
 
+def test_weight_matrix_sources():
+    from protoneuro.config import derive_seed
+    assert np.array_equal(coding.weight_matrix("reference", 10, 3).entries,
+                          coding.reference_weight_matrix().entries)
+    with pytest.raises(ValidationError, match="10x10, not 5x5"):
+        coding.weight_matrix("reference", 5, 3)
+    assert np.array_equal(coding.weight_matrix("seeded", 4, 3).entries,
+                          coding.init_weights(4, derive_seed(3, "weights")).entries)
+
+
 def test_psi_ppi_zero_codes():
     w = coding.reference_weight_matrix()
     grid = coding.psi_ppi(w, CodeMatrix(np.zeros((10, 6))))
@@ -197,15 +207,6 @@ def test_code_csv_bytes_equal_the_per_sample_loop(tmp_path):
     loop = "a,b,c\n" + "".join(",".join(str(int(x)) for x in code.entries[:, k]) + "\n"
                                 for k in range(code.sample_count))
     assert path.read_bytes() == loop.encode()
-
-
-def test_grid_csv_export(tmp_path):
-    grid = coding.psi_ppi(coding.init_weights(3, 1), CodeMatrix(np.ones((3, 2))))
-    path = tmp_path / "grid.csv"
-    coding.write_grid_csv(grid, path, labels=["x", "y", "z"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "post_neuron,x,y,z"
-    assert len(lines) == 4
 
 
 def test_heatmap_svg_deterministic(tmp_path):

@@ -171,6 +171,28 @@ def test_spec_validation():
         SyntheticSpikeSpec(duration=10, count=2, mean_isi=1.0, spike_amplitude=0.0)
 
 
+def test_spec_checks_the_placement_before_a_missing_duration():
+    with pytest.raises(ValidationError, match="^mean_isi must be > 0$"):
+        SyntheticSpikeSpec(duration=None, count=5)
+    with pytest.raises(ValidationError, match="not both"):
+        SyntheticSpikeSpec(duration=None, spike_times=(10.0,), count=5, mean_isi=3.0)
+    with pytest.raises(ValidationError, match="^duration must be > 0, got None$"):
+        SyntheticSpikeSpec(duration=None, count=0)
+
+
+def test_stack_values_cuts_to_the_shortest_and_zero_pads():
+    a = TimeSeries(np.arange(4.0), np.array([1.0, 2.0, 3.0, 4.0]))
+    b = TimeSeries(np.arange(3.0), np.array([5.0, 6.0, 7.0]))
+    matrix = signals.stack_values([a, b], ["a", "b", "c"])
+    assert matrix.dtype == np.float64
+    assert matrix.tolist() == [[1.0, 2.0, 3.0], [5.0, 6.0, 7.0], [0.0, 0.0, 0.0]]
+    late = TimeSeries(np.arange(3.0) + 1000, np.zeros(3))
+    with pytest.raises(ValidationError, match="^late: time base differs"):
+        signals.stack_values([a, late], ["a", "late"])
+    with pytest.raises(ValidationError, match="2 series for 1 labels"):
+        signals.stack_values([a, b], ["a"])
+
+
 def reference_synthesized_values(spec):
     # The per-spike loop that synthesize_spiky_series's bump grid stands in for.
     rng = np.random.default_rng(spec.seed)
