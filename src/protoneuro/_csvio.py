@@ -131,19 +131,18 @@ def _is_data(line, comment):
     return bool(text)
 
 
-def _parse_lines(lines, width, line, comment, strip):
+def _parse_lines(lines, width, line, comment):
     """The rows of ``lines``, the first of which is the file's line ``line``.
 
-    Skips what ``_is_data`` skips and splits the rest at commas (the
-    stripped line with ``strip``, which only a ``float`` error message
-    shows); a line that is not ``width`` numbers ``float`` accepts is a
-    ParseError naming it.
+    Skips what ``_is_data`` skips and splits the rest, stripped, at commas;
+    a line that is not ``width`` numbers ``float`` accepts is a ParseError
+    naming it.
     """
     rows = []
     for number, text in enumerate(lines, start=line):
         if not _is_data(text, comment):
             continue
-        fields = (text.strip() if strip else text).split(",")
+        fields = text.strip().split(",")
         if len(fields) != width:
             raise ParseError(f"expected {width} fields, got {len(fields)}", line=number)
         try:
@@ -153,7 +152,7 @@ def _parse_lines(lines, width, line, comment, strip):
     return np.array(rows, dtype=np.float64).reshape(-1, width)
 
 
-def read_rows(fh, width, first="", line=1, comment=None, strip=False):
+def read_rows(fh, width, first="", line=1, comment=None):
     """The rest of an open text file, from its text ``first`` (the file's line
     ``line``), as an (n, width) float64 array, or a ParseError naming the
     first bad line.
@@ -162,7 +161,7 @@ def read_rows(fh, width, first="", line=1, comment=None, strip=False):
     lines (``np.loadtxt`` skips only later blank ones) and parsed by
     ``np.loadtxt``; the lines of a chunk it does not take go to
     ``_parse_lines``, which gives the same rows or the error. ``comment``
-    and ``strip`` are as there.
+    is as there.
     """
     blocks = []
     for lines in read_lines(fh, first):
@@ -174,7 +173,7 @@ def read_rows(fh, width, first="", line=1, comment=None, strip=False):
             except ValueError:
                 rows = None
             if rows is None or rows.shape[1] != width:
-                rows = _parse_lines(lines[start:], width, line + start, comment, strip)
+                rows = _parse_lines(lines[start:], width, line + start, comment)
             blocks.append(rows)
         line += len(lines)
     return np.concatenate(blocks) if blocks else np.empty((0, width))

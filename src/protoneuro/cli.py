@@ -16,10 +16,11 @@ Each subcommand imports the modules it computes with, so ``waveform``,
 imports scipy. The module defines no file parser: series, network specs
 and streams, QSAR files, configs and manifests are read by ``signals``,
 ``networks``, ``qsar`` and ``config``, and a report by ``_inputs``, which
-also checks the flags no dataclass checks (``--seed``, ``--steps``, ``--n``,
-``--mean``). Each analysis stage is built once, outside this module:
-``signals.stack_values`` for the potential matrix and ``coding.weight_matrix``
-for the weights, shared by ``encode``, ``weights`` and ``pipeline``.
+also checks the flags no dataclass checks (``--seed``, ``--steps``,
+``--drive``, ``--n``, ``--mean``). Each analysis stage is built once,
+outside this module: ``signals.stack_values`` for the potential matrix and
+``coding.weight_matrix`` for the weights, shared by ``encode``, ``weights``
+and ``pipeline``; ``networks`` makes every simulation decision.
 """
 
 import argparse
@@ -139,8 +140,6 @@ def cmd_pipeline(args) -> int:
     from . import coding, signals, spikes
     from .config import load_manifest
     manifest = load_manifest(args.manifest)
-    out_dir = args.output_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
     n_neurons = manifest.coding.neuron_count
     if len(manifest.sample_labels) > n_neurons:
         raise ValidationError(
@@ -178,7 +177,6 @@ def cmd_pipeline(args) -> int:
         code = coding.encode(potentials, manifest.coding.threshold, labels=labels)
         weights = coding.weight_matrix(manifest.weights, n_neurons, manifest.seed)
         grid = coding.psi_ppi(weights, code)
-        coding.write_heatmap_svg(grid, os.path.join(out_dir, "psi_ppi.svg"), labels=labels)
         report.update({
             "code_matrix": code.entries.tolist(),
             "neuron_labels": labels,
@@ -188,6 +186,11 @@ def cmd_pipeline(args) -> int:
             "grid": grid.grid.tolist(),
         })
 
+    # Made only now, so that a run that exits 2 leaves no empty directory.
+    out_dir = args.output_dir or "."
+    os.makedirs(out_dir, exist_ok=True)
+    if samples:
+        coding.write_heatmap_svg(grid, os.path.join(out_dir, "psi_ppi.svg"), labels=labels)
     report_path = os.path.join(out_dir, "report.json")
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -196,23 +199,22 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK if not errors else EXIT_IO
 
 
-def _constant_stream(args, rows):
+def _input_stream(args, dt, rows):
+    """A ``sim-*`` input: the ``--input`` stream or ``--steps`` columns of ``--drive``."""
+    from . import networks
+    if args.input is not None:
+        if args.drive is not None:
+            raise ValidationError("--drive goes with --steps, not with --input")
+        return networks.read_stream_csv(args.input, dt, rows)
     import numpy as np
-    if args.steps is None:
-        raise ValidationError("give --input or both --steps and --drive")
-    return np.full((rows, _inputs.integer(args.steps, 0, "--steps")), args.drive)
+    drive = _inputs.number(args.drive or 0.0, "--drive")
+    return np.full((rows, _inputs.integer(args.steps, 0, "--steps")), drive)
 
 
 def cmd_sim_spiking(args) -> int:
-    import numpy as np
-
     from . import networks
     net = networks.load_network_json(args.net, "spiking")
-    fin = networks.read_stream_csv(args.input, net.lif.dt, net.input_dim) if args.input \
-        else _constant_stream(args, net.input_dim)
-    # An overflow surfaces as the NonFiniteStateError naming its step and neuron.
-    with np.errstate(over="ignore", invalid="ignore"):
-        trace = networks.run_spiking(net, fin)
+    trace = networks.run_spiking(net, _input_stream(args, net.lif.dt, net.input_dim))
     networks.write_trace_csv(trace, args.out_prefix + "_trace.csv")
     networks.write_raster_csv(trace, args.out_prefix + "_raster.csv")
     networks.write_outputs_csv(trace, args.out_prefix + "_output.csv")
@@ -221,21 +223,15 @@ def cmd_sim_spiking(args) -> int:
 
 
 def cmd_sim_rate(args) -> int:
-    import numpy as np
-
     from . import networks
     net = networks.load_network_json(args.net, "rate")
-    fin = networks.read_stream_csv(args.input, net.dt, net.input_dim) if args.input \
-        else _constant_stream(args, net.input_dim)
+    fin = _input_stream(args, net.dt, net.input_dim)
     feedback = None
     if args.feedback:
         if net.feedback_weights is None:
             raise ValidationError("network spec has no feedback weights")
         feedback = networks.read_stream_csv(args.feedback, net.dt, net.feedback_weights.shape[1])
-        if feedback.shape[1] != fin.shape[1]:
-            raise ValidationError("feedback and input lengths differ")
-    with np.errstate(over="ignore", invalid="ignore"):
-        trace = networks.run_rate(net, fin, output_feedback=feedback)
+    trace = networks.run_rate(net, fin, output_feedback=feedback)
     networks.write_trace_csv(trace, args.out_prefix + "_trace.csv")
     print(f"steps={trace.times.size} units={net.n}")
     return EXIT_OK
@@ -329,6 +325,18 @@ def _add_seed(p):
     p.add_argument("--seed", type=int, help="override the config / PROTONEURO_SEED seed")
 
 
+def _add_sim(sub, name, func, outputs):
+    p = sub.add_parser(name, help=f"run the {name[4:]} network")
+    p.add_argument("--net", required=True, help="network spec JSON")
+    stream = p.add_mutually_exclusive_group(required=True)
+    stream.add_argument("--input", help="input stream CSV (time_s,ch0,...), one row per dt")
+    stream.add_argument("--steps", type=int, help="steps of constant drive (with --drive)")
+    p.add_argument("--drive", type=float, help="constant drive value (default 0)")
+    p.add_argument("--out-prefix", required=True, help=f"prefix for {outputs}")
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="protoneuro",
@@ -396,23 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", help="directory for report.json and psi_ppi.svg")
     p.set_defaults(func=cmd_pipeline)
 
-    p = sub.add_parser("sim-spiking", help="run the spiking network")
-    p.add_argument("--net", required=True, help="network spec JSON")
-    p.add_argument("--input", help="input stream CSV (time_s,ch0,...), one row per dt")
-    p.add_argument("--steps", type=int, help="steps of constant drive (with --drive)")
-    p.add_argument("--drive", type=float, default=0.0, help="constant drive value")
-    p.add_argument("--out-prefix", required=True,
-                   help="prefix for _trace.csv, _raster.csv and _output.csv")
-    p.set_defaults(func=cmd_sim_spiking)
-
-    p = sub.add_parser("sim-rate", help="run the rate network")
-    p.add_argument("--net", required=True, help="network spec JSON")
-    p.add_argument("--input", help="input stream CSV (time_s,ch0,...), one row per dt")
+    _add_sim(sub, "sim-spiking", cmd_sim_spiking, "_trace.csv, _raster.csv and _output.csv")
+    p = _add_sim(sub, "sim-rate", cmd_sim_rate, "_trace.csv")
     p.add_argument("--feedback", help="output-feedback stream CSV, one row per dt")
-    p.add_argument("--steps", type=int, help="steps of constant drive (with --drive)")
-    p.add_argument("--drive", type=float, default=0.0, help="constant drive value")
-    p.add_argument("--out-prefix", required=True, help="prefix for _trace.csv")
-    p.set_defaults(func=cmd_sim_rate)
 
     p = sub.add_parser("qsar-fit", help="fit the firing-rate surface to observations")
     p.add_argument("observations",

@@ -16,10 +16,10 @@ Each field is read by these subcommands: ``dpv`` by ``waveform``,
 ``seed`` by ``synth`` and ``weights``. ``coding.time_window`` is read by
 no subcommand; only a manifest's value is used, echoed into ``report.json``.
 
-Every component draws its randomness from a stream derived from the single
-top-level seed by hashing the component name into it (sha256 of
-"<seed>:<component>"), so adding a component never perturbs the streams of
-existing ones.
+Seeded weights draw from a stream derived from the top-level seed by
+hashing the component name into it (``derive_seed``: sha256 of
+"<seed>:<component>"). ``synth`` and network specs seed their generators
+with the seed as given.
 
 The module is standard library only: the detection and coding sections are
 defined here (``spikes`` and ``coding`` re-export them), so loading a

@@ -19,7 +19,8 @@ output feedback stream:
 Both integrators live in the kernel layer (``protoneuro._kernels``) and are
 deterministic: every LIF neuron starts at rest and every rate unit at
 x = 0. External input units for the LIF are volts per second, so a
-constant drive I reaches the steady state V_rest + tau_m * I.
+constant drive I reaches the steady state V_rest + tau_m * I. A run that
+overflows ends, without a NumPy warning, in a NonFiniteStateError.
 
 The module also reads what a simulation takes: the network spec JSON
 (``load_network_json``) and the input and feedback stream CSVs
@@ -61,7 +62,11 @@ class LifParameters:
 
 
 def _as_matrix(name, value, shape):
+    """A finite float64 matrix of ``shape``, whose None sizes are free (a vector is one row)."""
     m = np.asarray(value, dtype=np.float64)
+    if None in shape:
+        m = np.atleast_2d(m)
+        shape = tuple(m.shape[k] if size is None else size for k, size in enumerate(shape))
     if m.shape != shape:
         raise ShapeError(f"{name} must have shape {shape}, got {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -70,66 +75,57 @@ def _as_matrix(name, value, shape):
 
 
 @dataclass(eq=False)
-class SpikingNetwork:
-    """Recurrent LIF pool with input synapses and a filtered linear readout."""
+class _Network:
+    """n units with (n, n) recurrent and (n, d) input weights."""
 
     n: int
     recurrent_weights: np.ndarray
     input_weights: np.ndarray
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValidationError("n must be >= 1")
+        self.recurrent_weights = _as_matrix("recurrent_weights", self.recurrent_weights,
+                                            (self.n, self.n))
+        self.input_weights = _as_matrix("input_weights", self.input_weights, (self.n, None))
+
+    @property
+    def input_dim(self) -> int:
+        return self.input_weights.shape[1]
+
+
+@dataclass(eq=False)
+class SpikingNetwork(_Network):
+    """Recurrent LIF pool with input synapses and a filtered linear readout."""
+
     output_weights: np.ndarray
     lif: LifParameters = field(default_factory=LifParameters)
     tau_syn: float = 0.005
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("n must be >= 1")
         if not self.tau_syn > 0:
             raise ValidationError("tau_syn must be > 0")
-        self.recurrent_weights = _as_matrix("recurrent_weights", self.recurrent_weights,
-                                            (self.n, self.n))
-        u = np.atleast_2d(np.asarray(self.input_weights, dtype=np.float64))
-        w = np.atleast_2d(np.asarray(self.output_weights, dtype=np.float64))
-        self.input_weights = _as_matrix("input_weights", u, (self.n, u.shape[1]))
-        self.output_weights = _as_matrix("output_weights", w, (w.shape[0], self.n))
-
-    @property
-    def input_dim(self) -> int:
-        return self.input_weights.shape[1]
-
-    @property
-    def output_dim(self) -> int:
-        return self.output_weights.shape[0]
+        super().__post_init__()
+        self.output_weights = _as_matrix("output_weights", self.output_weights, (None, self.n))
 
 
 @dataclass(eq=False)
-class RateNetwork:
+class RateNetwork(_Network):
     """Recurrent tanh units with input and output-feedback synapses."""
 
-    n: int
-    recurrent_weights: np.ndarray
-    input_weights: np.ndarray
     feedback_weights: np.ndarray = None
     time_constant: float = 0.010
     dt: float = 0.0001
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("n must be >= 1")
         if not self.time_constant > 0:
             raise ValidationError("time_constant must be > 0")
         if not self.dt > 0:
             raise ValidationError("dt must be > 0")
-        self.recurrent_weights = _as_matrix("recurrent_weights", self.recurrent_weights,
-                                            (self.n, self.n))
-        u = np.atleast_2d(np.asarray(self.input_weights, dtype=np.float64))
-        self.input_weights = _as_matrix("input_weights", u, (self.n, u.shape[1]))
+        super().__post_init__()
         if self.feedback_weights is not None:
-            f = np.atleast_2d(np.asarray(self.feedback_weights, dtype=np.float64))
-            self.feedback_weights = _as_matrix("feedback_weights", f, (self.n, f.shape[1]))
-
-    @property
-    def input_dim(self) -> int:
-        return self.input_weights.shape[1]
+            self.feedback_weights = _as_matrix("feedback_weights", self.feedback_weights,
+                                               (self.n, None))
 
 
 @dataclass(eq=False)
@@ -148,79 +144,79 @@ class SimulationTrace:
     outputs: np.ndarray = None
 
 
+def _drive(net, inputs):
+    """``net.input_weights @ inputs``; ``inputs`` is (input_dim, steps) and finite."""
+    fin = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    if fin.shape[0] != net.input_dim:
+        raise ShapeError(f"inputs have {fin.shape[0]} rows, expected {net.input_dim}")
+    if not np.all(np.isfinite(fin)):
+        raise ValidationError("inputs contain non-finite entries")
+    return net.input_weights @ fin
+
+
+def _times(steps, dt, what, recorded):
+    """The times of a run's steps, or a NonFiniteStateError naming the earliest
+    step, then the lowest neuron, where its ``recorded`` (N, steps) state is not finite."""
+    if recorded is not None and not np.all(np.isfinite(recorded)):
+        step, neuron = (int(i) for i in np.argwhere(~np.isfinite(recorded.T))[0])
+        raise NonFiniteStateError(f"simulation produced non-finite {what}: first at step "
+                                  f"{step} (t={(step + 1) * dt:.9g} s), neuron {neuron}")
+    return (np.arange(steps) + 1) * dt
+
+
 def run_spiking(net: SpikingNetwork, inputs, record_potentials=True) -> SimulationTrace:
     """Integrate the spiking network over the columns of ``inputs``.
 
     ``inputs`` has shape (input_dim, steps); the readout is the output
     weights applied to the exponentially filtered spike trains.
     """
-    fin = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    if fin.shape[0] != net.input_dim:
-        raise ShapeError(f"inputs have {fin.shape[0]} rows, expected {net.input_dim}")
-    if not np.all(np.isfinite(fin)):
-        raise ValidationError("inputs contain non-finite entries")
     lif = net.lif
-    steps = fin.shape[1]
-    drive = net.input_weights @ fin
-
-    potentials, filtered, spike_steps, spike_neurons = _kernels.lif_run(
-        np.full(net.n, lif.rest), drive, net.recurrent_weights, lif.membrane_time_constant,
-        lif.rest, lif.threshold, lif.reset, lif.refractory, lif.dt, net.tau_syn,
-        record_potentials=record_potentials,
-    )
-    if potentials is not None and not np.all(np.isfinite(potentials)):
-        raise _non_finite("membrane potentials", potentials, lif.dt)
-    times = (np.arange(steps) + 1) * lif.dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        drive = _drive(net, inputs)
+        potentials, filtered, spike_steps, spike_neurons = _kernels.lif_run(
+            np.full(net.n, lif.rest), drive, net.recurrent_weights, lif.membrane_time_constant,
+            lif.rest, lif.threshold, lif.reset, lif.refractory, lif.dt, net.tau_syn,
+            record_potentials=record_potentials,
+        )
+        outputs = net.output_weights @ filtered
+    times = _times(drive.shape[1], lif.dt, "membrane potentials", potentials)
     raster = [(int(j), float((k + 1) * lif.dt)) for k, j in zip(spike_steps, spike_neurons)]
     return SimulationTrace(times=times, membrane_potentials=potentials,
-                           spike_raster=raster, outputs=net.output_weights @ filtered)
+                           spike_raster=raster, outputs=outputs)
 
 
 def run_rate(net: RateNetwork, inputs, output_feedback=None) -> SimulationTrace:
     """Integrate the rate network; returns unit activities tanh(x) per step."""
-    fin = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    if fin.shape[0] != net.input_dim:
-        raise ShapeError(f"inputs have {fin.shape[0]} rows, expected {net.input_dim}")
-    if not np.all(np.isfinite(fin)):
-        raise ValidationError("inputs contain non-finite entries")
-    steps = fin.shape[1]
-    drive = net.input_weights @ fin
-    if output_feedback is not None:
-        if net.feedback_weights is None:
-            raise ShapeError("network has no feedback weights")
-        fb = np.atleast_2d(np.asarray(output_feedback, dtype=np.float64))
-        expected = (net.feedback_weights.shape[1], steps)
-        if fb.shape != expected:
-            raise ShapeError(f"feedback must have shape {expected}, got {fb.shape}")
-        drive += net.feedback_weights @ fb
-
-    state, activities = _kernels.rate_run(np.zeros(net.n), drive, net.recurrent_weights,
-                                          net.time_constant, net.dt)
-    if not np.all(np.isfinite(state)):
-        raise _non_finite("unit state", state, net.dt)
-    times = (np.arange(steps) + 1) * net.dt
-    return SimulationTrace(times=times, unit_activities=activities)
-
-
-def _non_finite(what, recorded, dt) -> NonFiniteStateError:
-    """The error naming the step and neuron of the first non-finite entry of ``recorded``.
-
-    ``recorded`` is (N, steps); the earliest step wins, then the lowest index.
-    """
-    step, neuron = (int(i) for i in np.argwhere(~np.isfinite(recorded.T))[0])
-    return NonFiniteStateError(f"simulation produced non-finite {what}: first at step {step} "
-                               f"(t={(step + 1) * dt:.9g} s), neuron {neuron}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        drive = _drive(net, inputs)
+        if output_feedback is not None:
+            if net.feedback_weights is None:
+                raise ShapeError("network has no feedback weights")
+            fb = np.atleast_2d(np.asarray(output_feedback, dtype=np.float64))
+            expected = (net.feedback_weights.shape[1], drive.shape[1])
+            if fb.shape != expected:
+                raise ShapeError(f"feedback must have shape {expected}, got {fb.shape}")
+            drive += net.feedback_weights @ fb
+        state, activities = _kernels.rate_run(np.zeros(net.n), drive, net.recurrent_weights,
+                                              net.time_constant, net.dt)
+    return SimulationTrace(times=_times(drive.shape[1], net.dt, "unit state", state),
+                           unit_activities=activities)
 
 
 #: The name of a spec key in error messages.
 _SPEC = 'network spec "{}"'.format
 
 
+def _spec_numbers(section, keys, prefix=""):
+    """The finite numbers ``section`` gives for ``keys``; the others keep their defaults."""
+    return {key: _inputs.number(section[key], _SPEC(prefix + key))
+            for key in keys if key in section}
+
+
 def _spec_lif(spec) -> LifParameters:
     section = spec.get("lif", {})
     _inputs.check_keys(section, [f.name for f in fields(LifParameters)], _SPEC("lif"))
-    return LifParameters(**{key: _inputs.number(value, _SPEC(f"lif.{key}"))
-                            for key, value in section.items()})
+    return LifParameters(**_spec_numbers(section, section, "lif."))
 
 
 def _spec_weights(spec: dict, own_keys):
@@ -269,13 +265,11 @@ def spiking_network_from_dict(spec: dict) -> SpikingNetwork:
     arrays are drawn uniform [-1, 1] scaled by 1/sqrt(n) from the seed.
     Unknown keys, here or under "lif", are rejected.
     """
-    n, j, u, weights = _spec_weights(
-        spec, ("output_dim", "output_weights", "lif", "tau_syn"))
+    n, j, u, weights = _spec_weights(spec, ("output_dim", "output_weights", "lif", "tau_syn"))
     d_out = _inputs.integer(spec.get("output_dim", 1), 1, _SPEC("output_dim"))
     w = weights("output_weights", (d_out, n))
     return SpikingNetwork(n=n, recurrent_weights=j, input_weights=u, output_weights=w,
-                          lif=_spec_lif(spec),
-                          tau_syn=_inputs.number(spec.get("tau_syn", 0.005), _SPEC("tau_syn")))
+                          lif=_spec_lif(spec), **_spec_numbers(spec, ("tau_syn",)))
 
 
 def rate_network_from_dict(spec: dict) -> RateNetwork:
@@ -289,9 +283,7 @@ def rate_network_from_dict(spec: dict) -> RateNetwork:
     d_fb = _inputs.integer(spec.get("feedback_dim", 0), 0, _SPEC("feedback_dim"))
     fb = weights("feedback_weights", (n, d_fb) if d_fb > 0 else None)
     return RateNetwork(n=n, recurrent_weights=j, input_weights=u, feedback_weights=fb,
-                       time_constant=_inputs.number(spec.get("time_constant", 0.010),
-                                                    _SPEC("time_constant")),
-                       dt=_inputs.number(spec.get("dt", 0.0001), _SPEC("dt")))
+                       **_spec_numbers(spec, ("time_constant", "dt")))
 
 
 def load_network_json(path, kind: str):
@@ -313,15 +305,14 @@ def read_stream_csv(path, dt, expected_rows=None):
     and the steps checked after it, so a parse error wins over an earlier
     bad step; only a bad step re-reads the file, to name its line.
     """
-    with _inputs.blamed(path):
-        with _inputs.open_text(path) as fh:
-            header, rest, line = _csvio.read_header(fh, skip_blank=True)
-            if not header.startswith("time_s"):
-                raise ValidationError("expected a header starting with time_s")
-            width = len(header.split(","))
-            if width < 2:
-                raise ValidationError("header lists no channels")
-            rows = _csvio.read_rows(fh, width, rest, line)
+    with _inputs.blamed(path), _inputs.open_text(path) as fh:
+        header, rest, line = _csvio.read_header(fh, skip_blank=True)
+        if not header.startswith("time_s"):
+            raise ValidationError("expected a header starting with time_s")
+        width = len(header.split(","))
+        if width < 2:
+            raise ValidationError("header lists no channels")
+        rows = _csvio.read_rows(fh, width, rest, line)
         step = np.diff(rows[:, 0])
         bad = np.flatnonzero(~(np.abs(step - dt) <= 1e-6 * dt))
         if bad.size:
@@ -343,15 +334,18 @@ def _stream_row_line(path, row):
         return next(itertools.islice(held, row + 1, None))
 
 
+def _write_long_csv(path, header, times, matrix):
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        if matrix is not None:
+            _csvio.write_long_rows(fh, times, np.atleast_2d(matrix))
+
+
 def write_trace_csv(trace: SimulationTrace, path) -> None:
     """Long-format export: ``time_s,neuron,value`` rows."""
     matrix = trace.membrane_potentials if trace.membrane_potentials is not None \
         else trace.unit_activities
-    with open(path, "w", newline="") as fh:
-        fh.write("time_s,neuron,value\n")
-        if matrix is None:
-            return
-        _csvio.write_long_rows(fh, trace.times, matrix)
+    _write_long_csv(path, "time_s,neuron,value\n", trace.times, matrix)
 
 
 def write_raster_csv(trace: SimulationTrace, path) -> None:
@@ -364,8 +358,4 @@ def write_raster_csv(trace: SimulationTrace, path) -> None:
 
 def write_outputs_csv(trace: SimulationTrace, path) -> None:
     """Readout export: ``time_s,channel,value`` rows."""
-    with open(path, "w", newline="") as fh:
-        fh.write("time_s,channel,value\n")
-        if trace.outputs is None:
-            return
-        _csvio.write_long_rows(fh, trace.times, np.atleast_2d(trace.outputs))
+    _write_long_csv(path, "time_s,channel,value\n", trace.times, trace.outputs)

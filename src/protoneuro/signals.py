@@ -113,7 +113,7 @@ def read_timeseries_csv(path) -> TimeSeries:
         header, rest, line = _csvio.read_header(fh)
         if header.strip() != HEADER:
             raise ParseError(f"expected header {HEADER!r}", line=1)
-        rows = _csvio.read_rows(fh, 2, rest, line, comment=comment, strip=True)
+        rows = _csvio.read_rows(fh, 2, rest, line, comment=comment)
     with _inputs.blamed(path):
         return TimeSeries(rows[:, 0], rows[:, 1], unit=meta["unit"], label=meta["label"])
 

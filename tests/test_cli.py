@@ -333,7 +333,7 @@ def test_pipeline_rejects_mismatched_time_base(tmp_path, capsys):
     code, stdout, stderr = run(capsys, "pipeline", str(manifest), "--output-dir", str(out))
     assert (code, stdout) == (2, "")
     assert stderr == "error: second: time base differs from the first input\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_encode_rows_equal_the_pipeline_code_matrix(tmp_path, capsys):
@@ -483,7 +483,6 @@ def test_network_spec_errors_name_the_key(tmp_path, capsys, command, spec, messa
     assert message in stderr
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
 def test_sim_spiking_overflow_names_step_and_neuron(tmp_path, capsys):
     net = tmp_path / "net.json"
     net.write_text(json.dumps({"n": 2, "recurrent_weights": [[0, 0], [0, 0]],
@@ -760,7 +759,7 @@ def reference_read_stream(path, dt, expected_rows=None):
         raise ValidationError(f"{path}: header lists no channels")
     linenos, times, rows = [], [], []
     for lineno, ln in numbered[1:]:
-        parts = ln.split(",")
+        parts = ln.strip().split(",")
         if len(parts) != width + 1:
             raise ValidationError(f"{path}: line {lineno}: expected {width + 1} fields, "
                                   f"got {len(parts)}")
@@ -800,6 +799,7 @@ def stream_outcome(reader, path, dt):
     "0,1,2\n\n2,3,4\n1,5,6\n",     # time going back
     "t0,1,2\nt1,3,4\n",            # a time that is not a number
     "0,1,2\n5,3,4\n2,x,6\n",       # a parse error wins over an earlier bad step
+    "0,1,2\n1,3, x \n",            # the message quotes the field of the stripped line
     "0,1,2\nnan,3,4\n",
     "0,1,2\n1,3,4,5\n",            # stray field
     "0,1,2,9\n1,3,4,9\n",          # every row too wide
@@ -905,6 +905,38 @@ def test_sim_rate_checks_feedback_stream_against_network_dt(tmp_path, capsys):
     code, _, stderr = run(capsys, *args, "--feedback", str(fb))
     assert code == 2
     assert f"{fb}: line 3: time step" in stderr
+
+
+def test_sim_rate_feedback_shorter_or_longer_than_input_exits_2(tmp_path, capsys):
+    net = tmp_path / "rnet.json"
+    net.write_text(json.dumps({"n": 1, "feedback_weights": [[1.0]]}))
+    fin, fb = tmp_path / "fin.csv", tmp_path / "fb.csv"
+    fin.write_text("time_s,ch0\n1e-4,0.5\n2e-4,0.5\n")
+    fb.write_text("time_s,ch0\n1e-4,0.5\n2e-4,0.5\n3e-4,0.5\n")
+    code, stdout, stderr = run(capsys, "sim-rate", "--net", str(net), "--input", str(fin),
+                               "--feedback", str(fb), "--out-prefix", str(tmp_path / "r"))
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: feedback must have shape (1, 2), got (1, 3)\n"
+
+
+@pytest.mark.parametrize("command", ["sim-spiking", "sim-rate"])
+@pytest.mark.parametrize("flags, message", [
+    (["--input", "@fin.csv", "--steps", "50"],
+     "argument --steps: not allowed with argument --input"),
+    ([], "one of the arguments --input --steps is required"),
+    (["--input", "@fin.csv", "--drive", "3"],
+     "error: --drive goes with --steps, not with --input"),
+], ids=["input-and-steps", "neither", "input-and-drive"])
+def test_sim_input_is_a_stream_or_constant_drive_not_both(tmp_path, command, flags, message):
+    (tmp_path / "net.json").write_text(json.dumps({"n": 1}))
+    (tmp_path / "fin.csv").write_text("time_s,ch0\n1e-4,1\n2e-4,1\n")
+    argv = [command, "--net", str(tmp_path / "net.json"), "--out-prefix", str(tmp_path / "r"),
+            *(str(tmp_path / f[1:]) if f.startswith("@") else f for f in flags)]
+    done = subprocess.run([sys.executable, "-m", "protoneuro.cli", *argv],
+                          env=src_env(), capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.splitlines()[-1].endswith(message)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fin.csv", "net.json"]
 
 
 def _model_with_bounds(bounds):
@@ -1047,6 +1079,8 @@ BAD_FLAGS = [
     (["waveform", "--equilibrium-time", "nan"], "equilibrium_time"),
     (["sim-spiking", "--steps", "-1"], "--steps"),
     (["sim-rate", "--steps", "-1"], "--steps"),
+    (["sim-spiking", "--steps", "5", "--drive", "nan"], "--drive"),
+    (["sim-rate", "--steps", "5", "--drive", "inf"], "--drive"),
     (["qsar-predict", "--x", "300", "--y", "4", "--mean", "nan"], "--mean"),
     (["qsar-predict", "--x", "300", "--y", "4", "--mean", "inf"], "--mean"),
     (["synth", "--count", "5"], "mean_isi"),

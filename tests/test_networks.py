@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from protoneuro import networks
 from protoneuro._csvio import BLOCK_ROWS
-from protoneuro.errors import ShapeError, ValidationError
+from protoneuro.errors import NonFiniteStateError, ShapeError, ValidationError
 from protoneuro.networks import LifParameters, RateNetwork, SpikingNetwork
 
 NO_REFRACTORY = LifParameters(refractory=0.0)
@@ -179,6 +179,49 @@ def test_run_spiking_shape_mismatch():
     net = single_neuron()
     with pytest.raises(ShapeError):
         networks.run_spiking(net, np.zeros((2, 10)))
+
+
+def one_unit(cls, **kwargs):
+    extra = {"output_weights": [[1.0]]} if cls is SpikingNetwork else {}
+    return cls(**{"n": 1, "recurrent_weights": [[0.0]], "input_weights": [[1.0]],
+                  **extra, **kwargs})
+
+
+@pytest.mark.parametrize("cls", [SpikingNetwork, RateNetwork])
+def test_both_networks_check_size_and_weights_alike(cls):
+    # A vector of input weights counts as one row; a vector of recurrent
+    # weights does not, even for n = 1.
+    with pytest.raises(ValidationError, match="n must be >= 1"):
+        one_unit(cls, n=0)
+    with pytest.raises(ShapeError, match=r"recurrent_weights must have shape \(1, 1\)"):
+        one_unit(cls, recurrent_weights=[0.0])
+    with pytest.raises(ShapeError, match=r"input_weights must have shape \(1, 2\), got \(2, 2\)"):
+        one_unit(cls, input_weights=np.ones((2, 2)))
+    with pytest.raises(ValidationError, match="input_weights contains non-finite"):
+        one_unit(cls, input_weights=[[math.inf]])
+    assert one_unit(cls, input_weights=[1.0, 2.0]).input_dim == 2
+
+
+def test_output_and_feedback_weight_vectors_count_as_one_row():
+    assert one_unit(SpikingNetwork, output_weights=[3.0]).output_weights.shape == (1, 1)
+    with pytest.raises(ShapeError, match=r"output_weights must have shape \(2, 1\)"):
+        one_unit(SpikingNetwork, output_weights=np.ones((2, 2)))
+    assert one_unit(RateNetwork, feedback_weights=[2.0]).feedback_weights.shape == (1, 1)
+
+
+@pytest.mark.parametrize("run, net, what", [
+    (networks.run_spiking, SpikingNetwork(2, np.zeros((2, 2)), 2 * np.eye(2), [[1, 1]]),
+     "membrane potentials"),
+    (networks.run_rate, RateNetwork(2, np.zeros((2, 2)), 2 * np.eye(2)), "unit state"),
+], ids=["spiking", "rate"])
+def test_overflow_of_finite_inputs_is_a_non_finite_state_error(run, net, what):
+    # The suite turns warnings into errors: a NumPy overflow warning from the
+    # projection or the kernel would end the call before the documented error.
+    fin = np.zeros((2, 200))
+    fin[0, 150:] = fin[1, 100:] = -1e308
+    with pytest.raises(NonFiniteStateError, match=f"non-finite {what}: first at step 100 "
+                                                  r"\(t=0.0101 s\), neuron 1"):
+        run(net, fin)
 
 
 def test_rate_zero_fixed_point():
