@@ -6,16 +6,30 @@ bulk of a command's run time, so their readers and writers go through the
 functions here, which stand in exactly for the per-row code.
 
 Parsing: ``read_header`` takes a file's header line and ``read_rows`` its
-body, in one pass that never returns to an earlier chunk. Each megabyte
-chunk of the body's lines, rid of its leading blank and metadata lines,
-goes to one ``np.loadtxt`` call, which converts each field with the same
-``PyOS_string_to_double`` as ``float``. A chunk that ``np.loadtxt`` does not
-take (a line that is not exactly ``width`` numbers, ``1_0``, a series
-metadata line between rows) goes, on its own, through the line loop
-``_parse_lines``. That loop skips blank lines, hands ``#`` lines to the
-format's hook if it has one (a stream has none, so ``#`` is an error there),
-accepts what ``float`` accepts and raises a ParseError naming the first bad
-line, numbered file-wide as ``str.splitlines`` numbers the whole text.
+body. ``np.loadtxt`` converts each field with the same
+``PyOS_string_to_double`` as ``float``, and the body goes to it in one of
+two ways.
+
+- Whole. A file that is ASCII and breaks lines only at ``\n``, ``\r\n``
+  and ``\r`` has the same lines for ``np.loadtxt`` as for
+  ``str.splitlines``. Its leading blank and metadata lines are read here,
+  and the rest goes to one ``np.loadtxt`` call on the file's path, which
+  reads the file in C into one growing array: the rows are held once.
+- Chunked, where that call is refused: the file holds another byte (a
+  character outside ASCII, a byte that is not UTF-8, or a line break such as
+  ``\x0c`` that ``str.splitlines`` knows and ``np.loadtxt`` strips as white
+  space), or ``np.loadtxt`` rejects the body (a metadata line between rows,
+  a blank line of spaces, a bad line). The body then goes on from its first
+  row in megabyte chunks of lines, in one pass that never returns to an
+  earlier chunk. Each chunk, rid of its leading blank and metadata lines,
+  goes to ``np.loadtxt``; a chunk it does not take (a line that is not
+  exactly ``width`` numbers, ``1_0``, a series metadata line) goes, on its
+  own, through the line loop ``_parse_lines``. That loop skips blank lines,
+  hands ``#`` lines to the format's hook if it has one (a stream has none,
+  so ``#`` is an error there), accepts what ``float`` accepts and raises a
+  ParseError naming the first bad line, numbered file-wide as
+  ``str.splitlines`` numbers the whole text. Only this path names a bad
+  line: the whole path gives way to it on any error.
 
 Formatting: ``write_rows`` (and ``write_long_rows`` for the time-major
 trace files) writes ``BLOCK_ROWS`` rows at a time with array arithmetic, and
@@ -152,16 +166,57 @@ def _parse_lines(lines, width, line, comment):
     return np.array(rows, dtype=np.float64).reshape(-1, width)
 
 
-def read_rows(fh, width, first="", line=1, comment=None):
-    """The rest of an open text file, from its text ``first`` (the file's line
-    ``line``), as an (n, width) float64 array, or a ParseError naming the
-    first bad line.
+def read_rows(path, fh, width, first="", line=1, comment=None):
+    """The rest of the file ``path``, open as ``fh`` from its text ``first``
+    (the file's line ``line``), as an (n, width) float64 array, or a
+    ParseError naming the first bad line.
+
+    Blank lines and, with a ``comment`` hook, ``#`` lines are skipped, and
+    the hook is handed each stripped ``#`` line. The rows come from one
+    ``np.loadtxt`` call on ``path`` where the whole file splits into the same
+    lines for it as for ``str.splitlines`` and it takes the body; otherwise
+    ``_read_chunks`` reads them from the first row on.
+    """
+    if not first and _splits_as_loadtxt(path):
+        # Up to the first row line by line, so the hook sees the leading # lines.
+        for first in iter(fh.readline, ""):
+            if _is_data(first, comment):
+                break
+            line += 1
+        else:
+            return np.empty((0, width))
+        try:
+            rows = np.loadtxt(path, delimiter=",", comments=None, skiprows=line - 1,
+                              ndmin=2, encoding="ascii")
+        except ValueError:
+            rows = None
+        if rows is not None and rows.shape[1] == width:
+            return rows
+    return _read_chunks(fh, width, first, line, comment)
+
+
+#: The ASCII line breaks of ``str.splitlines`` that ``np.loadtxt`` does not
+#: break at.
+_SPLITLINES_ONLY = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+
+
+def _splits_as_loadtxt(path):
+    """Whether the file is ASCII without a line break of ``_SPLITLINES_ONLY``:
+    then ``np.loadtxt`` and ``str.splitlines`` split it into the same lines."""
+    with open(path, "rb") as fh:
+        while block := fh.read(_READ_CHUNK):
+            if not block.isascii() or any(c in block for c in _SPLITLINES_ONLY):
+                return False
+    return True
+
+
+def _read_chunks(fh, width, first, line, comment):
+    """``read_rows`` chunk by chunk: the exact path for any body.
 
     Each chunk from ``read_lines`` is rid of its leading blank and ``#``
     lines (``np.loadtxt`` skips only later blank ones) and parsed by
     ``np.loadtxt``; the lines of a chunk it does not take go to
-    ``_parse_lines``, which gives the same rows or the error. ``comment``
-    is as there.
+    ``_parse_lines``, which gives the same rows or the error.
     """
     blocks = []
     for lines in read_lines(fh, first):

@@ -1,6 +1,7 @@
 """NumPy implementations of the hot kernels.
 
-``local_maxima`` works on runs of equal values in whole arrays.
+``local_maxima`` works on runs of equal values in whole arrays, and on the
+samples themselves when no two neighbours are equal.
 ``prune_min_distance`` decides most candidates in whole-array rounds and
 keeps the one-at-a-time greedy visit (``_prune_sequential``) only for what
 the rounds leave. ``lif_run`` and ``rate_run`` loop over time steps,
@@ -24,9 +25,15 @@ def local_maxima(values):
     n = v.size
     if n < 3:
         return np.empty(0, dtype=np.int64)
+    changes = v[1:] != v[:-1]
+    if changes.all():
+        # No two equal neighbours (a noisy trace): every sample is its own run.
+        peaks = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:]))
+        peaks += 1
+        return peaks.astype(np.int64, copy=False)
     # Compress runs of equal values; a run is a peak iff the neighbouring
     # runs on both sides are lower.
-    starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+    starts = np.flatnonzero(np.concatenate(([True], changes)))
     if starts.size < 3:
         return np.empty(0, dtype=np.int64)
     rv = v[starts]
@@ -137,8 +144,7 @@ def _prune_sequential(t, a, min_distance):
     return np.flatnonzero(keep)
 
 
-def lif_run(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt,
-            tau_syn, record_potentials=True):
+def lif_run(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt, tau_syn):
     """Forward-Euler leaky integrate-and-fire loop.
 
     Per step: V += (dt/tau_m)(v_rest - V) + dt*drive + weights @ spikes_prev,
@@ -150,7 +156,7 @@ def lif_run(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt,
     unit time-integral.
 
     Returns (potentials, filtered, spike_steps, spike_neurons) where
-    potentials is (N, steps) or None, filtered is the exponential synaptic
+    potentials is (N, steps), filtered is the exponential synaptic
     trace (N, steps), and the spike arrays give the 0-based step index and
     neuron index of every spike in chronological order. The two traces are
     recorded one step per row and returned as ``.T`` views of (steps, N)
@@ -179,7 +185,7 @@ def lif_run(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt,
     dt_drive = np.empty((steps, N))
     np.multiply(dt, drive.T, out=dt_drive)
 
-    potentials = np.empty((steps, N)) if record_potentials else None
+    potentials = np.empty((steps, N))
     filtered = np.empty((steps, N))
     spike_steps: list[int] = []
     spike_neurons: list[int] = []
@@ -216,10 +222,9 @@ def lif_run(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt,
         syn = np.multiply(syn, syn_decay, out=filtered[k])
         if spikes_prev is not None:
             syn[fired] += syn_jump
-        if record_potentials:
-            potentials[k] = v
+        potentials[k] = v
 
-    return (None if potentials is None else potentials.T, filtered.T,
+    return (potentials.T, filtered.T,
             np.asarray(spike_steps, dtype=np.int64),
             np.asarray(spike_neurons, dtype=np.int64))
 

@@ -157,14 +157,14 @@ def _drive(net, inputs):
 def _times(steps, dt, what, recorded):
     """The times of a run's steps, or a NonFiniteStateError naming the earliest
     step, then the lowest neuron, where its ``recorded`` (N, steps) state is not finite."""
-    if recorded is not None and not np.all(np.isfinite(recorded)):
+    if not np.all(np.isfinite(recorded)):
         step, neuron = (int(i) for i in np.argwhere(~np.isfinite(recorded.T))[0])
         raise NonFiniteStateError(f"simulation produced non-finite {what}: first at step "
                                   f"{step} (t={(step + 1) * dt:.9g} s), neuron {neuron}")
     return (np.arange(steps) + 1) * dt
 
 
-def run_spiking(net: SpikingNetwork, inputs, record_potentials=True) -> SimulationTrace:
+def run_spiking(net: SpikingNetwork, inputs) -> SimulationTrace:
     """Integrate the spiking network over the columns of ``inputs``.
 
     ``inputs`` has shape (input_dim, steps); the readout is the output
@@ -175,9 +175,7 @@ def run_spiking(net: SpikingNetwork, inputs, record_potentials=True) -> Simulati
         drive = _drive(net, inputs)
         potentials, filtered, spike_steps, spike_neurons = _kernels.lif_run(
             np.full(net.n, lif.rest), drive, net.recurrent_weights, lif.membrane_time_constant,
-            lif.rest, lif.threshold, lif.reset, lif.refractory, lif.dt, net.tau_syn,
-            record_potentials=record_potentials,
-        )
+            lif.rest, lif.threshold, lif.reset, lif.refractory, lif.dt, net.tau_syn)
         outputs = net.output_weights @ filtered
     times = _times(drive.shape[1], lif.dt, "membrane potentials", potentials)
     raster = [(int(j), float((k + 1) * lif.dt)) for k, j in zip(spike_steps, spike_neurons)]
@@ -312,7 +310,7 @@ def read_stream_csv(path, dt, expected_rows=None):
         width = len(header.split(","))
         if width < 2:
             raise ValidationError("header lists no channels")
-        rows = _csvio.read_rows(fh, width, rest, line)
+        rows = _csvio.read_rows(path, fh, width, rest, line)
         step = np.diff(rows[:, 0])
         bad = np.flatnonzero(~(np.abs(step - dt) <= 1e-6 * dt))
         if bad.size:

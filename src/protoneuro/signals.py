@@ -16,9 +16,14 @@ and read/write a relative-1e-9 round trip.
 
 Files of a million rows are common, so the numeric body is parsed and
 formatted in blocks (``_csvio``) rather than one Python call per row. The
-reader makes one pass: only a megabyte chunk the block parser does not take
-(a metadata line between rows, a bad line) goes through the line loop, which
-alone reports parse errors, so messages do not depend on the fast path.
+reader hands the body of a clean file (ASCII, with its metadata lines before
+the first row and no blank line of spaces among the rows) to one
+``np.loadtxt`` call on the file, and the series adopts the parsed columns,
+so each sample is held once. Any other body, and one ``np.loadtxt`` rejects,
+is read from its first row in megabyte chunks in one pass: only a chunk the
+block parser does not take (a metadata line between rows, a bad line) goes
+through the line loop, which alone reports parse errors, so messages do not
+depend on the fast path.
 
 Recorded traces the toolkit cannot obtain from hardware are synthesised as
 Gaussian bumps on a noisy baseline, sampled once per second to match the
@@ -41,7 +46,8 @@ _UNITS = (UNIT_MICROAMPERE, UNIT_VOLT)
 
 HEADER = "time_s,value"
 
-#: Cells of the (spikes x window) grid on which bumps are evaluated at once.
+#: Cells the synthesiser evaluates at once: of the (spikes x window) grid on
+#: which bumps are evaluated, and of the noise drawn per block.
 _BUMP_GRID_CELLS = 1 << 16
 
 
@@ -50,7 +56,10 @@ class TimeSeries:
     """A sampled trace: strictly increasing times plus finite values.
 
     Instances are treated as immutable; the backing arrays are marked
-    read-only so they can be shared freely across threads.
+    read-only so they can be shared freely across threads. The constructor
+    copies the arrays it is given; the reader and the synthesiser hand over
+    the arrays they have just built (``_adopt``), so a series read or made
+    here is held once.
     """
 
     times: np.ndarray
@@ -59,8 +68,21 @@ class TimeSeries:
     label: str = ""
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64)
-        v = np.asarray(self.values, dtype=np.float64)
+        self._own(np.array(self.times, dtype=np.float64),
+                  np.array(self.values, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, times, values, unit=UNIT_MICROAMPERE, label=""):
+        """A series holding the float64 arrays ``times`` and ``values`` as they
+        are, with the constructor's checks; the caller hands them over and
+        keeps no writeable view of them."""
+        series = cls.__new__(cls)
+        series.unit, series.label = unit, label
+        series._own(times, values)
+        return series
+
+    def _own(self, t, v):
+        """Check ``t`` and ``v`` and keep them, read-only."""
         if t.ndim != 1 or v.ndim != 1:
             raise ValidationError("times and values must be one-dimensional")
         if t.size != v.size:
@@ -71,12 +93,10 @@ class TimeSeries:
             raise ValidationError("times contain non-finite entries")
         if not np.all(np.isfinite(v)):
             raise ValidationError("values contain non-finite entries")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
+        if not np.all(t[1:] > t[:-1]):
             raise ValidationError("times must be strictly increasing")
         if self.unit not in _UNITS:
             raise ValidationError(f"unit must be one of {_UNITS}, got {self.unit!r}")
-        t = t.copy()
-        v = v.copy()
         t.flags.writeable = False
         v.flags.writeable = False
         self.times = t
@@ -113,9 +133,10 @@ def read_timeseries_csv(path) -> TimeSeries:
         header, rest, line = _csvio.read_header(fh)
         if header.strip() != HEADER:
             raise ParseError(f"expected header {HEADER!r}", line=1)
-        rows = _csvio.read_rows(fh, 2, rest, line, comment=comment)
+        rows = _csvio.read_rows(path, fh, 2, rest, line, comment=comment)
     with _inputs.blamed(path):
-        return TimeSeries(rows[:, 0], rows[:, 1], unit=meta["unit"], label=meta["label"])
+        return TimeSeries._adopt(rows[:, 0], rows[:, 1], unit=meta["unit"],
+                                 label=meta["label"])
 
 
 def write_timeseries_csv(series: TimeSeries, path) -> None:
@@ -261,5 +282,12 @@ def synthesize_spiky_series(spec: SyntheticSpikeSpec) -> TimeSeries:
         # Unbuffered and in index order: overlapping bumps add spike by spike.
         np.add.at(values, pos[inside], bump[inside])
     if spec.noise_sd > 0:
-        values = values + spec.noise_sd * rng().standard_normal(times.size)
-    return TimeSeries(times, values, unit=UNIT_MICROAMPERE, label=spec.label)
+        # values + noise_sd * standard_normal(n), drawn and added block by
+        # block: the generator fills a block as it fills a whole array.
+        noise = np.empty(min(_BUMP_GRID_CELLS, times.size))
+        for start in range(0, times.size, noise.size):
+            block = noise[:times.size - start]
+            rng().standard_normal(out=block)
+            block *= spec.noise_sd
+            values[start:start + block.size] += block
+    return TimeSeries._adopt(times, values, unit=UNIT_MICROAMPERE, label=spec.label)

@@ -185,8 +185,7 @@ def test_criterion_7_network_dynamics_match_closed_forms():
     i_eff = lif.membrane_time_constant * current
     analytic = lif.membrane_time_constant * math.log(
         i_eff / (i_eff - (lif.threshold - lif.rest)))
-    trace = networks.run_spiking(net, np.full((1, int(2.0 / lif.dt)), current),
-                                 record_potentials=False)
+    trace = networks.run_spiking(net, np.full((1, int(2.0 / lif.dt)), current))
     periods = np.diff([t for _, t in trace.spike_raster])
     lif_err = abs(periods.mean() - analytic) / analytic
     lif_ok = lif_err < 0.01

@@ -1,0 +1,60 @@
+"""Peak memory of the series path, in bytes per sample.
+
+``tracemalloc`` traces NumPy's array buffers as well as Python objects, so
+the peak over a call counts every copy of the data the call holds at once.
+A float64 sample takes 8 bytes, and a series (times and values) 16. Each
+call is made once on a tiny input first, so that first-use imports do not
+count.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from protoneuro import signals
+from protoneuro._kernels import pure
+from protoneuro.signals import SyntheticSpikeSpec
+
+N = 300_000
+
+
+def peak_bytes_per_sample(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / N
+
+
+def noisy_spec(samples):
+    return SyntheticSpikeSpec(duration=samples - 1, count=samples // 300, mean_isi=250.0,
+                              jitter_fraction=0.3, noise_sd=3e-4, seed=5)
+
+
+def test_reader_holds_the_rows_once(tmp_path):
+    # One (n, 2) array of rows, grown in place, whose columns the series
+    # adopts: about 17 bytes a sample, against 51 for chunks of line
+    # strings, their blocks concatenated and the columns then copied.
+    path = tmp_path / "s.csv"
+    signals.write_timeseries_csv(signals.synthesize_spiky_series(noisy_spec(N)), path)
+    small = tmp_path / "small.csv"
+    small.write_text("time_s,value\n# unit=volt\n0,1\n1,2\n")
+    signals.read_timeseries_csv(small)
+    assert peak_bytes_per_sample(signals.read_timeseries_csv, path) < 24
+
+
+def test_synthesis_with_noise_holds_the_series_once():
+    # Times and values, plus one block of noise: about 20 bytes a sample,
+    # against 33 for a whole noise draw, its scaled copy and their sum.
+    signals.synthesize_spiky_series(noisy_spec(1000))
+    assert peak_bytes_per_sample(signals.synthesize_spiky_series, noisy_spec(N)) < 24
+
+
+def test_local_maxima_of_a_noisy_trace_needs_no_run_index():
+    # Boolean masks and the peak indices: about 5 bytes a sample, against
+    # 22 for the int64 run starts and the run values.
+    values = np.random.default_rng(1).standard_normal(N)
+    pure.local_maxima(values[:10])
+    assert peak_bytes_per_sample(pure.local_maxima, values) < 8

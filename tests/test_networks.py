@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from protoneuro import networks
+from protoneuro import _kernels, networks
 from protoneuro._csvio import BLOCK_ROWS
 from protoneuro.errors import NonFiniteStateError, ShapeError, ValidationError
 from protoneuro.networks import LifParameters, RateNetwork, SpikingNetwork
@@ -98,11 +98,9 @@ def test_halving_dt_shifts_spikes_less_than_dt_per_spike():
     coarse = LifParameters(refractory=0.0, dt=1e-4)
     fine = LifParameters(refractory=0.0, dt=5e-5)
     t_coarse = spike_times(networks.run_spiking(
-        single_neuron(coarse), np.full((1, int(horizon / coarse.dt)), current),
-        record_potentials=False))
+        single_neuron(coarse), np.full((1, int(horizon / coarse.dt)), current)))
     t_fine = spike_times(networks.run_spiking(
-        single_neuron(fine), np.full((1, int(horizon / fine.dt)), current),
-        record_potentials=False))
+        single_neuron(fine), np.full((1, int(horizon / fine.dt)), current)))
     n = min(t_coarse.size, t_fine.size)
     assert n > 500
     drift = np.abs(t_coarse[:n] - t_fine[:n])
@@ -222,6 +220,24 @@ def test_overflow_of_finite_inputs_is_a_non_finite_state_error(run, net, what):
     with pytest.raises(NonFiniteStateError, match=f"non-finite {what}: first at step 100 "
                                                   r"\(t=0.0101 s\), neuron 1"):
         run(net, fin)
+
+
+def test_overflow_the_outputs_do_not_show_is_a_non_finite_state_error():
+    # A NaN membrane never crosses threshold, so the filtered trains and the
+    # readout stay finite; only the potentials, always recorded, show it.
+    net = SpikingNetwork(2, np.zeros((2, 2)), 2 * np.eye(2), [[1, 1]])
+    fin = np.zeros((2, 200))
+    fin[1, 100:] = -1e308
+    lif = net.lif
+    with np.errstate(all="ignore"):
+        potentials, filtered, _, _ = _kernels.lif_run(
+            np.full(2, lif.rest), net.input_weights @ fin, net.recurrent_weights,
+            lif.membrane_time_constant, lif.rest, lif.threshold, lif.reset, lif.refractory,
+            lif.dt, net.tau_syn)
+    assert np.all(np.isfinite(net.output_weights @ filtered))
+    assert not np.all(np.isfinite(potentials))
+    with pytest.raises(NonFiniteStateError, match=r"first at step 100 \(t=0.0101 s\), neuron 1"):
+        networks.run_spiking(net, fin)
 
 
 def test_rate_zero_fixed_point():

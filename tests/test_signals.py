@@ -30,6 +30,39 @@ def test_timeseries_arrays_are_readonly():
         s.values[0] = 5.0
 
 
+def test_timeseries_constructor_copies_its_arrays():
+    times, values = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+    s = TimeSeries(times, values)
+    times[0], values[0] = -5.0, 9.0
+    assert s.times.tolist() == [0.0, 1.0, 2.0]
+    assert s.values.tolist() == [1.0, 2.0, 3.0]
+    assert times.flags.writeable and values.flags.writeable
+
+
+@pytest.mark.parametrize("body", ["0,1\n1,2\n", "0,1\n# label=late\n1,2\n"],
+                         ids=["whole", "chunked"])
+def test_reader_and_synthesiser_return_read_only_arrays(tmp_path, body):
+    path = tmp_path / "s.csv"
+    path.write_text("time_s,value\n# unit=volt\n" + body)
+    read = signals.read_timeseries_csv(path)
+    made = signals.synthesize_spiky_series(SyntheticSpikeSpec(duration=20, count=2, mean_isi=5.0,
+                                                              noise_sd=1e-4))
+    for array in (read.times, read.values, made.times, made.values):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_noise_drawn_in_blocks_is_the_one_shot_draw():
+    n = 3 * signals._BUMP_GRID_CELLS + 123  # four blocks, the last one short
+    spec = SyntheticSpikeSpec(duration=n - 1, count=0, baseline=0.25, noise_sd=2e-4,
+                              seed=12345)
+    got = signals.synthesize_spiky_series(spec).values
+    values = np.full(n, 0.25)
+    expected = values + 2e-4 * np.random.default_rng(12345).standard_normal(n)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 def test_read_basic_file(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("time_s,value\n# unit=microampere\n0,0.0\n1,0.1\n")
@@ -446,6 +479,19 @@ def test_series_reader_takes_a_written_file_chunk_by_chunk(tmp_path, monkeypatch
     assert np.array_equal(got.times, series.times)
     assert np.array_equal(got.values, np.array([float(f"{v:.9g}") for v in series.values]))
     assert got.label == "x"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_series_reader_parses_a_clean_file_in_one_call(tmp_path, monkeypatch, newline):
+    # Blank and metadata lines before the first row are read line by line;
+    # the rows go to one np.loadtxt call on the file, never to the chunks.
+    def chunked(*args):
+        raise AssertionError("read the body in chunks")
+
+    monkeypatch.setattr(_csvio, "_read_chunks", chunked)
+    text = newline.join(["time_s,value", "# unit=volt", "", "  ", "# label=x", "0,1", "",
+                         "1, 2.5", "2,-3e-4", ""])
+    assert assert_series_readers_agree(text, tmp_path)[2:] == ("volt", "x")
 
 
 @pytest.mark.parametrize("body, chunks", [
