@@ -10,26 +10,30 @@ body. ``np.loadtxt`` converts each field with the same
 ``PyOS_string_to_double`` as ``float``, and the body goes to it in one of
 two ways.
 
-- Whole. A file that is ASCII and breaks lines only at ``\n``, ``\r\n``
-  and ``\r`` has the same lines for ``np.loadtxt`` as for
-  ``str.splitlines``. Its leading blank and metadata lines are read here,
-  and the rest goes to one ``np.loadtxt`` call on the file's path, which
-  reads the file in C into one growing array: the rows are held once.
+- Whole. A file that is ASCII, breaks lines only at ``\n``, ``\r\n``
+  and ``\r`` and holds no ``\x1f`` has the same lines and fields for
+  ``np.loadtxt`` as for ``str.splitlines`` and ``float``. Its leading
+  blank and metadata lines are read here, and the rest goes to one
+  ``np.loadtxt`` call on the file's path, which reads the file in C into
+  one growing array: the rows are held once.
 - Chunked, where that call is refused: the file holds another byte (a
-  character outside ASCII, a byte that is not UTF-8, or a line break such as
+  character outside ASCII, a byte that is not UTF-8, a line break such as
   ``\x0c`` that ``str.splitlines`` knows and ``np.loadtxt`` strips as white
-  space), or ``np.loadtxt`` rejects the body (a metadata line between rows,
-  a blank line of spaces, a bad line). The body then goes on from its first
-  row in megabyte chunks of lines, in one pass that never returns to an
-  earlier chunk. Each chunk, rid of its leading blank and metadata lines,
-  goes to ``np.loadtxt``; a chunk it does not take (a line that is not
-  exactly ``width`` numbers, ``1_0``, a series metadata line) goes, on its
-  own, through the line loop ``_parse_lines``. That loop skips blank lines,
-  hands ``#`` lines to the format's hook if it has one (a stream has none,
-  so ``#`` is an error there), accepts what ``float`` accepts and raises a
-  ParseError naming the first bad line, numbered file-wide as
-  ``str.splitlines`` numbers the whole text. Only this path names a bad
-  line: the whole path gives way to it on any error.
+  space, or ``\x1f``, which ``np.loadtxt`` strips from a field and
+  ``float`` does not), a ``#`` past the leading lines (the byte scan that
+  checks the file finds it, so the whole call is not tried), or
+  ``np.loadtxt`` rejects the body (a blank line of spaces, a bad line).
+  The body then goes on from its first row in megabyte chunks of lines, in
+  one pass that never returns to an earlier chunk. Each chunk, rid of its
+  leading blank and metadata lines, goes to ``np.loadtxt``; a chunk it does
+  not take (a line that is not exactly ``width`` numbers, ``1_0``, a series
+  metadata line) or that holds ``\x1f`` goes, on its own, through the line
+  loop ``_parse_lines``. That loop skips blank lines, hands ``#`` lines to
+  the format's hook if it has one (a stream has none, so ``#`` is an error
+  there), accepts what ``float`` accepts and raises a ParseError naming the
+  first bad line, numbered file-wide as ``str.splitlines`` numbers the
+  whole text. Only this path names a bad line: the whole path gives way to
+  it on any error.
 
 Formatting: ``write_rows`` (and ``write_long_rows`` for the time-major
 trace files) writes ``BLOCK_ROWS`` rows at a time with array arithmetic, and
@@ -120,19 +124,26 @@ def read_header(fh, skip_blank=False):
             return header, text, line
 
 
-def read_lines(fh, first=""):
-    """The lines of the rest of an open text file, from its text ``first``, in
-    lists of about ``_READ_CHUNK`` characters, split as ``str.splitlines``
-    splits the whole text: each chunk is cut after its last newline."""
+def _read_text(fh, first=""):
+    """The rest of an open text file, from its text ``first``, in pieces of
+    about ``_READ_CHUNK`` characters, each cut after its last newline, so
+    that ``str.splitlines`` splits the pieces as it splits the whole text."""
     pending = first
     while True:
         chunk = fh.read(_READ_CHUNK)
         text = pending + chunk
         cut = text.rfind("\n") + 1 if chunk else len(text)
-        yield text[:cut].splitlines()
+        yield text[:cut]
         pending = text[cut:]
         if not chunk:
             return
+
+
+def read_lines(fh, first=""):
+    """The lines of the rest of an open text file, from its text ``first``, in
+    lists of about ``_READ_CHUNK`` characters, split as ``str.splitlines``
+    splits the whole text."""
+    return (text.splitlines() for text in _read_text(fh, first))
 
 
 def _is_data(line, comment):
@@ -173,60 +184,76 @@ def read_rows(path, fh, width, first="", line=1, comment=None):
 
     Blank lines and, with a ``comment`` hook, ``#`` lines are skipped, and
     the hook is handed each stripped ``#`` line. The rows come from one
-    ``np.loadtxt`` call on ``path`` where the whole file splits into the same
-    lines for it as for ``str.splitlines`` and it takes the body; otherwise
+    ``np.loadtxt`` call on ``path`` where ``_scan`` finds that the whole
+    file splits into the same lines for it as for ``str.splitlines``, no
+    ``#`` follows the leading lines and it takes the body; otherwise
     ``_read_chunks`` reads them from the first row on.
     """
-    if not first and _splits_as_loadtxt(path):
-        # Up to the first row line by line, so the hook sees the leading # lines.
-        for first in iter(fh.readline, ""):
-            if _is_data(first, comment):
-                break
-            line += 1
-        else:
-            return np.empty((0, width))
-        try:
-            rows = np.loadtxt(path, delimiter=",", comments=None, skiprows=line - 1,
-                              ndmin=2, encoding="ascii")
-        except ValueError:
-            rows = None
-        if rows is not None and rows.shape[1] == width:
-            return rows
+    if not first:
+        whole, last_hash = _scan(path)
+        if whole:
+            # Up to the first row line by line, so the hook sees the leading # lines.
+            for first in iter(fh.readline, ""):
+                if _is_data(first, comment):
+                    break
+                line += 1
+            else:
+                return np.empty((0, width))
+            # An ASCII file read with newline="": characters are bytes.
+            if last_hash < fh.tell() - len(first):
+                try:
+                    rows = np.loadtxt(path, delimiter=",", comments=None, skiprows=line - 1,
+                                      ndmin=2, encoding="ascii")
+                except ValueError:
+                    rows = None
+                if rows is not None and rows.shape[1] == width:
+                    return rows
     return _read_chunks(fh, width, first, line, comment)
 
 
 #: The ASCII line breaks of ``str.splitlines`` that ``np.loadtxt`` does not
-#: break at.
-_SPLITLINES_ONLY = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+#: break at, and ``\x1f``, white space that ``np.loadtxt`` strips from a field
+#: and ``float`` does not.
+_LINE_LOOP_ONLY = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _splits_as_loadtxt(path):
-    """Whether the file is ASCII without a line break of ``_SPLITLINES_ONLY``:
-    then ``np.loadtxt`` and ``str.splitlines`` split it into the same lines."""
+def _scan(path):
+    """(whole, last_hash): whether the file is ASCII without a byte of
+    ``_LINE_LOOP_ONLY``, so that ``np.loadtxt`` and the line loop split it
+    into the same lines and fields, and the offset of its last ``#`` (-1 if
+    it has none). A ``#`` past the leading lines fails ``np.loadtxt``."""
+    last_hash, offset = -1, 0
     with open(path, "rb") as fh:
         while block := fh.read(_READ_CHUNK):
-            if not block.isascii() or any(c in block for c in _SPLITLINES_ONLY):
-                return False
-    return True
+            if not block.isascii() or any(c in block for c in _LINE_LOOP_ONLY):
+                return False, -1
+            at = block.rfind(b"#")
+            if at >= 0:
+                last_hash = offset + at
+            offset += len(block)
+    return True, last_hash
 
 
 def _read_chunks(fh, width, first, line, comment):
     """``read_rows`` chunk by chunk: the exact path for any body.
 
-    Each chunk from ``read_lines`` is rid of its leading blank and ``#``
+    Each chunk from ``_read_text`` is rid of its leading blank and ``#``
     lines (``np.loadtxt`` skips only later blank ones) and parsed by
-    ``np.loadtxt``; the lines of a chunk it does not take go to
-    ``_parse_lines``, which gives the same rows or the error.
+    ``np.loadtxt``; the lines of a chunk it does not take, or that holds
+    ``\x1f``, go to ``_parse_lines``, which gives the same rows or the error.
     """
     blocks = []
-    for lines in read_lines(fh, first):
+    for chunk in _read_text(fh, first):
+        lines = chunk.splitlines()
         start = next((i for i, text in enumerate(lines) if _is_data(text, comment)),
                      len(lines))
         if start < len(lines):
-            try:
-                rows = np.loadtxt(lines[start:], delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                rows = None
+            rows = None
+            if "\x1f" not in chunk:
+                try:
+                    rows = np.loadtxt(lines[start:], delimiter=",", comments=None, ndmin=2)
+                except ValueError:
+                    pass
             if rows is None or rows.shape[1] != width:
                 rows = _parse_lines(lines[start:], width, line + start, comment)
             blocks.append(rows)

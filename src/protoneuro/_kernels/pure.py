@@ -4,13 +4,18 @@
 samples themselves when no two neighbours are equal.
 ``prune_min_distance`` decides most candidates in whole-array rounds and
 keeps the one-at-a-time greedy visit (``_prune_sequential``) only for what
-the rounds leave. ``lif_run`` and ``rate_run`` loop over time steps,
-update all neurons of a step at once with in-place array operations, and
-record one step per row of a (steps, N) buffer.
+the rounds leave. ``lif_run`` and ``rate_run`` loop over time steps and
+update all neurons of a step at once. A step makes only the array calls its
+sequential arithmetic needs: each writes into a preallocated array (the new
+state straight into the step's row of a (steps, N) buffer), every constant
+operand is a length-N array rather than a Python float, and the work of a
+spike (the recurrent input, the reset, the refractory hold) is done only on
+the steps that have one.
 """
 
 import math
 from bisect import bisect_left, insort
+from collections import deque
 
 import numpy as np
 
@@ -164,65 +169,83 @@ def lif_run(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt, ta
 
     The loop does the arithmetic of the per-step update above, in the same
     order, with fewer array operations per step, and gives the same bits (a
-    NaN may carry another NaN's payload):
+    NaN may carry another NaN's payload). A step is: ``dv = leak * (rest -
+    V)``, ``dv += dt * drive`` (taken for all steps at once), the recurrent
+    input if the last step had a spike, the new V written straight into the
+    step's row of potentials, the decay of the filtered trace written into
+    its row, and the threshold test. The constants are length-N arrays, so
+    a step without a spike converts no Python float.
 
     - ``weights @ spikes_prev`` is taken only on a step after a spike; on
       any other step it is a vector of zeros, which leaves V unchanged.
     - The refractory countdown ``r = max(r - dt, 0)``, started at
       ``refractory`` on a spike, is the same for every neuron, so its length
-      is counted once (``_refractory_hold``) and a firing neuron gets the
-      step on which it is released. A held neuron sits at v_reset and is
-      left out of the update, so it cannot fire.
-    - The fired mask is built only on steps whose largest V exceeds v_th;
-      NaN never fires, as in ``V > v_th``.
+      is counted once (``_refractory_hold``), and the neurons that fire on a
+      step are released together, in the order of the steps they fired on.
+      A held neuron sits at v_reset and is left out of the update, so it
+      cannot fire. The rows of potentials start filled with v_reset, so the
+      add that skips held neurons leaves them at their value; while no
+      neuron is held the add skips none.
+    - ``V > v_th`` goes into a mask that is counted; only a step with a
+      count looks for the neurons that fire. NaN never fires.
     """
     N, steps = drive.shape
     v = np.array(v0, dtype=np.float64, copy=True)
-    leak = dt / tau_m
-    syn_decay = math.exp(-dt / tau_syn)
+    leak = np.full(N, dt / tau_m)
+    rest = np.full(N, v_rest, dtype=np.float64)
+    th = np.full(N, v_th, dtype=np.float64)
+    syn_decay = np.full(N, math.exp(-dt / tau_syn))
     syn_jump = 1.0 / tau_syn
     hold = _refractory_hold(refractory, dt, steps)
     dt_drive = np.empty((steps, N))
     np.multiply(dt, drive.T, out=dt_drive)
 
-    potentials = np.empty((steps, N))
+    potentials = np.full((steps, N), v_reset, dtype=np.float64)  # a held neuron's value
     filtered = np.empty((steps, N))
     spike_steps: list[int] = []
     spike_neurons: list[int] = []
     dv = np.empty(N)
+    above = np.empty(N, dtype=bool)
     syn = np.zeros(N)
     active = np.ones(N, dtype=bool)
-    release = np.zeros(N, dtype=np.int64)  # first step a held neuron is active again
-    wake = steps  # the earliest pending release
+    # (release step, neurons) of each step whose spikes are still held, in
+    # step order: every spike is held equally long, so they release in turn.
+    held = deque()
+    wake = steps  # the release step of held[0]
     spikes_prev = None  # the previous step's spikes as 0/1, None when it had none
 
     for k in range(steps):
         if k == wake:
-            np.less_equal(release, k, out=active)
-            wake = int(release[~active].min(initial=steps))
-        np.subtract(v_rest, v, out=dv)
+            active[held.popleft()[1]] = True
+            wake = held[0][0] if held else steps
+        np.subtract(rest, v, out=dv)
         np.multiply(leak, dv, out=dv)
         dv += dt_drive[k]
-        if spikes_prev is not None and weights is not None:
-            dv += weights @ spikes_prev
-        np.add(v, dv, out=v, where=active)
-        spikes_prev = None
-        if np.fmax.reduce(v, initial=-np.inf) > v_th:
-            fired = np.flatnonzero(active & (v > v_th))
-            if fired.size:
-                v[fired] = v_reset
-                spike_steps.extend([k] * fired.size)
-                spike_neurons.extend(fired.tolist())
-                if hold:
-                    active[fired] = False
-                    release[fired] = k + 1 + hold
-                    wake = min(wake, k + 1 + hold)
-                spikes_prev = np.zeros(N)
-                spikes_prev[fired] = 1.0
-        syn = np.multiply(syn, syn_decay, out=filtered[k])
         if spikes_prev is not None:
-            syn[fired] += syn_jump
-        potentials[k] = v
+            dv += weights @ spikes_prev
+            spikes_prev = None
+        if held:
+            v = np.add(v, dv, out=potentials[k], where=active)
+        else:
+            v = np.add(v, dv, out=potentials[k])
+        syn = np.multiply(syn, syn_decay, out=filtered[k])
+        np.greater(v, th, out=above)
+        if not np.count_nonzero(above):
+            continue
+        fired = np.flatnonzero(active & above) if held else np.flatnonzero(above)
+        if not fired.size:
+            continue
+        v[fired] = v_reset
+        syn[fired] += syn_jump
+        spike_steps.extend([k] * fired.size)
+        spike_neurons.extend(fired.tolist())
+        if hold:
+            active[fired] = False
+            held.append((k + 1 + hold, fired))
+            wake = held[0][0]
+        if weights is not None:
+            spikes_prev = np.zeros(N)
+            spikes_prev[fired] = 1.0
 
     return (potentials.T, filtered.T,
             np.asarray(spike_steps, dtype=np.int64),
@@ -248,20 +271,25 @@ def rate_run(x0, drive, weights, tau, dt):
 
     ``drive`` is the already-projected external input, shape (N, steps).
     Returns (state, activities): the pre-activation x and r = tanh(x), both
-    (N, steps), as ``.T`` views of buffers recorded one step per row. Each
-    step evaluates the update in place, in the order the formula reads.
+    (N, steps), as ``.T`` views of buffers recorded one step per row. A step
+    is ``dx = weights @ r - x`` (``-x`` without weights), ``dx += drive``,
+    ``dx *= dt/tau`` (a length-N array), and ``x + dx`` and its tanh written
+    straight into the step's rows. ``(-x) + y`` and ``y - x`` are the same
+    IEEE sum, so the update has the bits of the formula read left to right.
     """
     N, steps = drive.shape
     x = np.array(x0, dtype=np.float64, copy=True)
     r = np.tanh(x)
-    a = dt / tau
+    a = np.full(N, dt / tau)
     state = np.empty((steps, N))
     activities = np.empty((steps, N))
     dx = np.empty(N)
     for k in range(steps):
-        np.negative(x, out=dx)
         if weights is not None:
-            dx += weights @ r
+            np.matmul(weights, r, out=dx)
+            dx -= x
+        else:
+            np.negative(x, out=dx)
         dx += drive[:, k]
         np.multiply(a, dx, out=dx)
         x = np.add(x, dx, out=state[k])

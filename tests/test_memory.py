@@ -1,4 +1,5 @@
-"""Peak memory of the series path, in bytes per sample.
+"""Peak memory of the series path and the simulation kernels, in bytes per
+sample (a neuron-step for the kernels).
 
 ``tracemalloc`` traces NumPy's array buffers as well as Python objects, so
 the peak over a call counts every copy of the data the call holds at once.
@@ -58,3 +59,32 @@ def test_local_maxima_of_a_noisy_trace_needs_no_run_index():
     values = np.random.default_rng(1).standard_normal(N)
     pure.local_maxima(values[:10])
     assert peak_bytes_per_sample(pure.local_maxima, values) < 8
+
+
+def lif_drive(n, steps):
+    return np.random.default_rng(2).uniform(0.0, 3.0, (n, steps))
+
+
+def lif_run(drive):
+    n = drive.shape[0]
+    weights = np.full((n, n), 0.002)
+    return pure.lif_run(np.full(n, -0.065), drive, weights, 0.020, -0.065, -0.050, -0.065,
+                        0.002, 1e-4, 0.005)
+
+
+def test_lif_run_holds_three_step_buffers():
+    # dt * drive, the potentials and the filtered trace: 24 bytes a
+    # neuron-step; one more (steps, N) buffer, such as a contiguous copy of
+    # the drive, makes 32.
+    drive = lif_drive(10, N // 10)
+    lif_run(drive[:, :10])
+    assert peak_bytes_per_sample(lif_run, drive) < 26
+
+
+def test_rate_run_holds_two_step_buffers():
+    # The state and the activities: 16 bytes a unit-step.
+    rng = np.random.default_rng(3)
+    drive = rng.uniform(-1, 1, (50, N // 50))
+    weights = rng.normal(0, 1.2 / np.sqrt(50), (50, 50))
+    pure.rate_run(np.zeros(50), drive[:, :10], weights, 0.01, 1e-4)
+    assert peak_bytes_per_sample(pure.rate_run, np.zeros(50), drive, weights, 0.01, 1e-4) < 18

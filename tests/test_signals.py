@@ -404,6 +404,9 @@ def assert_series_readers_agree(text, tmp_path):
     "0,1\x1c\n1,2\x85\n",
     "0,1\u2028\n1,2\n",
     "# label=a\x0cb\n0,1\n",                          # ... in a metadata line
+    "0\x1f,1\n1,2\n",            # loadtxt strips \x1f from a field; float does not
+    "0,\x1f1\n1,2\n",
+    "# label=\u00e9\n0\x1f,1\n1,2\n",   # ... in a chunk, the file not being ASCII
 ])
 def test_series_reader_matches_line_loop(tmp_path, body):
     assert_series_readers_agree("time_s,value\n# unit=microampere\n" + body, tmp_path)
@@ -539,6 +542,28 @@ def test_series_reader_sends_only_the_late_lines_chunk_to_the_line_loop(
     [(first, lines)] = looped
     assert first <= late_line < first + len(lines)
     assert sum(map(len, lines)) < chunk + 30
+
+
+@pytest.mark.parametrize("late", ["# label=late", "  # note"])
+def test_series_reader_skips_the_whole_file_call_for_a_late_metadata_line(
+        tmp_path, monkeypatch, late):
+    # np.loadtxt cannot take a # line among the rows, so a file with one goes
+    # straight to the chunks: np.loadtxt sees line lists, never the path.
+    path = tmp_path / "late.csv"
+    rows = [f"{k},0.5" for k in range(100)]
+    rows.insert(90, late)
+    path.write_text("time_s,value\n# unit=volt\n\n" + "\n".join(rows) + "\n")
+    sources = []
+    loadtxt = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        sources.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(_csvio.np, "loadtxt", spy)
+    got = assert_series_readers_agree(path.read_text(), tmp_path)
+    assert got[2] == "volt" and len(np.frombuffer(got[0])) == 100
+    assert sources and all(isinstance(source, list) for source in sources)
 
 
 @settings(max_examples=150, deadline=None,
