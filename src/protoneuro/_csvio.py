@@ -108,20 +108,23 @@ _CHARS = {c: np.uint8(ord(c)) for c in "-0.e+"}
 
 
 def read_header(fh, skip_blank=False):
-    """(header, rest, line): the first line of an open text file (with
+    """(header, rest, line, read): the first line of an open text file (with
     ``skip_blank``, the first that is not blank; "" if there is none), the
-    text read past it, and the number of the line after it."""
-    text, line = "", 1
+    text read past it, the number of the line after it, and the number of
+    characters read."""
+    text, line, read = "", 1, 0
     while True:
-        text = text or fh.readline()
         if not text:
-            return "", "", line
+            text = fh.readline()
+            read += len(text)
+        if not text:
+            return "", "", line, read
         first = text.splitlines(keepends=True)[0]
         text = text[len(first):]
         line += 1
         header = first.splitlines()[0]
         if header.strip() or not skip_blank:
-            return header, text, line
+            return header, text, line, read
 
 
 def _read_text(fh, first=""):
@@ -177,9 +180,10 @@ def _parse_lines(lines, width, line, comment):
     return np.array(rows, dtype=np.float64).reshape(-1, width)
 
 
-def read_rows(path, fh, width, first="", line=1, comment=None):
+def read_rows(path, fh, width, first="", line=1, read=0, comment=None):
     """The rest of the file ``path``, open as ``fh`` from its text ``first``
-    (the file's line ``line``), as an (n, width) float64 array, or a
+    (the file's line ``line``; ``read`` characters, ``first`` among them,
+    have been read from the file), as an (n, width) float64 array, or a
     ParseError naming the first bad line.
 
     Blank lines and, with a ``comment`` hook, ``#`` lines are skipped, and
@@ -197,10 +201,12 @@ def read_rows(path, fh, width, first="", line=1, comment=None):
                 if _is_data(first, comment):
                     break
                 line += 1
+                read += len(first)
             else:
                 return np.empty((0, width))
-            # An ASCII file read with newline="": characters are bytes.
-            if last_hash < fh.tell() - len(first):
+            # The file is ASCII, so ``read``, the characters before the first
+            # row, is the row's byte offset.
+            if last_hash < read:
                 try:
                     rows = np.loadtxt(path, delimiter=",", comments=None, skiprows=line - 1,
                                       ndmin=2, encoding="ascii")

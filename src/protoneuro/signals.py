@@ -130,10 +130,10 @@ def read_timeseries_csv(path) -> TimeSeries:
                 meta[key] = sys.intern(text[len(key) + 1:])
 
     with _inputs.open_text(path) as fh:
-        header, rest, line = _csvio.read_header(fh)
+        header, rest, line, read = _csvio.read_header(fh)
         if header.strip() != HEADER:
             raise ParseError(f"expected header {HEADER!r}", line=1)
-        rows = _csvio.read_rows(path, fh, 2, rest, line, comment=comment)
+        rows = _csvio.read_rows(path, fh, 2, rest, line, read, comment=comment)
     with _inputs.blamed(path):
         return TimeSeries._adopt(rows[:, 0], rows[:, 1], unit=meta["unit"],
                                  label=meta["label"])

@@ -544,15 +544,15 @@ def test_series_reader_sends_only_the_late_lines_chunk_to_the_line_loop(
     assert sum(map(len, lines)) < chunk + 30
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 @pytest.mark.parametrize("late", ["# label=late", "  # note"])
 def test_series_reader_skips_the_whole_file_call_for_a_late_metadata_line(
-        tmp_path, monkeypatch, late):
+        tmp_path, monkeypatch, late, newline):
     # np.loadtxt cannot take a # line among the rows, so a file with one goes
     # straight to the chunks: np.loadtxt sees line lists, never the path.
-    path = tmp_path / "late.csv"
     rows = [f"{k},0.5" for k in range(100)]
     rows.insert(90, late)
-    path.write_text("time_s,value\n# unit=volt\n\n" + "\n".join(rows) + "\n")
+    text = newline.join(["time_s,value", "# unit=volt", ""] + rows + [""])
     sources = []
     loadtxt = np.loadtxt
 
@@ -561,7 +561,7 @@ def test_series_reader_skips_the_whole_file_call_for_a_late_metadata_line(
         return loadtxt(source, *args, **kwargs)
 
     monkeypatch.setattr(_csvio.np, "loadtxt", spy)
-    got = assert_series_readers_agree(path.read_text(), tmp_path)
+    got = assert_series_readers_agree(text, tmp_path)
     assert got[2] == "volt" and len(np.frombuffer(got[0])) == 100
     assert sources and all(isinstance(source, list) for source in sources)
 
