@@ -836,10 +836,17 @@ def test_stream_reader_skips_the_whole_file_call_for_a_late_comment(tmp_path, mo
     assert sources and all(isinstance(source, list) for source in sources)
 
 
+#: Every C0 byte, the line breaks \x85 and \u2028 from outside ASCII and a
+#: letter from outside ASCII: where np.loadtxt and the line loop could split
+#: lines or strip fields differently.
+ODD = [chr(c) for c in range(32)] + ["\x85", "\u2028", "\u00e9"]
+PLAIN_PAD = st.sampled_from(["", " ", "\t"])
+PAD = st.one_of(PLAIN_PAD, PLAIN_PAD, PLAIN_PAD, st.sampled_from(ODD))
 STREAM_FIELD = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-9, 9).map(str),
     st.sampled_from(["1_0", "nan", "inf", "", "x", " 2 ", "\t-0", "# n", "1e5", "2 # n"]),
+    st.tuples(PAD, st.sampled_from(["0.5", "1"]), PAD).map("".join),
 )
 
 
@@ -854,11 +861,11 @@ def stream_files(draw):
         kind = draw(st.sampled_from(["row"] * 8 + ["step", "blank", "comment", "raw"]))
         if kind in ("row", "step"):
             t += 1.0 if kind == "row" else draw(st.sampled_from([0.0, 2.0, -1.0, 1.0000005]))
-            pad = draw(st.sampled_from(["", " ", "\t"]))
+            pad = draw(PAD)
             values = [draw(STREAM_FIELD) if draw(st.booleans()) else "0.5" for _ in range(2)]
             lines.append(",".join([f"{pad}{t!r}{pad}", *values]))
         elif kind == "blank":
-            lines.append(draw(st.sampled_from(["", " ", "\t "])))
+            lines.append(draw(st.sampled_from(["", " ", "\t "]) | PAD))
         elif kind == "comment":
             lines.append("# note")
         else:

@@ -436,7 +436,12 @@ NUMBER = st.one_of(
     st.integers(-10**6, 10**6).map(str),
     st.sampled_from(["1_0", "nan", "inf", "-0", "+1", ".5", "1.", "1e5", "", "x", "2 # n"]),
 )
-PAD = st.sampled_from(["", " ", "\t", "  \t"])
+#: Every C0 byte, the line breaks \x85 and \u2028 from outside ASCII and a
+#: letter from outside ASCII: where np.loadtxt and the line loop could split
+#: lines or strip fields differently.
+ODD = [chr(c) for c in range(32)] + ["\x85", "\u2028", "\u00e9"]
+PLAIN_PAD = st.sampled_from(["", " ", "\t", "  \t"])
+PAD = st.one_of(PLAIN_PAD, PLAIN_PAD, PLAIN_PAD, st.sampled_from(ODD))
 
 
 @st.composite
@@ -449,7 +454,8 @@ def series_bodies(draw):
             lines.append(f"{draw(PAD)}{k}{draw(PAD)},{draw(PAD)}{value}{draw(PAD)}")
         elif kind == "meta":
             lines.append(draw(st.sampled_from(["# unit=volt", "#label=x", "  # note",
-                                               "# unit=microampere"])))
+                                               "# unit=microampere"])
+                              | st.sampled_from(ODD).map("# label=a{}b".format)))
         elif kind == "blank":
             lines.append(draw(PAD))
         else:
