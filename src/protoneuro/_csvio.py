@@ -6,34 +6,18 @@ bulk of a command's run time, so their readers and writers go through the
 functions here, which stand in exactly for the per-row code.
 
 Parsing: ``read_header`` takes a file's header line and ``read_rows`` its
-body. ``np.loadtxt`` converts each field with the same
-``PyOS_string_to_double`` as ``float``, and the body goes to it in one of
-two ways.
-
-- Whole. A file that is ASCII, breaks lines only at ``\n``, ``\r\n``
-  and ``\r`` and holds no ``\x1f`` has the same lines and fields for
-  ``np.loadtxt`` as for ``str.splitlines`` and ``float``. Its leading
-  blank and metadata lines are read here, and the rest goes to one
-  ``np.loadtxt`` call on the file's path, which reads the file in C into
-  one growing array: the rows are held once.
-- Chunked, where that call is refused: the file holds another byte (a
-  character outside ASCII, a byte that is not UTF-8, a line break such as
-  ``\x0c`` that ``str.splitlines`` knows and ``np.loadtxt`` strips as white
-  space, or ``\x1f``, which ``np.loadtxt`` strips from a field and
-  ``float`` does not), a ``#`` past the leading lines (the byte scan that
-  checks the file finds it, so the whole call is not tried), or
-  ``np.loadtxt`` rejects the body (a blank line of spaces, a bad line).
-  The body then goes on from its first row in megabyte chunks of lines, in
-  one pass that never returns to an earlier chunk. Each chunk, rid of its
-  leading blank and metadata lines, goes to ``np.loadtxt``; a chunk it does
-  not take (a line that is not exactly ``width`` numbers, ``1_0``, a series
-  metadata line) or that holds ``\x1f`` goes, on its own, through the line
-  loop ``_parse_lines``. That loop skips blank lines, hands ``#`` lines to
-  the format's hook if it has one (a stream has none, so ``#`` is an error
-  there), accepts what ``float`` accepts and raises a ParseError naming the
-  first bad line, numbered file-wide as ``str.splitlines`` numbers the
-  whole text. Only this path names a bad line: the whole path gives way to
-  it on any error.
+body, in one pass of 64 KiB chunks of lines (``str.splitlines``'s lines,
+so a break such as ``\x0c`` or ``\u2028`` splits them). A chunk's ``#``
+lines go to the format's hook, and each run of rows between them, past its
+leading blank lines, to one ``np.loadtxt`` call, which converts fields with
+the same ``PyOS_string_to_double`` as ``float``. A run it does not take
+(not ``width`` numbers, ``1_0``, a blank line of spaces), or in a chunk
+holding ``\x1f`` (white space ``np.loadtxt`` strips from a field and
+``float`` does not), goes through the line loop ``_parse_lines``, which
+accepts what ``float`` accepts and alone raises a ParseError, naming the
+first bad line as ``str.splitlines`` numbers the whole text (a ``#`` line
+is one in a stream, which has no hook). The rows go into one buffer sized
+from the file's size, so each is held once.
 
 Formatting: ``write_rows`` (and ``write_long_rows`` for the time-major
 trace files) writes ``BLOCK_ROWS`` rows at a time with array arithmetic, and
@@ -84,6 +68,7 @@ print the same digits, and a larger one goes to ``%d`` on its own.
 """
 
 import functools
+import os
 import re
 
 import numpy as np
@@ -94,9 +79,9 @@ from .errors import ParseError
 #: calls, small enough that a block's arrays (under 100 bytes a row at
 #: their peak) stay a few megabytes.
 BLOCK_ROWS = 65536
-#: Characters read per body chunk: the chunk's line strings stay a few
-#: megabytes however long the file.
-_READ_CHUNK = 1 << 20
+#: Characters read per body chunk: the chunk's line strings stay well
+#: under a megabyte however long the file.
+_READ_CHUNK = 1 << 16
 
 _FIELD = re.compile(r"%(?:\.(9|12)g|d)")
 #: The P digits are taken from the digit tables in chunks of these widths.
@@ -108,23 +93,21 @@ _CHARS = {c: np.uint8(ord(c)) for c in "-0.e+"}
 
 
 def read_header(fh, skip_blank=False):
-    """(header, rest, line, read): the first line of an open text file (with
+    """(header, rest, line): the first line of an open text file (with
     ``skip_blank``, the first that is not blank; "" if there is none), the
-    text read past it, the number of the line after it, and the number of
-    characters read."""
-    text, line, read = "", 1, 0
+    text read past it and the number of the line after it."""
+    text, line = "", 1
     while True:
         if not text:
             text = fh.readline()
-            read += len(text)
         if not text:
-            return "", "", line, read
+            return "", "", line
         first = text.splitlines(keepends=True)[0]
         text = text[len(first):]
         line += 1
         header = first.splitlines()[0]
         if header.strip() or not skip_blank:
-            return header, text, line, read
+            return header, text, line
 
 
 def _read_text(fh, first=""):
@@ -149,28 +132,17 @@ def read_lines(fh, first=""):
     return (text.splitlines() for text in _read_text(fh, first))
 
 
-def _is_data(line, comment):
-    """Whether a line holds a row: not blank, and not a ``#`` line when the
-    format has a ``comment`` hook, which is handed the stripped line."""
-    text = line.strip()
-    if comment is not None and text.startswith("#"):
-        comment(text)
-        return False
-    return bool(text)
-
-
-def _parse_lines(lines, width, line, comment):
-    """The rows of ``lines``, the first of which is the file's line ``line``.
-
-    Skips what ``_is_data`` skips and splits the rest, stripped, at commas;
-    a line that is not ``width`` numbers ``float`` accepts is a ParseError
-    naming it.
-    """
+def _parse_lines(lines, width, line):
+    """The rows of ``lines``, the first of which is the file's line ``line``:
+    blank lines skipped, the rest stripped and split at commas. A line that
+    is not ``width`` numbers ``float`` accepts (a ``#`` line too) is a
+    ParseError naming it."""
     rows = []
     for number, text in enumerate(lines, start=line):
-        if not _is_data(text, comment):
+        text = text.strip()
+        if not text:
             continue
-        fields = text.strip().split(",")
+        fields = text.split(",")
         if len(fields) != width:
             raise ParseError(f"expected {width} fields, got {len(fields)}", line=number)
         try:
@@ -180,91 +152,56 @@ def _parse_lines(lines, width, line, comment):
     return np.array(rows, dtype=np.float64).reshape(-1, width)
 
 
-def read_rows(path, fh, width, first="", line=1, read=0, comment=None):
-    """The rest of the file ``path``, open as ``fh`` from its text ``first``
-    (the file's line ``line``; ``read`` characters, ``first`` among them,
-    have been read from the file), as an (n, width) float64 array, or a
-    ParseError naming the first bad line.
-
-    Blank lines and, with a ``comment`` hook, ``#`` lines are skipped, and
-    the hook is handed each stripped ``#`` line. The rows come from one
-    ``np.loadtxt`` call on ``path`` where ``_scan`` finds that the whole
-    file splits into the same lines for it as for ``str.splitlines``, no
-    ``#`` follows the leading lines and it takes the body; otherwise
-    ``_read_chunks`` reads them from the first row on.
-    """
-    if not first:
-        whole, last_hash = _scan(path)
-        if whole:
-            # Up to the first row line by line, so the hook sees the leading # lines.
-            for first in iter(fh.readline, ""):
-                if _is_data(first, comment):
-                    break
-                line += 1
-                read += len(first)
-            else:
-                return np.empty((0, width))
-            # The file is ASCII, so ``read``, the characters before the first
-            # row, is the row's byte offset.
-            if last_hash < read:
-                try:
-                    rows = np.loadtxt(path, delimiter=",", comments=None, skiprows=line - 1,
-                                      ndmin=2, encoding="ascii")
-                except ValueError:
-                    rows = None
-                if rows is not None and rows.shape[1] == width:
-                    return rows
-    return _read_chunks(fh, width, first, line, comment)
-
-
-#: The ASCII line breaks of ``str.splitlines`` that ``np.loadtxt`` does not
-#: break at, and ``\x1f``, white space that ``np.loadtxt`` strips from a field
-#: and ``float`` does not.
-_LINE_LOOP_ONLY = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-
-
-def _scan(path):
-    """(whole, last_hash): whether the file is ASCII without a byte of
-    ``_LINE_LOOP_ONLY``, so that ``np.loadtxt`` and the line loop split it
-    into the same lines and fields, and the offset of its last ``#`` (-1 if
-    it has none). A ``#`` past the leading lines fails ``np.loadtxt``."""
-    last_hash, offset = -1, 0
-    with open(path, "rb") as fh:
-        while block := fh.read(_READ_CHUNK):
-            if not block.isascii() or any(c in block for c in _LINE_LOOP_ONLY):
-                return False, -1
-            at = block.rfind(b"#")
-            if at >= 0:
-                last_hash = offset + at
-            offset += len(block)
-    return True, last_hash
-
-
-def _read_chunks(fh, width, first, line, comment):
-    """``read_rows`` chunk by chunk: the exact path for any body.
-
-    Each chunk from ``_read_text`` is rid of its leading blank and ``#``
-    lines (``np.loadtxt`` skips only later blank ones) and parsed by
-    ``np.loadtxt``; the lines of a chunk it does not take, or that holds
-    ``\x1f``, go to ``_parse_lines``, which gives the same rows or the error.
-    """
-    blocks = []
-    for chunk in _read_text(fh, first):
-        lines = chunk.splitlines()
-        start = next((i for i, text in enumerate(lines) if _is_data(text, comment)),
-                     len(lines))
-        if start < len(lines):
+def _parse_run(lines, width, line, loadtxt):
+    """The rows of ``lines``, the first of which is the file's line ``line``:
+    ``np.loadtxt``'s where ``loadtxt`` allows and it takes them, otherwise
+    ``_parse_lines``'s, which are the same rows or the error."""
+    start = next((i for i, text in enumerate(lines) if text.strip()), len(lines))
+    lines = lines[start:]
+    if not lines:
+        return np.empty((0, width))
+    if loadtxt:
+        try:
+            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
             rows = None
-            if "\x1f" not in chunk:
-                try:
-                    rows = np.loadtxt(lines[start:], delimiter=",", comments=None, ndmin=2)
-                except ValueError:
-                    pass
-            if rows is None or rows.shape[1] != width:
-                rows = _parse_lines(lines[start:], width, line + start, comment)
-            blocks.append(rows)
+        if rows is not None and rows.shape[1] == width:
+            return rows
+    return _parse_lines(lines, width, line + start)
+
+
+def read_rows(fh, width, first="", line=1, comment=None):
+    """The rest of an open text file, from its text ``first`` (the file's
+    line ``line``), as an (n, width) float64 array, or a ParseError naming
+    the first bad line. Blank lines are skipped, and with a ``comment`` hook
+    so are ``#`` lines, each handed to the hook stripped. The buffer is sized
+    from the file's size and the rows per character read so far, with 1%
+    slack, grown in place if that falls short and trimmed at the end."""
+    size = os.fstat(fh.fileno()).st_size
+    rows, n, seen = np.empty((0, width)), 0, 0
+    for chunk in _read_text(fh, first):
+        seen += len(chunk)
+        lines = chunk.splitlines()
+        marks = [] if comment is None or "#" not in chunk else \
+            [i for i, text in enumerate(lines) if text.lstrip().startswith("#")]
+        start = 0
+        for stop in marks + [len(lines)]:
+            block = _parse_run(lines[start:stop], width, line + start, "\x1f" not in chunk)
+            if stop < len(lines):
+                comment(lines[stop].strip())
+            start = stop + 1
+            if n + len(block) > len(rows):
+                need = n + len(block)
+                capacity = max(int(need * size / seen * 1.01), need + need // 8)
+                if n:  # resize zero-fills what it adds; np.empty leaves the slack untouched
+                    rows.resize((capacity, width), refcheck=False)
+                else:
+                    rows = np.empty((capacity, width))
+            rows[n:n + len(block)] = block
+            n += len(block)
         line += len(lines)
-    return np.concatenate(blocks) if blocks else np.empty((0, width))
+    rows.resize((n, width), refcheck=False)
+    return rows
 
 
 @functools.cache

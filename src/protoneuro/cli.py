@@ -128,6 +128,8 @@ def cmd_weights(args) -> int:
     from .config import load_config
     config = load_config(args.config)
     n = config.coding.neuron_count if args.n is None else _inputs.integer(args.n, 1, "--n")
+    if args.table1 and args.seed is not None:
+        raise ValidationError("--seed goes with seeded weights, not with --table1")
     seed = None if args.table1 else _resolve_seed(args, config)
     matrix = coding.weight_matrix("reference" if args.table1 else "seeded", n, seed)
     with open(args.out, "w", newline="") as fh:
@@ -241,6 +243,9 @@ def cmd_qsar_fit(args) -> int:
     import dataclasses
 
     from . import qsar
+    # Checked before the file is read: only 10 or more observations use it.
+    if not 0 < args.level < 1:
+        raise ValidationError(f"--level must be in (0, 1), got {args.level!r}")
     observations = qsar.read_observations_csv(args.observations)
     result = qsar.fit(observations)
     coeffs = result.coefficients

@@ -304,13 +304,13 @@ def read_stream_csv(path, dt, expected_rows=None):
     bad step; only a bad step re-reads the file, to name its line.
     """
     with _inputs.blamed(path), _inputs.open_text(path) as fh:
-        header, rest, line, read = _csvio.read_header(fh, skip_blank=True)
+        header, rest, line = _csvio.read_header(fh, skip_blank=True)
         if not header.startswith("time_s"):
             raise ValidationError("expected a header starting with time_s")
         width = len(header.split(","))
         if width < 2:
             raise ValidationError("header lists no channels")
-        rows = _csvio.read_rows(path, fh, width, rest, line, read)
+        rows = _csvio.read_rows(fh, width, rest, line)
         step = np.diff(rows[:, 0])
         bad = np.flatnonzero(~(np.abs(step - dt) <= 1e-6 * dt))
         if bad.size:

@@ -16,14 +16,14 @@ and read/write a relative-1e-9 round trip.
 
 Files of a million rows are common, so the numeric body is parsed and
 formatted in blocks (``_csvio``) rather than one Python call per row. The
-reader hands the body of a clean file (ASCII, with its metadata lines before
-the first row and no blank line of spaces among the rows) to one
-``np.loadtxt`` call on the file, and the series adopts the parsed columns,
-so each sample is held once. Any other body, and one ``np.loadtxt`` rejects,
-is read from its first row in megabyte chunks in one pass: only a chunk the
-block parser does not take (a metadata line between rows, a bad line) goes
-through the line loop, which alone reports parse errors, so messages do not
-depend on the fast path.
+reader takes every body one way, in one pass of 64 KiB chunks: each run of
+rows between metadata lines goes to one ``np.loadtxt`` call, and the rows
+go into one buffer, sized from the file size, whose columns the series
+adopts, so each sample is held once. A metadata line among the rows costs
+one more ``np.loadtxt`` call, not a second pass over its chunk. Only a run
+the block parser does not take (a bad line, or a blank line of spaces) goes
+through the line loop, which alone reports parse errors, so messages do
+not depend on the fast path.
 
 Recorded traces the toolkit cannot obtain from hardware are synthesised as
 Gaussian bumps on a noisy baseline, sampled once per second to match the
@@ -130,10 +130,10 @@ def read_timeseries_csv(path) -> TimeSeries:
                 meta[key] = sys.intern(text[len(key) + 1:])
 
     with _inputs.open_text(path) as fh:
-        header, rest, line, read = _csvio.read_header(fh)
+        header, rest, line = _csvio.read_header(fh)
         if header.strip() != HEADER:
             raise ParseError(f"expected header {HEADER!r}", line=1)
-        rows = _csvio.read_rows(path, fh, 2, rest, line, read, comment=comment)
+        rows = _csvio.read_rows(fh, 2, rest, line, comment=comment)
     with _inputs.blamed(path):
         return TimeSeries._adopt(rows[:, 0], rows[:, 1], unit=meta["unit"],
                                  label=meta["label"])

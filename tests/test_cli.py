@@ -213,6 +213,18 @@ def test_weights_table1_needs_ten_neurons(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_weights_table1_rejects_a_seed(tmp_path, capsys, monkeypatch):
+    # The fixed matrix draws nothing; PROTONEURO_SEED is ambient and stays allowed.
+    out = tmp_path / "w.csv"
+    code, stdout, stderr = run(capsys, "weights", "--table1", "--seed", "5", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: --seed goes with seeded weights, not with --table1\n"
+    assert not out.exists()
+    monkeypatch.setenv("PROTONEURO_SEED", "5")
+    assert run(capsys, "weights", "--table1", "--out", str(out))[:2] == \
+        (0, "n=10 source=table1\n")
+
+
 def test_weights_too_large_for_memory_exits_2(tmp_path, capsys):
     # 8e18 bytes: the allocation is refused at once, touching no memory.
     code, stdout, stderr = run(capsys, "weights", "--n", "1000000000",
@@ -534,6 +546,25 @@ def test_qsar_fit_rank_deficient_is_numeric_failure(tmp_path, capsys):
     assert "rank" in stderr
 
 
+@pytest.mark.parametrize("rows", [9, 10])
+@pytest.mark.parametrize("level", ["7", "nan", "0", "1"])
+def test_qsar_fit_rejects_a_level_outside_0_1(tmp_path, capsys, rows, level):
+    # Whether or not the fit has enough observations for confidence bounds.
+    x, y = np.random.default_rng(rows).uniform((100, 1), (600, 6), (rows, 2)).T
+    obs = tmp_path / "obs.csv"
+    with open(obs, "w") as fh:
+        fh.write("label,molecular_weight_gmol,peptide_length,mean_firing_rate_hz\n")
+        for i in range(rows):
+            fh.write(f"s{i},{x[i]:.6f},{y[i]:.6f},{500 + i}\n")
+    model = tmp_path / "m.json"
+    code, stdout, stderr = run(capsys, "qsar-fit", str(obs), "--out", str(model),
+                               "--level", level)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: --level must be in (0, 1), got {float(level)!r}\n"
+    assert not model.exists()
+    assert run(capsys, "qsar-fit", str(obs), "--out", str(model), "--level", "0.9")[0] == 0
+
+
 def test_qsar_predict_with_builtin_model_and_deviation(capsys):
     code, stdout, _ = run(capsys, "qsar-predict", "--x", "100", "--y", "3",
                           "--mean", "3000")
@@ -819,23 +850,6 @@ def test_stream_reader_matches_line_loop(tmp_path, body):
         stream_outcome(reference_read_stream, path, 1.0)
 
 
-def test_stream_reader_skips_the_whole_file_call_for_a_late_comment(tmp_path, monkeypatch):
-    path = tmp_path / "stream.csv"
-    path.write_text("time_s,ch0,ch1\n" + "".join(f"{k},1,2\n" for k in range(50))
-                    + "# note\n50,1,2\n", newline="")
-    sources = []
-    loadtxt = np.loadtxt
-
-    def spy(source, *args, **kwargs):
-        sources.append(source)
-        return loadtxt(source, *args, **kwargs)
-
-    monkeypatch.setattr(_csvio.np, "loadtxt", spy)
-    with pytest.raises(ValidationError, match="line 52: "):
-        networks.read_stream_csv(path, 1.0)
-    assert sources and all(isinstance(source, list) for source in sources)
-
-
 #: Every C0 byte, the line breaks \x85 and \u2028 from outside ASCII and a
 #: letter from outside ASCII: where np.loadtxt and the line loop could split
 #: lines or strip fields differently.
@@ -897,6 +911,8 @@ def test_stream_reader_matches_line_loop_across_chunk_edges(tmp_path, text, chun
     ("0,1,2\n\n1,3,4\n\n3,5,6\n", 6),  # blank lines count in the numbering
     ("0,1,2\n\nt1,3,4\n", 4),
     ("0,1,2\n \n1,3\n", 4),
+    pytest.param("".join(f"{k},1,2\n" for k in range(50)) + "# note\n50,1,2\n", 52,
+                 id="late-comment"),  # a stream has no comments
 ])
 def test_stream_reader_names_the_offending_line(tmp_path, body, line):
     path = tmp_path / "stream.csv"

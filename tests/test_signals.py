@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -492,17 +493,25 @@ def test_series_reader_takes_a_written_file_chunk_by_chunk(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_series_reader_parses_a_clean_file_in_one_call(tmp_path, monkeypatch, newline):
-    # Blank and metadata lines before the first row are read line by line;
-    # the rows go to one np.loadtxt call on the file, never to the chunks.
-    def chunked(*args):
-        raise AssertionError("read the body in chunks")
+    # Blank and metadata lines before the first row are skipped; the rows of
+    # a file that fits one chunk go to one np.loadtxt call, never to the
+    # line loop.
+    def line_loop(*args):
+        raise AssertionError("fell back to the line loop")
 
-    monkeypatch.setattr(_csvio, "_read_chunks", chunked)
+    calls = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(_csvio, "_parse_lines", line_loop)
+    monkeypatch.setattr(_csvio.np, "loadtxt", spy)
     text = newline.join(["time_s,value", "# unit=volt", "", "  ", "# label=x", "0,1", "",
                          "1, 2.5", "2,-3e-4", ""])
     assert assert_series_readers_agree(text, tmp_path)[2:] == ("volt", "x")
-
-
+    assert len(calls) == 1
 @pytest.mark.parametrize("body, chunks", [
     ("0,1\n\n\n1,2\n\n2,3\n\n", range(1, 16)),   # empty lines, wherever the cuts fall
     ("0,1\n  \n1,2\n\t\n2,3\n \n", [1]),          # whitespace-only lines, each at a cut
@@ -523,12 +532,14 @@ def test_series_reader_takes_blank_lines_at_chunk_edges(tmp_path, monkeypatch, b
         assert outcome(signals.read_timeseries_csv, path) == expected
 
 
-@pytest.mark.parametrize("late", ["# label=late", "04950,x"], ids=["metadata", "bad-line"])
+@pytest.mark.parametrize("late, chunks", [("# label=late", 0), ("04950,x", 1)],
+                         ids=["metadata", "bad-line"])
 def test_series_reader_sends_only_the_late_lines_chunk_to_the_line_loop(
-        tmp_path, monkeypatch, late):
-    # A metadata or bad line near the end of a many-chunk file costs the line
-    # loop one chunk, not the whole file. Rows are 10 characters, so the late
-    # line starts 367 characters into the last of 13 chunks of 4096.
+        tmp_path, monkeypatch, late, chunks):
+    # A bad line near the end of a many-chunk file costs the line loop one
+    # chunk, not the whole file, and a metadata line costs it none. Rows are
+    # 10 characters, so the late line starts 367 characters into the last of
+    # 13 chunks of 4096.
     path = tmp_path / "late.csv"
     rows = [f"{k:05d},0.5" for k in range(5000)]
     rows.insert(4950, late)
@@ -545,31 +556,54 @@ def test_series_reader_sends_only_the_late_lines_chunk_to_the_line_loop(
     monkeypatch.setattr(_csvio, "_parse_lines", line_loop)
     monkeypatch.setattr(_csvio, "_READ_CHUNK", chunk)
     assert outcome(signals.read_timeseries_csv, path) == outcome(reference_read_series, path)
-    [(first, lines)] = looped
-    assert first <= late_line < first + len(lines)
-    assert sum(map(len, lines)) < chunk + 30
+    assert len(looped) == chunks
+    for first, lines in looped:
+        assert first <= late_line < first + len(lines)
+        assert sum(map(len, lines)) < chunk + 30
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 @pytest.mark.parametrize("late", ["# label=late", "  # note"])
-def test_series_reader_skips_the_whole_file_call_for_a_late_metadata_line(
+def test_series_reader_sends_no_late_metadata_line_to_the_line_loop(
         tmp_path, monkeypatch, late, newline):
-    # np.loadtxt cannot take a # line among the rows, so a file with one goes
-    # straight to the chunks: np.loadtxt sees line lists, never the path.
+    # The rows on either side of a # line go to np.loadtxt, and the line to
+    # the metadata hook.
+    def line_loop(*args):
+        raise AssertionError("fell back to the line loop")
+
+    monkeypatch.setattr(_csvio, "_parse_lines", line_loop)
     rows = [f"{k},0.5" for k in range(100)]
     rows.insert(90, late)
     text = newline.join(["time_s,value", "# unit=volt", ""] + rows + [""])
-    sources = []
-    loadtxt = np.loadtxt
-
-    def spy(source, *args, **kwargs):
-        sources.append(source)
-        return loadtxt(source, *args, **kwargs)
-
-    monkeypatch.setattr(_csvio.np, "loadtxt", spy)
     got = assert_series_readers_agree(text, tmp_path)
-    assert got[2] == "volt" and len(np.frombuffer(got[0])) == 100
-    assert sources and all(isinstance(source, list) for source in sources)
+    assert got[2:] == ("volt", "late" if "label" in late else "")
+    assert len(np.frombuffer(got[0])) == 100
+
+
+def test_series_reader_holds_the_rows_of_a_file_with_late_metadata_once(tmp_path):
+    # A # line among the rows splits its chunk in two np.loadtxt calls, and
+    # every chunk's rows go into the one buffer: as tests/test_memory.py
+    # bounds it for a clean file, under 24 bytes a sample (16 for the
+    # series).
+    n = 300_000
+    path = tmp_path / "late.csv"
+    series = TimeSeries(np.arange(float(n)), np.sin(np.arange(n) / 7.0) * 1e-3)
+    signals.write_timeseries_csv(series, path)
+    lines = path.read_text().splitlines(keepends=True)
+    for at in (len(lines) - 10, len(lines) // 2, 5):
+        lines.insert(at, "# label=late\n")
+    path.write_text("".join(lines))
+    small = tmp_path / "small.csv"
+    small.write_text("time_s,value\n0,1\n# label=x\n1,2\n")
+    signals.read_timeseries_csv(small)
+    tracemalloc.start()
+    try:
+        got = signals.read_timeseries_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.label == "late" and len(got) == n
+    assert peak / n < 24
 
 
 @settings(max_examples=150, deadline=None,
