@@ -20,10 +20,10 @@ is one in a stream, which has no hook). The rows go into one buffer sized
 from the file's size, so each is held once.
 
 Formatting: ``write_rows`` (and ``write_long_rows`` for the time-major
-trace files) writes ``BLOCK_ROWS`` rows at a time with array arithmetic, and
-the bytes equal those of ``row_format % row`` per row (``%.9g`` and
-``f"{x:.9g}"`` share one formatter). Each ``%.Pg`` field is made in three
-steps.
+trace files) writes ``BLOCK_ROWS`` rows at a time with array arithmetic to
+a file opened in binary mode, and the bytes equal those of ``row_format %
+row`` per row (``%.9g`` and ``f"{x:.9g}"`` share one formatter). Each
+``%.Pg`` field is made in three steps.
 
 - Digits. ``e = floor(log10|x|)`` and ``m = |x| * 10**(P-1-e)``, where the
   power is ``float(10**k)`` (exact for |k| <= 22, correctly rounded beyond)
@@ -58,7 +58,8 @@ steps.
   (``nan`` among small integers). Separators are constant rows. The
   fields' slots are laid row by row with one transposing copy and their
   NUL bytes dropped in one ``bytes.translate`` pass, which leaves the
-  rows' text in order.
+  rows' ASCII bytes in order, written with no decode and re-encode; both
+  go ``_WRITE_ROWS`` rows at a time.
 
 The writers use three row formats, ``%.12g,%.9g``, ``%.9g,%.9g`` and
 ``%d,%.9g``, and the long rows; so fields are ``%.9g``, ``%.12g`` or
@@ -79,6 +80,8 @@ from .errors import ParseError
 #: calls, small enough that a block's arrays (under 100 bytes a row at
 #: their peak) stay a few megabytes.
 BLOCK_ROWS = 65536
+#: Rows of a block laid out and written at a time: a few hundred kilobytes.
+_WRITE_ROWS = 4096
 #: Characters read per body chunk: the chunk's line strings stay well
 #: under a megabyte however long the file.
 _READ_CHUNK = 1 << 16
@@ -378,24 +381,24 @@ def _literal_slots(text, n):
 
 
 def _write_block(fh, parts):
-    """Write the rows whose slot rows are ``parts``, (h, n) arrays in order.
+    """Write to the binary file ``fh`` the rows whose slot rows are ``parts``,
+    (h, n) arrays in order.
 
-    The slots are laid row by row with one transposing copy and their NUL
-    bytes dropped in one ``bytes.translate`` pass. ``parts`` is emptied and
-    each copy dropped once the next is made, so that a block holds about
-    two copies of its slots at a time.
+    ``_WRITE_ROWS`` rows at a time, the slots are laid row by row into one
+    buffer with one transposing copy, and their NUL bytes dropped in one
+    ``bytes.translate`` pass whose ASCII bytes are written as they are. So
+    a block write holds, besides its slots, three copies of a piece of its
+    rows, not of the whole block.
     """
-    rows = np.empty((parts[0].shape[1], sum(len(part) for part in parts)), np.uint8)
-    r = 0
-    for part in parts:
-        rows[:, r:r + len(part)] = part.T
-        r += len(part)
-    parts.clear()
-    data = rows.tobytes()
-    del rows
-    text = data.translate(None, b"\0")
-    del data
-    fh.write(text.decode("ascii"))
+    n = parts[0].shape[1]
+    rows = np.empty((min(n, _WRITE_ROWS), sum(len(part) for part in parts)), np.uint8)
+    for lo in range(0, n, len(rows)):
+        hi = min(lo + len(rows), n)
+        r = 0
+        for part in parts:
+            rows[:hi - lo, r:r + len(part)] = part[:, lo:hi].T
+            r += len(part)
+        fh.write(rows[:hi - lo].tobytes().translate(None, b"\0"))
 
 
 def _parse_format(row_format):
@@ -408,7 +411,8 @@ def _parse_format(row_format):
 
 
 def write_rows(fh, row_format, *columns):
-    """Write ``row_format % row`` for each row of the equal-length columns.
+    """Write ``row_format % row`` for each row of the equal-length columns to
+    the binary file ``fh``, as ASCII.
 
     ``row_format`` formats one row, newline included, from ``%.9g``,
     ``%.12g`` and ``%d`` fields (``%d`` on integer columns only); the bytes
@@ -426,8 +430,9 @@ def write_rows(fh, row_format, *columns):
 
 
 def write_long_rows(fh, times, matrix):
-    """``time,index,value`` rows, time-major: ``f"{t:.9g},{i},{x:.9g}\\n"``
-    for each step's time ``t`` and each row ``i`` of ``matrix[:, step]``.
+    """``time,index,value`` rows, time-major, to the binary file ``fh``:
+    ``f"{t:.9g},{i},{x:.9g}\\n"`` for each step's time ``t`` and each row
+    ``i`` of ``matrix[:, step]``.
 
     Each step's time is formatted once and its slots repeated N times, and
     the index column is formatted once for range(N) and tiled. A (steps, N)

@@ -7,10 +7,13 @@ keeps the one-at-a-time greedy visit (``_prune_sequential``) only for what
 the rounds leave. ``lif_run`` and ``rate_run`` loop over time steps and
 update all neurons of a step at once. A step makes only the array calls its
 sequential arithmetic needs: each writes into a preallocated array (the new
-state straight into the step's row of a (steps, N) buffer), every constant
-operand is a length-N array rather than a Python float, and the work of a
-spike (the recurrent input, the reset, the refractory hold) is done only on
-the steps that have one.
+state straight into the step's row of a (steps, N) buffer or of a block
+buffer), every constant operand is a length-N array rather than a Python
+float, and the work of a spike (the recurrent input, the reset, the
+refractory hold) is done only on the steps that have one. The steps run in
+blocks of ``_block_steps(N)``: a (steps, N) buffer is kept only for what the
+kernel returns, and what a step needs for itself (the LIF's ``dt * drive``,
+the rate units' pre-activation state) is held one block at a time.
 """
 
 import math
@@ -18,6 +21,10 @@ from bisect import bisect_left, insort
 from collections import deque
 
 import numpy as np
+
+#: Values a kernel's block buffer holds (128 KiB of float64): a block is this
+#: many neuron-steps, at least one step.
+_BLOCK_VALUES = 1 << 14
 
 
 def local_maxima(values):
@@ -170,11 +177,13 @@ def lif_run(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt, ta
     The loop does the arithmetic of the per-step update above, in the same
     order, with fewer array operations per step, and gives the same bits (a
     NaN may carry another NaN's payload). A step is: ``dv = leak * (rest -
-    V)``, ``dv += dt * drive`` (taken for all steps at once), the recurrent
-    input if the last step had a spike, the new V written straight into the
-    step's row of potentials, the decay of the filtered trace written into
-    its row, and the threshold test. The constants are length-N arrays, so
-    a step without a spike converts no Python float.
+    V)``, ``dv += dt * drive`` (taken for a block of steps at once into one
+    block buffer; the product is elementwise, so its bits do not depend on
+    the block), the recurrent input if the last step had a spike, the new V
+    written straight into the step's row of potentials, the decay of the
+    filtered trace written into its row, and the threshold test. The
+    constants are length-N arrays, so a step without a spike converts no
+    Python float.
 
     - ``weights @ spikes_prev`` is taken only on a step after a spike; on
       any other step it is a vector of zeros, which leaves V unchanged.
@@ -200,8 +209,8 @@ def lif_run(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt, ta
     syn_decay = np.full(N, math.exp(-dt / tau_syn))
     syn_jump = 1.0 / tau_syn
     hold = _refractory_hold(refractory, dt, steps)
-    dt_drive = np.empty((steps, N))
-    np.multiply(dt, drive.T, out=dt_drive)
+    block = _block_steps(N)
+    dt_drive = np.empty((min(block, steps), N))
 
     potentials = np.full((steps, N), v_reset, dtype=np.float64)  # a held neuron's value
     filtered = np.empty((steps, N))
@@ -217,38 +226,41 @@ def lif_run(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt, ta
     wake = steps  # the release step of held[0]
     spikes_prev = None  # the previous step's spikes as 0/1, None when it had none
 
-    for k in range(steps):
-        if k == wake:
-            active[held.popleft()[1]] = True
-            wake = held[0][0] if held else steps
-        np.subtract(rest, v, out=dv)
-        np.multiply(leak, dv, out=dv)
-        dv += dt_drive[k]
-        if spikes_prev is not None:
-            dv += weights @ spikes_prev
-            spikes_prev = None
-        if held:
-            v = np.add(v, dv, out=potentials[k], where=active)
-        else:
-            v = np.add(v, dv, out=potentials[k])
-        syn = np.multiply(syn, syn_decay, out=filtered[k])
-        np.greater(v, th, out=above)
-        if not np.count_nonzero(above):
-            continue
-        fired = np.flatnonzero(active & above)
-        if not fired.size:
-            continue
-        v[fired] = v_reset
-        syn[fired] += syn_jump
-        spike_steps.extend([k] * fired.size)
-        spike_neurons.extend(fired.tolist())
-        if hold:
-            active[fired] = False
-            held.append((k + 1 + hold, fired))
-            wake = held[0][0]
-        if weights is not None:
-            spikes_prev = np.zeros(N)
-            spikes_prev[fired] = 1.0
+    for lo in range(0, steps, block):
+        hi = min(lo + block, steps)
+        np.multiply(dt, drive[:, lo:hi].T, out=dt_drive[:hi - lo])
+        for k, dt_drive_k in zip(range(lo, hi), dt_drive):
+            if k == wake:
+                active[held.popleft()[1]] = True
+                wake = held[0][0] if held else steps
+            np.subtract(rest, v, out=dv)
+            np.multiply(leak, dv, out=dv)
+            dv += dt_drive_k
+            if spikes_prev is not None:
+                dv += weights @ spikes_prev
+                spikes_prev = None
+            if held:
+                v = np.add(v, dv, out=potentials[k], where=active)
+            else:
+                v = np.add(v, dv, out=potentials[k])
+            syn = np.multiply(syn, syn_decay, out=filtered[k])
+            np.greater(v, th, out=above)
+            if not np.count_nonzero(above):
+                continue
+            fired = np.flatnonzero(active & above)
+            if not fired.size:
+                continue
+            v[fired] = v_reset
+            syn[fired] += syn_jump
+            spike_steps.extend([k] * fired.size)
+            spike_neurons.extend(fired.tolist())
+            if hold:
+                active[fired] = False
+                held.append((k + 1 + hold, fired))
+                wake = held[0][0]
+            if weights is not None:
+                spikes_prev = np.zeros(N)
+                spikes_prev[fired] = 1.0
 
     return (potentials.T, filtered.T,
             np.asarray(spike_steps, dtype=np.int64),
@@ -273,28 +285,57 @@ def rate_run(x0, drive, weights, tau, dt):
     """Forward-Euler tanh rate dynamics: tau * dx/dt = -x + weights@tanh(x) + drive.
 
     ``drive`` is the already-projected external input, shape (N, steps).
-    Returns (state, activities): the pre-activation x and r = tanh(x), both
-    (N, steps), as ``.T`` views of buffers recorded one step per row. A step
-    is ``dx = weights @ r - x`` (``-x`` without weights), ``dx += drive``,
-    ``dx *= dt/tau`` (a length-N array), and ``x + dx`` and its tanh written
-    straight into the step's rows. ``(-x) + y`` and ``y - x`` are the same
-    IEEE sum, so the update has the bits of the formula read left to right.
+    Returns (activities, first): r = tanh(x), (N, steps), as the ``.T`` view
+    of a buffer recorded one step per row, and the (step, neuron) of the
+    first pre-activation x that is not finite (``first_nonfinite``), or None.
+    The states x are held one block of steps at a time and checked after
+    each block; the run goes on to its last step either way.
+
+    A step is ``dx = weights @ r - x`` (``-x`` without weights), ``dx +=
+    drive``, ``dx *= dt/tau`` (a length-N array), and ``x + dx`` and its
+    tanh written straight into the step's rows. ``(-x) + y`` and ``y - x``
+    are the same IEEE sum, so the update has the bits of the formula read
+    left to right. ``weights @ r`` is ``np.dot`` into ``dx``, which copies
+    ``weights`` on each step unless it is C-contiguous.
     """
     N, steps = drive.shape
     x = np.array(x0, dtype=np.float64, copy=True)
     r = np.tanh(x)
     a = np.full(N, dt / tau)
-    state = np.empty((steps, N))
+    block = _block_steps(N)
+    state = np.empty((min(block, steps), N))
     activities = np.empty((steps, N))
     dx = np.empty(N)
-    for k in range(steps):
-        if weights is not None:
-            np.matmul(weights, r, out=dx)
-            dx -= x
-        else:
-            np.negative(x, out=dx)
-        dx += drive[:, k]
-        np.multiply(a, dx, out=dx)
-        x = np.add(x, dx, out=state[k])
-        r = np.tanh(x, out=activities[k])
-    return state.T, activities.T
+    first = None
+    for lo in range(0, steps, block):
+        hi = min(lo + block, steps)
+        for k, state_k in zip(range(lo, hi), state):
+            if weights is not None:
+                np.dot(weights, r, out=dx)
+                dx -= x
+            else:
+                np.negative(x, out=dx)
+            dx += drive[:, k]
+            np.multiply(a, dx, out=dx)
+            x = np.add(x, dx, out=state_k)
+            r = np.tanh(x, out=activities[k])
+        if first is None:
+            first = first_nonfinite(state[:hi - lo])
+            if first is not None:
+                first = (lo + first[0], first[1])
+    return activities.T, first
+
+
+def first_nonfinite(rows):
+    """The (step, neuron) of the first value of (steps, N) ``rows`` that is
+    not finite, the earliest step and then the lowest neuron, or None."""
+    finite = np.isfinite(rows)
+    if finite.all():
+        return None
+    step, neuron = divmod(int(np.argmin(finite)), rows.shape[1])
+    return step, neuron
+
+
+def _block_steps(n):
+    """Steps per block of a kernel with ``n`` neurons: ``_BLOCK_VALUES`` values."""
+    return max(1, _BLOCK_VALUES // max(n, 1))

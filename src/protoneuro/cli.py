@@ -132,7 +132,7 @@ def cmd_weights(args) -> int:
         raise ValidationError("--seed goes with seeded weights, not with --table1")
     seed = None if args.table1 else _resolve_seed(args, config)
     matrix = coding.weight_matrix("reference" if args.table1 else "seeded", n, seed)
-    with open(args.out, "w", newline="") as fh:
+    with open(args.out, "wb") as fh:
         _csvio.write_rows(fh, ",".join(["%.9g"] * matrix.size) + "\n", *matrix.entries.T)
     print(f"n={matrix.size} source={'table1' if args.table1 else f'seeded({seed})'}")
     return EXIT_OK

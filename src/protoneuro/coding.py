@@ -167,8 +167,8 @@ def fire_step(code_column, weights: WeightMatrix, fire_threshold: float) -> np.n
 
 def write_code_csv(code: CodeMatrix, path) -> None:
     """Export codes with neuron labels as header; one row per time sample."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(code.neuron_labels) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(code.neuron_labels) + "\n").encode())
         _csvio.write_rows(fh, ",".join(["%d"] * code.neuron_count) + "\n", *code.entries)
 
 

@@ -20,12 +20,16 @@ Both integrators live in the kernel layer (``protoneuro._kernels``) and are
 deterministic: every LIF neuron starts at rest and every rate unit at
 x = 0. External input units for the LIF are volts per second, so a
 constant drive I reaches the steady state V_rest + tau_m * I. A run that
-overflows ends, without a NumPy warning, in a NonFiniteStateError.
+overflows ends, without a NumPy warning, in a NonFiniteStateError naming
+the first step, then the lowest neuron, whose state is not finite
+(``_kernels.first_nonfinite``). The spiking run looks for it in the
+recorded potentials; the rate kernel keeps only the activities and checks
+its pre-activation states one block of steps at a time as it goes.
 
 The module also reads what a simulation takes: the network spec JSON
 (``load_network_json``) and the input and feedback stream CSVs
-(``read_stream_csv``, one ``_csvio.read_rows`` pass and one array test of
-the time steps), and writes the trace, raster and readout CSVs.
+(``read_stream_csv``, one ``_csvio.read_rows`` pass and array tests of the
+values and the time steps), and writes the trace, raster and readout CSVs.
 """
 
 import itertools
@@ -62,7 +66,8 @@ class LifParameters:
 
 
 def _as_matrix(name, value, shape):
-    """A finite float64 matrix of ``shape``, whose None sizes are free (a vector is one row)."""
+    """A finite, C-contiguous float64 matrix of ``shape``, whose None sizes are
+    free (a vector is one row)."""
     m = np.asarray(value, dtype=np.float64)
     if None in shape:
         m = np.atleast_2d(m)
@@ -71,7 +76,7 @@ def _as_matrix(name, value, shape):
         raise ShapeError(f"{name} must have shape {shape}, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{name} contains non-finite entries")
-    return m
+    return np.ascontiguousarray(m)
 
 
 @dataclass(eq=False)
@@ -154,11 +159,11 @@ def _drive(net, inputs):
     return net.input_weights @ fin
 
 
-def _times(steps, dt, what, recorded):
-    """The times of a run's steps, or a NonFiniteStateError naming the earliest
-    step, then the lowest neuron, where its ``recorded`` (N, steps) state is not finite."""
-    if not np.all(np.isfinite(recorded)):
-        step, neuron = (int(i) for i in np.argwhere(~np.isfinite(recorded.T))[0])
+def _times(steps, dt, what, first):
+    """The times of a run's steps, or a NonFiniteStateError naming ``first``, the
+    (step, neuron) of the first value of its ``what`` that is not finite."""
+    if first is not None:
+        step, neuron = first
         raise NonFiniteStateError(f"simulation produced non-finite {what}: first at step "
                                   f"{step} (t={(step + 1) * dt:.9g} s), neuron {neuron}")
     return (np.arange(steps) + 1) * dt
@@ -168,23 +173,32 @@ def run_spiking(net: SpikingNetwork, inputs) -> SimulationTrace:
     """Integrate the spiking network over the columns of ``inputs``.
 
     ``inputs`` has shape (input_dim, steps); the readout is the output
-    weights applied to the exponentially filtered spike trains.
+    weights applied to the exponentially filtered spike trains. The drive
+    and the filtered trains are dropped as soon as they have been used.
     """
     lif = net.lif
     with np.errstate(over="ignore", invalid="ignore"):
         drive = _drive(net, inputs)
+        steps = drive.shape[1]
         potentials, filtered, spike_steps, spike_neurons = _kernels.lif_run(
             np.full(net.n, lif.rest), drive, net.recurrent_weights, lif.membrane_time_constant,
             lif.rest, lif.threshold, lif.reset, lif.refractory, lif.dt, net.tau_syn)
+        del drive
         outputs = net.output_weights @ filtered
-    times = _times(drive.shape[1], lif.dt, "membrane potentials", potentials)
+        del filtered
+    times = _times(steps, lif.dt, "membrane potentials",
+                   _kernels.first_nonfinite(potentials.T))
     raster = [(int(j), float((k + 1) * lif.dt)) for k, j in zip(spike_steps, spike_neurons)]
     return SimulationTrace(times=times, membrane_potentials=potentials,
                            spike_raster=raster, outputs=outputs)
 
 
 def run_rate(net: RateNetwork, inputs, output_feedback=None) -> SimulationTrace:
-    """Integrate the rate network; returns unit activities tanh(x) per step."""
+    """Integrate the rate network; returns unit activities tanh(x) per step.
+
+    ``output_feedback``, if given, is (feedback_dim, steps) and finite, like
+    ``inputs``; its projection is added to the drive in place.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         drive = _drive(net, inputs)
         if output_feedback is not None:
@@ -194,10 +208,12 @@ def run_rate(net: RateNetwork, inputs, output_feedback=None) -> SimulationTrace:
             expected = (net.feedback_weights.shape[1], drive.shape[1])
             if fb.shape != expected:
                 raise ShapeError(f"feedback must have shape {expected}, got {fb.shape}")
+            if not np.all(np.isfinite(fb)):
+                raise ValidationError("feedback contains non-finite entries")
             drive += net.feedback_weights @ fb
-        state, activities = _kernels.rate_run(np.zeros(net.n), drive, net.recurrent_weights,
+        activities, first = _kernels.rate_run(np.zeros(net.n), drive, net.recurrent_weights,
                                               net.time_constant, net.dt)
-    return SimulationTrace(times=_times(drive.shape[1], net.dt, "unit state", state),
+    return SimulationTrace(times=_times(drive.shape[1], net.dt, "unit state", first),
                            unit_activities=activities)
 
 
@@ -298,10 +314,12 @@ def read_stream_csv(path, dt, expected_rows=None):
     """Wide input stream: header time_s,ch0[,ch1...]; returns a (d, steps) array.
 
     Consecutive times must be ``dt`` apart within a relative 1e-6; the first
-    time is free. Blank lines, before the header too, are skipped but count
-    in the line numbers of error messages. The body is parsed in one pass
-    and the steps checked after it, so a parse error wins over an earlier
-    bad step; only a bad step re-reads the file, to name its line.
+    time is free, and every channel value must be finite. Blank lines,
+    before the header too, are skipped but count in the line numbers of
+    error messages. The body is parsed in one pass, then the values and
+    then the steps are checked, so a parse error wins over an earlier
+    non-finite value, and both over an earlier bad step; only a non-finite
+    value or a bad step re-reads the file, to name its line.
     """
     with _inputs.blamed(path), _inputs.open_text(path) as fh:
         header, rest, line = _csvio.read_header(fh, skip_blank=True)
@@ -311,6 +329,14 @@ def read_stream_csv(path, dt, expected_rows=None):
         if width < 2:
             raise ValidationError("header lists no channels")
         rows = _csvio.read_rows(fh, width, rest, line)
+        values = rows[:, 1:]
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad.size:
+            row = int(bad[0])
+            column = int(np.argmin(np.isfinite(values[row])))
+            name = header.split(",")[column + 1].strip()
+            raise ParseError(f"{name} is {values[row, column]:.9g}, not a finite number",
+                             line=_stream_row_line(path, row))
         step = np.diff(rows[:, 0])
         bad = np.flatnonzero(~(np.abs(step - dt) <= 1e-6 * dt))
         if bad.size:
@@ -333,7 +359,7 @@ def _stream_row_line(path, row):
 
 
 def _write_long_csv(path, header, times, matrix):
-    with open(path, "w", newline="") as fh:
+    with open(path, "wb") as fh:
         fh.write(header)
         if matrix is not None:
             _csvio.write_long_rows(fh, times, np.atleast_2d(matrix))
@@ -343,17 +369,17 @@ def write_trace_csv(trace: SimulationTrace, path) -> None:
     """Long-format export: ``time_s,neuron,value`` rows."""
     matrix = trace.membrane_potentials if trace.membrane_potentials is not None \
         else trace.unit_activities
-    _write_long_csv(path, "time_s,neuron,value\n", trace.times, matrix)
+    _write_long_csv(path, b"time_s,neuron,value\n", trace.times, matrix)
 
 
 def write_raster_csv(trace: SimulationTrace, path) -> None:
     """Raster export: ``neuron,spike_time_s`` rows."""
-    with open(path, "w", newline="") as fh:
-        fh.write("neuron,spike_time_s\n")
+    with open(path, "wb") as fh:
+        fh.write(b"neuron,spike_time_s\n")
         _csvio.write_rows(fh, "%d,%.9g\n", [j for j, _ in trace.spike_raster],
                           [t for _, t in trace.spike_raster])
 
 
 def write_outputs_csv(trace: SimulationTrace, path) -> None:
     """Readout export: ``time_s,channel,value`` rows."""
-    _write_long_csv(path, "time_s,channel,value\n", trace.times, trace.outputs)
+    _write_long_csv(path, b"time_s,channel,value\n", trace.times, trace.outputs)

@@ -145,11 +145,10 @@ def write_timeseries_csv(series: TimeSeries, path) -> None:
     Values carry 9 significant digits (relative quantisation below 5e-9);
     times carry 12 so long recordings keep sub-ulp-of-a-second stamps.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(HEADER + "\n")
-        fh.write(f"# unit={series.unit}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{HEADER}\n# unit={series.unit}\n".encode())
         if series.label:
-            fh.write(f"# label={series.label}\n")
+            fh.write(f"# label={series.label}\n".encode())
         _csvio.write_rows(fh, "%.12g,%.9g\n", series.times, series.values)
 
 

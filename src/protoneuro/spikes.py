@@ -172,8 +172,8 @@ def aggregate_stats(stats_list) -> tuple[float, Optional[float]]:
 
 def write_spiketrain_csv(train: SpikeTrain, path) -> None:
     """Export with header ``spike_time_s,amplitude``."""
-    with open(path, "w", newline="") as fh:
-        fh.write("spike_time_s,amplitude\n")
+    with open(path, "wb") as fh:
+        fh.write(b"spike_time_s,amplitude\n")
         _csvio.write_rows(fh, "%.9g,%.9g\n", train.spike_times, train.spike_amplitudes)
 
 

@@ -800,6 +800,12 @@ def reference_read_stream(path, dt, expected_rows=None):
         except ValueError as exc:
             raise ValidationError(f"{path}: line {lineno}: {exc}") from None
         linenos.append(lineno)
+    names = [name.strip() for name in numbered[0][1].split(",")[1:]]
+    for lineno, row in zip(linenos, rows):
+        for name, x in zip(names, row):
+            if not math.isfinite(x):
+                raise ValidationError(f"{path}: line {lineno}: {name} is {x:.9g}, "
+                                      "not a finite number")
     for lineno, before, after in zip(linenos[1:], times, times[1:]):
         if not abs(after - before - dt) <= 1e-6 * dt:
             raise ValidationError(
@@ -832,6 +838,10 @@ def stream_outcome(reader, path, dt):
     "0,1,2\n5,3,4\n2,x,6\n",       # a parse error wins over an earlier bad step
     "0,1,2\n1,3, x \n",            # the message quotes the field of the stripped line
     "0,1,2\nnan,3,4\n",
+    "0,1,2\n1,nan,4\n",            # a channel value that is not finite
+    "0,1,2\n1,3,-inf\n",
+    "0,1,2\n5,3,4\n6,inf,4\n",     # ... wins over an earlier bad step
+    "0,1,2\n1,inf,4\n2,x,4\n",     # a parse error wins over an earlier non-finite value
     "0,1,2\n1,3,4,5\n",            # stray field
     "0,1,2,9\n1,3,4,9\n",          # every row too wide
     "0,1_0,2\n1,3,4\n",            # float accepts, loadtxt not
@@ -960,6 +970,30 @@ def test_sim_rate_feedback_shorter_or_longer_than_input_exits_2(tmp_path, capsys
                                "--feedback", str(fb), "--out-prefix", str(tmp_path / "r"))
     assert (code, stdout) == (2, "")
     assert stderr == "error: feedback must have shape (1, 2), got (1, 3)\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, stream", [
+    ("sim-spiking", "--input"), ("sim-rate", "--input"), ("sim-rate", "--feedback")])
+def test_sim_stream_with_a_non_finite_value_names_its_file_and_line(tmp_path, capsys,
+                                                                   command, stream, value):
+    # Rejected as it is read (exit 2), not as a non-finite state of the run (exit 3).
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"n": 1, "feedback_weights": [[1.0]]} if command == "sim-rate"
+                              else {"n": 1}))
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("time_s,ch0\n1e-4,0.5\n2e-4,0.5\n3e-4,0.5\n")
+    bad.write_text(f"time_s,ch0\n1e-4,0.5\n\n2e-4,{value}\n3e-4,0.5\n")
+    streams = {"--input": good, "--feedback": good} if command == "sim-rate" \
+        else {"--input": good}
+    streams[stream] = bad
+    argv = [command, "--net", str(net), "--out-prefix", str(tmp_path / "r")]
+    for flag, path in streams.items():
+        argv += [flag, str(path)]
+    code, stdout, stderr = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {bad}: line 4: ch0 is {value}, not a finite number\n"
+    assert not list(tmp_path.glob("r_*"))
 
 
 @pytest.mark.parametrize("command", ["sim-spiking", "sim-rate"])

@@ -16,9 +16,9 @@ from protoneuro._csvio import BLOCK_ROWS
 
 
 def formatted(row_format, *columns):
-    fh = io.StringIO()
+    fh = io.BytesIO()
     _csvio.write_rows(fh, row_format, *columns)
-    return fh.getvalue()
+    return fh.getvalue().decode("ascii")
 
 
 def reference(row_format, *columns):
@@ -147,13 +147,13 @@ def test_long_rows_match_percent(rows):
     times = np.concatenate([np.arange(7) * 1e-4, [np.nan, 0.0, -0.0, 1e300]])
     matrix = rng.standard_normal((rows, times.size))
     matrix[0, 3] = np.inf
-    fh = io.StringIO()
+    fh = io.BytesIO()
     _csvio.write_long_rows(fh, times, matrix)
-    assert fh.getvalue() == "".join(f"{t:.9g},{i},{matrix[i, k]:.9g}\n"
+    assert fh.getvalue().decode("ascii") == "".join(f"{t:.9g},{i},{matrix[i, k]:.9g}\n"
                                     for k, t in enumerate(times) for i in range(rows))
 
 
 def test_long_rows_of_an_empty_matrix_write_nothing():
-    fh = io.StringIO()
+    fh = io.BytesIO()
     _csvio.write_long_rows(fh, np.arange(4.0), np.empty((0, 4)))
-    assert fh.getvalue() == ""
+    assert fh.getvalue() == b""

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from protoneuro import _kernels
@@ -196,18 +196,19 @@ def test_rate_matches_unit_loop():
     drive = rng.uniform(-1, 1, (n, steps))
     weights = rng.uniform(-1, 1, (n, n)) * 0.8 / np.sqrt(n)  # contracting dynamics
     x0 = rng.uniform(-0.5, 0.5, n)
-    xp, rp = pure.rate_run(x0, drive, weights, 0.01, 1e-4)
+    rp, first = pure.rate_run(x0, drive, weights, 0.01, 1e-4)
     xr, rr = reference_rate(x0, drive, weights, 0.01, 1e-4)
-    np.testing.assert_allclose(xp, xr, rtol=1e-9, atol=1e-12)
+    assert first is None and np.all(np.isfinite(xr))
     np.testing.assert_allclose(rp, rr, rtol=1e-9, atol=1e-12)
 
 
 def test_rate_matches_unit_loop_without_weights():
     rng = np.random.default_rng(6)
     drive = rng.uniform(-1, 1, (2, 3000))
-    xp, rp = pure.rate_run(np.zeros(2), drive, None, 0.02, 1e-4)
+    rp, first = pure.rate_run(np.zeros(2), drive, None, 0.02, 1e-4)
     xr, rr = reference_rate(np.zeros(2), drive, None, 0.02, 1e-4)
-    np.testing.assert_allclose(xp, xr, rtol=1e-12, atol=1e-15)
+    assert first is None
+    np.testing.assert_allclose(rp, rr, rtol=1e-12, atol=1e-15)
 
 
 # --- bit identity with the straight per-step array updates ---------------------
@@ -265,6 +266,27 @@ def vectorised_rate(x0, drive, weights, tau, dt):
         state[:, k] = x
         activities[:, k] = r
     return state, activities
+
+
+def reference_first_nonfinite(state):
+    """(step, neuron) of the first non-finite entry of an (N, steps) state, or None."""
+    where = np.argwhere(~np.isfinite(state.T))
+    return tuple(int(i) for i in where[0]) if where.size else None
+
+
+def assert_same_rate_bits(got, want):
+    """The activities' bits, and the first non-finite state, of ``vectorised_rate``."""
+    activities, first = got
+    assert_same_bits((activities,), want[1:])
+    assert first == reference_first_nonfinite(want[0])
+
+
+@pytest.fixture
+def small_blocks():
+    """Run the kernels with blocks of ``values`` neuron-steps; restored after the test."""
+    old = pure._BLOCK_VALUES
+    yield lambda values: setattr(pure, "_BLOCK_VALUES", values)
+    pure._BLOCK_VALUES = old
 
 
 def assert_same_bits(got, want):
@@ -344,10 +366,13 @@ def test_lif_cases_reach_their_regimes():
     assert spikes("two-hundred-neurons")[2].size > 200
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), n=st.integers(1, 4), steps=st.integers(0, 40),
-       refractory=st.sampled_from([0.0, 1e-4, 0.00035, 0.002]))
-def test_lif_has_the_bits_of_the_per_step_update_on_any_drive(data, n, steps, refractory):
+       refractory=st.sampled_from([0.0, 1e-4, 0.00035, 0.002]), block=st.integers(1, 12))
+def test_lif_has_the_bits_of_the_per_step_update_on_any_drive(small_blocks, data, n, steps,
+                                                              refractory, block):
+    small_blocks(block)
     cells = st.one_of(st.floats(-2e3, 2e3), st.floats(allow_nan=True, allow_infinity=True))
     drive = np.array(data.draw(st.lists(cells, min_size=n * steps, max_size=n * steps)),
                      dtype=np.float64).reshape(n, steps)
@@ -381,16 +406,21 @@ def test_rate_has_the_bits_of_the_per_step_update(n, steps, weights, scale):
         want = vectorised_rate(x0, drive, w, tau, 1e-4)
     if scale != 1.0:
         assert not np.all(np.isfinite(want[0]))
-    assert_same_bits(got, want)
+    assert_same_rate_bits(got, want)
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), n=st.integers(1, 4), steps=st.integers(0, 40))
-def test_rate_has_the_bits_of_the_per_step_update_on_any_drive(data, n, steps):
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), n=st.integers(1, 4), steps=st.integers(0, 40),
+       block=st.integers(1, 12))
+def test_rate_has_the_bits_of_the_per_step_update_on_any_drive(small_blocks, data, n, steps,
+                                                               block):
+    # Blocks of a few steps put the first non-finite state on any side of a block edge.
+    small_blocks(block)
     cells = st.one_of(st.floats(-10, 10), st.floats(allow_nan=True, allow_infinity=True))
     drive = np.array(data.draw(st.lists(cells, min_size=n * steps, max_size=n * steps)),
                      dtype=np.float64).reshape(n, steps)
     weights = np.linspace(-0.5, 0.6, n * n).reshape(n, n)
     with np.errstate(all="ignore"):
-        assert_same_bits(pure.rate_run(np.zeros(n), drive, weights, 0.01, 1e-4),
-                         vectorised_rate(np.zeros(n), drive, weights, 0.01, 1e-4))
+        assert_same_rate_bits(pure.rate_run(np.zeros(n), drive, weights, 0.01, 1e-4),
+                              vectorised_rate(np.zeros(n), drive, weights, 0.01, 1e-4))

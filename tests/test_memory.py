@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 
-from protoneuro import signals
+from protoneuro import networks, signals
 from protoneuro._kernels import pure
 from protoneuro.signals import SyntheticSpikeSpec
 
@@ -72,19 +72,36 @@ def lif_run(drive):
                         0.002, 1e-4, 0.005)
 
 
-def test_lif_run_holds_three_step_buffers():
-    # dt * drive, the potentials and the filtered trace: 24 bytes a
-    # neuron-step; one more (steps, N) buffer, such as a contiguous copy of
-    # the drive, makes 32.
+def test_lif_run_holds_two_step_buffers():
+    # The potentials and the filtered trace: 16 bytes a neuron-step, plus one
+    # block of dt * drive; dt * drive for every step (24 bytes in all) fails.
     drive = lif_drive(10, N // 10)
     lif_run(drive[:, :10])
-    assert peak_bytes_per_sample(lif_run, drive) < 26
+    assert peak_bytes_per_sample(lif_run, drive) < 19
 
 
-def test_rate_run_holds_two_step_buffers():
-    # The state and the activities: 16 bytes a unit-step.
+def rate_weights(rng, n):
+    return rng.normal(0, 1.2 / np.sqrt(n), (n, n))
+
+
+def test_rate_run_holds_one_step_buffer():
+    # The activities: 8 bytes a unit-step, plus one block of states; the
+    # states of every step (16 bytes in all) fail.
     rng = np.random.default_rng(3)
     drive = rng.uniform(-1, 1, (50, N // 50))
-    weights = rng.normal(0, 1.2 / np.sqrt(50), (50, 50))
+    weights = rate_weights(rng, 50)
     pure.rate_run(np.zeros(50), drive[:, :10], weights, 0.01, 1e-4)
-    assert peak_bytes_per_sample(pure.rate_run, np.zeros(50), drive, weights, 0.01, 1e-4) < 18
+    assert peak_bytes_per_sample(pure.rate_run, np.zeros(50), drive, weights, 0.01, 1e-4) < 11
+
+
+def test_rate_network_with_feedback_holds_two_step_buffers():
+    # The drive with the feedback projection (16 bytes a unit-step at once,
+    # the sum of the two), then the drive and the activities; the
+    # kernel's states of every step (24 bytes in all) fail.
+    rng = np.random.default_rng(4)
+    net = networks.RateNetwork(50, rate_weights(rng, 50), rng.uniform(-1, 1, (50, 2)),
+                               feedback_weights=rng.uniform(-1, 1, (50, 1)))
+    inputs = rng.uniform(-1, 1, (2, N // 50))
+    feedback = rng.uniform(-1, 1, (1, N // 50))
+    networks.run_rate(net, inputs[:, :10], feedback[:, :10])
+    assert peak_bytes_per_sample(networks.run_rate, net, inputs, feedback) < 20

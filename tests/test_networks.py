@@ -293,6 +293,11 @@ def test_rate_feedback_stream():
     assert not trace.unit_activities.any()
     with pytest.raises(ShapeError):
         networks.run_rate(net, np.zeros((1, 10)), output_feedback=np.zeros((1, 5)))
+    # Like the inputs: a non-finite feedback value is bad input, not a
+    # non-finite state of the run.
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="^feedback contains non-finite entries$"):
+            networks.run_rate(net, np.zeros((1, 3)), output_feedback=[[0.0, value, 0.0]])
 
 
 def test_network_json_round_trip(tmp_path):
