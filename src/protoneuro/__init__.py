@@ -5,8 +5,7 @@ The public surface is re-exported here; see the module docstrings for the
 exact file formats and numeric conventions.
 
 The names load on first access (PEP 562): ``import protoneuro`` imports no
-submodule, so a command that needs neither numpy nor scipy does not pay
-for them.
+submodule, so a command that does not need numpy does not pay for it.
 """
 
 import importlib

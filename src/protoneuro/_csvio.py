@@ -296,15 +296,17 @@ def _field_slots(column, precision):
         x = column.astype(np.float64, copy=False)
     q, e, bad = _scaled_digits(x, p)
 
-    # Digits, in chunks of at most five, and how many are significant.
+    # Digits, in chunks of at most five, and how many are significant. Below
+    # the first split every chunk is < 10**8, so the chunks are int32.
     qi = q.astype(np.int64)
     del q
     widths = _CHUNK_WIDTHS[p]
     chunks = []
     for w in widths[:0:-1]:
-        top = qi // 10 ** w
-        chunks.append(qi - top * 10 ** w)
-        qi = top
+        qi, low = np.divmod(qi, 10 ** w)
+        chunks.append(low.astype(np.int32, copy=False))
+        qi = qi.astype(np.int32, copy=False)
+    del low
     chunks.append(qi)
     chunks.reverse()
     tz = _trailing_zeros(widths[-1]).take(chunks[-1])
@@ -313,6 +315,7 @@ def _field_slots(column, precision):
         tz = tz + below_zero * _trailing_zeros(w).take(c)
         below_zero &= c == 0
     nsig = p - tz.astype(np.int16)
+    del tz, below_zero
 
     X = e.astype(np.int16)
     del e
@@ -322,6 +325,7 @@ def _field_slots(column, precision):
     dot = np.where(upper & (nsig > X + 1), X, np.where(~fixed & (nsig > 1), 0, -1))
     zeros = np.where(fixed & (X < 0), -X - 1, -1)
     expo = ~fixed
+    del nsig, fixed, upper
     neg = np.signbit(x)
     ndig[bad] = 0
     dot[bad] = -1
@@ -354,13 +358,18 @@ def _field_slots(column, precision):
     for chunk, w in zip(chunks, widths):
         if j >= n_digits:
             break
-        for row in _digit_table(w).take(chunk, axis=1):
+        # One digit row at a time (1 byte a value, where a (w, n) take holds
+        # w), from the chunk as take's index type, which take would
+        # otherwise convert on each call.
+        index = chunk.astype(np.intp)
+        for table in _digit_table(w):
             if j >= n_digits:
                 break
-            np.multiply(ndig > j, row, out=next(rows))
+            np.multiply(ndig > j, table.take(index), out=next(rows))
             if j in dots:
                 np.multiply(dot == j, c["."], out=next(rows))
             j += 1
+        del index
     if has_expo:
         ax = np.abs(X)
         np.multiply(expo, c["e"], out=next(rows))

@@ -214,8 +214,11 @@ def lif_run(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt, ta
 
     potentials = np.full((steps, N), v_reset, dtype=np.float64)  # a held neuron's value
     filtered = np.empty((steps, N))
-    spike_steps: list[int] = []
-    spike_neurons: list[int] = []
+    # Spike steps and neurons go into int64 buffers that double when full:
+    # 8 bytes a spike each, where lists of Python ints take about 20 in all.
+    spike_steps = np.empty(1024, np.int64)
+    spike_neurons = np.empty(1024, np.int64)
+    spikes = 0
     dv = np.empty(N)
     above = np.empty(N, dtype=bool)
     syn = np.zeros(N)
@@ -252,8 +255,13 @@ def lif_run(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt, ta
                 continue
             v[fired] = v_reset
             syn[fired] += syn_jump
-            spike_steps.extend([k] * fired.size)
-            spike_neurons.extend(fired.tolist())
+            if spikes + fired.size > spike_steps.size:
+                grown = 2 * spike_steps.size + fired.size
+                spike_steps.resize(grown, refcheck=False)
+                spike_neurons.resize(grown, refcheck=False)
+            spike_steps[spikes:spikes + fired.size] = k
+            spike_neurons[spikes:spikes + fired.size] = fired
+            spikes += fired.size
             if hold:
                 active[fired] = False
                 held.append((k + 1 + hold, fired))
@@ -262,9 +270,9 @@ def lif_run(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt, ta
                 spikes_prev = np.zeros(N)
                 spikes_prev[fired] = 1.0
 
-    return (potentials.T, filtered.T,
-            np.asarray(spike_steps, dtype=np.int64),
-            np.asarray(spike_neurons, dtype=np.int64))
+    spike_steps.resize(spikes, refcheck=False)
+    spike_neurons.resize(spikes, refcheck=False)
+    return potentials.T, filtered.T, spike_steps, spike_neurons
 
 
 def _refractory_hold(refractory, dt, steps):

@@ -12,8 +12,7 @@ win. The environment variable PROTONEURO_SEED overrides the config seed and
 is itself overridden by --seed.
 
 Each subcommand imports the modules it computes with, so ``waveform``,
-``report`` and ``qsar-predict`` start without numpy and only ``qsar-fit``
-imports scipy. The module defines no file parser: series, network specs
+``report`` and ``qsar-predict`` start without numpy. The module defines no file parser: series, network specs
 and streams, QSAR files, configs and manifests are read by ``signals``,
 ``networks``, ``qsar`` and ``config``, and a report by ``_inputs``, which
 also checks the flags no dataclass checks (``--seed``, ``--steps``,
@@ -220,7 +219,7 @@ def cmd_sim_spiking(args) -> int:
     networks.write_trace_csv(trace, args.out_prefix + "_trace.csv")
     networks.write_raster_csv(trace, args.out_prefix + "_raster.csv")
     networks.write_outputs_csv(trace, args.out_prefix + "_output.csv")
-    print(f"steps={trace.times.size} spikes={len(trace.spike_raster)}")
+    print(f"steps={trace.times.size} spikes={trace.spike_neurons.size}")
     return EXIT_OK
 
 

@@ -138,14 +138,17 @@ class SimulationTrace:
     """Recorded run: sample times plus per-step state and events.
 
     ``membrane_potentials`` is filled for spiking runs and
-    ``unit_activities`` (tanh outputs) for rate runs; ``spike_raster`` is a
-    list of (neuron, time) pairs and ``outputs`` the readout stream.
+    ``unit_activities`` (tanh outputs) for rate runs. The raster is two
+    equal-length arrays in spike order: ``spike_neurons`` (int64) and
+    ``spike_times`` (s), empty for a run without spikes. ``outputs`` is the
+    readout stream.
     """
 
     times: np.ndarray
     membrane_potentials: np.ndarray = None
     unit_activities: np.ndarray = None
-    spike_raster: list = field(default_factory=list)
+    spike_neurons: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    spike_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     outputs: np.ndarray = None
 
 
@@ -188,9 +191,10 @@ def run_spiking(net: SpikingNetwork, inputs) -> SimulationTrace:
         del filtered
     times = _times(steps, lif.dt, "membrane potentials",
                    _kernels.first_nonfinite(potentials.T))
-    raster = [(int(j), float((k + 1) * lif.dt)) for k, j in zip(spike_steps, spike_neurons)]
+    spike_steps += 1  # a spike at step k is at (k + 1) * dt, as in ``times``
     return SimulationTrace(times=times, membrane_potentials=potentials,
-                           spike_raster=raster, outputs=outputs)
+                           spike_neurons=spike_neurons, spike_times=spike_steps * lif.dt,
+                           outputs=outputs)
 
 
 def run_rate(net: RateNetwork, inputs, output_feedback=None) -> SimulationTrace:
@@ -376,8 +380,7 @@ def write_raster_csv(trace: SimulationTrace, path) -> None:
     """Raster export: ``neuron,spike_time_s`` rows."""
     with open(path, "wb") as fh:
         fh.write(b"neuron,spike_time_s\n")
-        _csvio.write_rows(fh, "%d,%.9g\n", [j for j, _ in trace.spike_raster],
-                          [t for _, t in trace.spike_raster])
+        _csvio.write_rows(fh, "%d,%.9g\n", trace.spike_neurons, trace.spike_times)
 
 
 def write_outputs_csv(trace: SimulationTrace, path) -> None:

@@ -186,7 +186,7 @@ def test_criterion_7_network_dynamics_match_closed_forms():
     analytic = lif.membrane_time_constant * math.log(
         i_eff / (i_eff - (lif.threshold - lif.rest)))
     trace = networks.run_spiking(net, np.full((1, int(2.0 / lif.dt)), current))
-    periods = np.diff([t for _, t in trace.spike_raster])
+    periods = np.diff(trace.spike_times)
     lif_err = abs(periods.mean() - analytic) / analytic
     lif_ok = lif_err < 0.01
 

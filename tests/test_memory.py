@@ -1,5 +1,6 @@
-"""Peak memory of the series path and the simulation kernels, in bytes per
-sample (a neuron-step for the kernels).
+"""Peak memory of the series path, the simulation kernels and the block
+writer, in bytes per sample (a neuron-step for the kernels, a spike for the
+raster, a row for the writer).
 
 ``tracemalloc`` traces NumPy's array buffers as well as Python objects, so
 the peak over a call counts every copy of the data the call holds at once.
@@ -12,21 +13,26 @@ import tracemalloc
 
 import numpy as np
 
-from protoneuro import networks, signals
+from protoneuro import _csvio, networks, signals
 from protoneuro._kernels import pure
 from protoneuro.signals import SyntheticSpikeSpec
 
 N = 300_000
 
 
-def peak_bytes_per_sample(call, *args):
+def traced_peak(call, *args):
+    """The peak of traced memory over ``call(*args)``, and its result."""
     tracemalloc.start()
     try:
-        call(*args)
+        result = call(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak / N
+    return peak, result
+
+
+def peak_bytes_per_sample(call, *args):
+    return traced_peak(call, *args)[0] / N
 
 
 def noisy_spec(samples):
@@ -105,3 +111,31 @@ def test_rate_network_with_feedback_holds_two_step_buffers():
     feedback = rng.uniform(-1, 1, (1, N // 50))
     networks.run_rate(net, inputs[:, :10], feedback[:, :10])
     assert peak_bytes_per_sample(networks.run_rate, net, inputs, feedback) < 20
+
+
+def test_spike_raster_holds_two_arrays():
+    # All 100,000 neuron-steps of the dense run spike; its peak over that of
+    # a silent run of the same size is the raster's: the kernel's int64 step
+    # and neuron buffers (doubled when full) and then the neurons and float64
+    # times, about 21 bytes a spike. Held as a list of (int, float) tuples,
+    # with the kernel's lists of ints, it took about 87.
+    spikes = 100_000
+    net = networks.SpikingNetwork(10, np.zeros((10, 10)), np.ones((10, 1)), np.ones((1, 10)),
+                                  lif=networks.LifParameters(refractory=0.0))
+    networks.run_spiking(net, np.full((1, 10), 1e4))
+    silent, _ = traced_peak(networks.run_spiking, net, np.zeros((1, spikes // 10)))
+    dense, trace = traced_peak(networks.run_spiking, net, np.full((1, spikes // 10), 1e4))
+    assert trace.spike_neurons.size == spikes
+    assert (dense - silent) / spikes < 40
+
+
+def test_field_slots_hold_the_digit_chunks_as_int32():
+    # One block of %.12g fields: the slot matrix (23 bytes a row here), the
+    # masks and the int32 digit chunks, about 62 bytes a row at the peak.
+    # int64 chunks, every mask kept to the end and (4, n) digit takes took
+    # about 81.
+    values = np.random.default_rng(6).standard_normal(_csvio.BLOCK_ROWS) * 3e-4
+    _csvio._field_slots(values[:10], 12)
+    peak, slots = traced_peak(_csvio._field_slots, values, 12)
+    assert slots.shape == (23, _csvio.BLOCK_ROWS)
+    assert peak / _csvio.BLOCK_ROWS < 70

@@ -26,7 +26,7 @@ def analytic_period(lif, current):
 
 
 def spike_times(trace):
-    return np.array([t for _, t in trace.spike_raster])
+    return trace.spike_times
 
 
 def test_lif_parameter_validation():
@@ -68,7 +68,7 @@ def test_rest_is_a_fixed_point():
     lif = LifParameters()
     net = single_neuron(lif)
     trace = networks.run_spiking(net, np.zeros((1, 2000)))
-    assert not trace.spike_raster
+    assert trace.spike_neurons.size == trace.spike_times.size == 0
     np.testing.assert_allclose(trace.membrane_potentials, lif.rest, rtol=1e-12)
 
 
@@ -77,7 +77,7 @@ def test_subthreshold_drive_never_spikes():
     rheobase = (lif.threshold - lif.rest) / lif.membrane_time_constant
     steps = int(5.0 / lif.dt)
     trace = networks.run_spiking(single_neuron(lif), np.full((1, steps), 0.9 * rheobase))
-    assert not trace.spike_raster
+    assert trace.spike_neurons.size == trace.spike_times.size == 0
     assert trace.membrane_potentials.max() < lif.threshold
 
 
@@ -111,7 +111,7 @@ def test_zero_network_stays_silent():
     net = SpikingNetwork(n=3, recurrent_weights=np.zeros((3, 3)),
                          input_weights=np.zeros((3, 1)), output_weights=np.zeros((1, 3)))
     trace = networks.run_spiking(net, np.zeros((1, 1000)))
-    assert trace.spike_raster == []
+    assert trace.spike_neurons.size == trace.spike_times.size == 0
     assert not trace.outputs.any()
 
 
@@ -138,9 +138,9 @@ def test_refractory_separation_invariant():
                          output_weights=rng.uniform(-1, 1, (2, 6)), lif=lif)
     fin = rng.uniform(0, 3.0, (2, 20000))
     trace = networks.run_spiking(net, fin)
-    assert len(trace.spike_raster) > 50
+    assert trace.spike_neurons.size > 50
     by_neuron = {}
-    for j, t in trace.spike_raster:
+    for j, t in zip(trace.spike_neurons.tolist(), trace.spike_times.tolist()):
         by_neuron.setdefault(j, []).append(t)
     for ts in by_neuron.values():
         assert np.all(np.diff(ts) >= lif.refractory - 1e-12)
@@ -169,7 +169,8 @@ def test_spiking_determinism():
     fin = rng.uniform(0, 2.5, (1, 8000))
     a = networks.run_spiking(net, fin)
     b = networks.run_spiking(net, fin)
-    assert a.spike_raster == b.spike_raster
+    np.testing.assert_array_equal(a.spike_neurons, b.spike_neurons)
+    np.testing.assert_array_equal(a.spike_times, b.spike_times)
     np.testing.assert_array_equal(a.outputs, b.outputs)
 
 
@@ -364,7 +365,7 @@ def test_trace_exports(tmp_path):
     assert (tmp_path / "trace.csv").read_text().splitlines()[0] == "time_s,neuron,value"
     raster_lines = (tmp_path / "raster.csv").read_text().splitlines()
     assert raster_lines[0] == "neuron,spike_time_s"
-    assert len(raster_lines) == 1 + len(trace.spike_raster)
+    assert len(raster_lines) == 1 + trace.spike_neurons.size
     assert (tmp_path / "out.csv").read_text().splitlines()[0] == "time_s,channel,value"
 
 
@@ -383,10 +384,10 @@ def reference_write_long(path, header, times, matrix):
                 fh.write(f"{t:.9g},{j},{matrix[j, k]:.9g}\n")
 
 
-def reference_write_raster(path, raster):
+def reference_write_raster(path, neurons, times):
     with open(path, "w", newline="") as fh:
         fh.write("neuron,spike_time_s\n")
-        for j, t in raster:
+        for j, t in zip(neurons.tolist(), times.tolist()):
             fh.write(f"{j},{t:.9g}\n")
 
 
@@ -409,7 +410,7 @@ def assert_trace_writers_agree(tmp_path, trace):
     reference_write_long(ref, "time_s,channel,value\n", trace.times, outputs)
     assert new.read_bytes() == ref.read_bytes()
     networks.write_raster_csv(trace, new)
-    reference_write_raster(ref, trace.spike_raster)
+    reference_write_raster(ref, trace.spike_neurons, trace.spike_times)
     assert new.read_bytes() == ref.read_bytes()
 
 
@@ -426,10 +427,9 @@ def test_trace_writers_match_per_row_writers_across_block_edges(tmp_path, rows, 
     rng = np.random.default_rng(rows * 100003 + steps)
     times = (np.arange(steps) + 1) * 1e-4
     matrix = rng.standard_normal((rows, steps)) * 10.0 ** rng.integers(-9, 9, (rows, steps))
-    raster = [(int(j), float(t)) for j, t in zip(rng.integers(0, rows, steps), times)]
     assert_trace_writers_agree(tmp_path, networks.SimulationTrace(
-        times=times, membrane_potentials=matrix, spike_raster=raster,
-        outputs=matrix[:, ::-1].copy()))
+        times=times, membrane_potentials=matrix, spike_neurons=rng.integers(0, rows, steps),
+        spike_times=times, outputs=matrix[:, ::-1].copy()))
     assert_trace_writers_agree(tmp_path, networks.SimulationTrace(
         times=times, unit_activities=matrix))
 
@@ -437,7 +437,7 @@ def test_trace_writers_match_per_row_writers_across_block_edges(tmp_path, rows, 
 def test_writers_of_a_trace_with_no_rows_write_the_header_only(tmp_path):
     trace = networks.SimulationTrace(times=np.arange(3) * 1e-4,
                                      membrane_potentials=np.empty((0, 3)),
-                                     spike_raster=[], outputs=np.empty((0, 3)))
+                                     outputs=np.empty((0, 3)))
     networks.write_outputs_csv(trace, tmp_path / "out.csv")
     networks.write_trace_csv(trace, tmp_path / "trace.csv")
     assert (tmp_path / "out.csv").read_text() == "time_s,channel,value\n"
@@ -447,18 +447,18 @@ def test_writers_of_a_trace_with_no_rows_write_the_header_only(tmp_path):
 def test_trace_writers_match_per_row_writers_on_special_values(tmp_path):
     values = np.concatenate([SPECIAL_VALUES, -SPECIAL_VALUES])
     matrix = np.stack([values, values[::-1]])
-    raster = [(0, float(t)) for t in values] + [(7, float(t)) for t in values]
+    neurons = np.repeat(np.array([0, 7]), values.size)
     for outputs in (values, matrix, None):
         assert_trace_writers_agree(tmp_path, networks.SimulationTrace(
-            times=values, membrane_potentials=matrix, spike_raster=raster,
-            outputs=outputs))
+            times=values, membrane_potentials=matrix, spike_neurons=neurons,
+            spike_times=np.tile(values, 2), outputs=outputs))
 
 
 def test_trace_writers_match_per_row_writers_on_a_simulation(tmp_path):
     spec = {"n": 5, "input_dim": 1, "output_dim": 2, "seed": 3}
     net = networks.spiking_network_from_dict(spec)
     trace = networks.run_spiking(net, np.full((1, 3000), 4.0))
-    assert trace.spike_raster
+    assert trace.spike_neurons.size
     assert_trace_writers_agree(tmp_path, trace)
 
 
@@ -473,4 +473,4 @@ def test_trace_writers_match_per_row_writers_on_any_values(tmp_path, rows, data)
                                          max_size=rows * steps))).reshape(rows, steps)
     assert_trace_writers_agree(tmp_path, networks.SimulationTrace(
         times=times, membrane_potentials=matrix, outputs=matrix,
-        spike_raster=[(j % rows, float(t)) for j, t in enumerate(times)]))
+        spike_neurons=np.arange(steps) % rows, spike_times=times))

@@ -1,7 +1,11 @@
 import json
+import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protoneuro import qsar
 from protoneuro.errors import ParseError, RankDeficiencyError, ValidationError
@@ -229,9 +233,67 @@ def test_model_json_round_trip(tmp_path):
     assert back.bounds["p03"] == REFERENCE_COEFFICIENTS.bounds["p03"]
 
 
-def test_confidence_bounds_equal_the_scipy_stats_t_quantile_bounds():
-    from scipy import stats
+def exact_t_quantile(dof, p, t):
+    """The p-quantile of Student's t with ``dof`` degrees of freedom, at 40
+    digits: two Newton steps from ``t``, a float within 1e-10 of it, on the
+    CDF in the form that does not cancel (the centre below p = 3/4, the
+    upper tail above)."""
+    with mpmath.workdps(40):
+        nu, p, t, half = mpmath.mpf(dof), mpmath.mpf(p), mpmath.mpf(t), mpmath.mpf(0.5)
+        scale = mpmath.gamma((nu + 1) / 2) / (mpmath.sqrt(nu * mpmath.pi) * mpmath.gamma(nu / 2))
+        for _ in range(2):
+            if p < 0.75:
+                miss = mpmath.betainc(half, nu / 2, 0, t * t / (nu + t * t),
+                                      regularized=True) / 2 - (p - half)
+            else:
+                miss = (1 - p) - mpmath.betainc(nu / 2, half, 0, nu / (nu + t * t),
+                                                regularized=True) / 2
+            t -= miss / (scale * (1 + t * t / nu) ** (-(nu + 1) / 2))
+        return t
 
+
+def assert_t_quantile_within_1e14(t, dof, p):
+    exact = exact_t_quantile(dof, p, t)
+    assert abs(t - exact) <= 1e-14 * exact, (dof, p, t, float(exact))
+
+
+@pytest.mark.parametrize("dof", [*range(1, 33), 40, 63, 64, 65, 100, 121, 500, 1000, 10**4,
+                                 10**5, 10**6, 10**9])
+def test_t_quantile_is_within_1e14_of_mpmath_on_a_grid(dof):
+    for level in (1e-12, 0.05, 0.3, 0.5, 0.6, 0.8, 0.9, 0.95, 0.98, 0.99, 0.999, 0.9999,
+                  1 - 2.0 ** -40, 1 - 2.0 ** -52):
+        p = 0.5 + level / 2.0
+        assert_t_quantile_within_1e14(qsar._t_quantile(dof, p), dof, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dof=st.integers(1, 10**6), level=st.floats(0.05, 0.9999))
+def test_t_quantile_is_within_1e14_of_mpmath_on_draws(dof, level):
+    p = 0.5 + level / 2.0
+    assert_t_quantile_within_1e14(qsar._t_quantile(dof, p), dof, p)
+
+
+def test_t_quantile_at_the_ends_of_its_domain():
+    assert qsar._t_quantile(7, 0.5) == 0.0
+    assert qsar._t_quantile(7, 1.0) == math.inf
+
+
+def test_every_tabled_t_quantile_is_within_1e14_of_mpmath():
+    assert sorted(qsar._T_TABLE) == [0.9, 0.95, 0.99]
+    for level, column in qsar._T_TABLE.items():
+        assert len(column) == 120
+        for dof, t in enumerate(column, start=1):
+            assert_t_quantile_within_1e14(t, dof, 0.5 + level / 2.0)
+
+
+def test_interval_t_reads_the_table_at_its_levels_and_dofs_only():
+    assert qsar._interval_t(51, 0.95) == 2.007583770315836
+    assert qsar._interval_t(120, 0.99) == qsar._T_TABLE[0.99][119]
+    assert qsar._interval_t(121, 0.99) == qsar._t_quantile(121, 0.995)
+    assert qsar._interval_t(51, 0.8) == qsar._t_quantile(51, 0.9)
+
+
+def test_confidence_bounds_use_the_tabled_t_quantile():
     x, y = full_rank_points(30, seed=9)
     rates = qsar.predict(REFERENCE_COEFFICIENTS, x, y) \
         + np.random.default_rng(12).standard_normal(30) * 40.0
@@ -239,11 +301,22 @@ def test_confidence_bounds_equal_the_scipy_stats_t_quantile_bounds():
     result = qsar.fit(obs)
     se = np.sqrt(result.residual_sum_squares / 21 * np.diag(result.covariance_unit))
     values = result.coefficients.as_array()
-    for level in (0.5, 0.9, 0.95, 0.99):
-        tq = float(stats.t.ppf(0.5 + level / 2.0, 21))
-        expected = {name: (float(values[j] - tq * se[j]), float(values[j] + tq * se[j]))
-                    for j, name in enumerate(qsar.COEFFICIENT_NAMES)}
-        assert qsar.confidence_bounds(result, obs, level=level) == expected
+
+    def bounds_from(tq):
+        return {name: (float(values[j] - tq * se[j]), float(values[j] + tq * se[j]))
+                for j, name in enumerate(qsar.COEFFICIENT_NAMES)}
+
+    # Bit for bit at the tabled levels, whose values keep fitted models' bytes.
+    for level in (0.9, 0.95, 0.99):
+        assert qsar.confidence_bounds(result, obs, level=level) \
+            == bounds_from(qsar._T_TABLE[level][20])
+    # Elsewhere within the solver's tolerance of the exact quantile's bounds.
+    bounds = qsar.confidence_bounds(result, obs, level=0.5)
+    tq = qsar._t_quantile(21, 0.75)
+    expected = bounds_from(float(exact_t_quantile(21, 0.75, tq)))
+    for j, name in enumerate(qsar.COEFFICIENT_NAMES):
+        for got, want in zip(bounds[name], expected[name]):
+            assert abs(got - want) <= 1e-14 * tq * se[j] + math.ulp(want)
 
 
 def test_predict_on_floats_equals_the_array_path_bit_for_bit():
