@@ -341,7 +341,8 @@ def read_stream_csv(path, dt, expected_rows=None):
             name = header.split(",")[column + 1].strip()
             raise ParseError(f"{name} is {values[row, column]:.9g}, not a finite number",
                              line=_stream_row_line(path, row))
-        step = np.diff(rows[:, 0])
+        with np.errstate(invalid="ignore"):  # inf - inf: a NaN step, reported below
+            step = np.diff(rows[:, 0])
         bad = np.flatnonzero(~(np.abs(step - dt) <= 1e-6 * dt))
         if bad.size:
             raise ParseError(f"time step {step[bad[0]]:.9g} s, expected the network's dt "

@@ -17,12 +17,11 @@ residual variance and the design covariance).
 The rank check is a pivoted Householder QR (Businger and Golub, Numer.
 Math. 7:269, 1965) written with numpy on the nine scaled columns, and the
 design covariance inverts R with ``numpy.linalg.solve``. The t quantile of
-the bounds is computed here with the standard library (``_t_quantile``),
-except at levels 0.9, 0.95 and 0.99 with at most 120 residual degrees of
-freedom, where a frozen table (``_T_TABLE``) keeps fitted model files
-byte-identical; so the module needs numpy and nothing else. numpy is imported inside the array
-functions only, so ``qsar-predict`` (the bundled or a JSON model at one
-point) starts without it.
+the bounds, at every level and degree of freedom, is solved here with the
+standard library (``_t_quantile``), so the module needs numpy and nothing
+else. numpy is imported inside the array functions only, so
+``qsar-predict`` (the bundled or a JSON model at one point) starts without
+it.
 
 The surface is evaluated with products only (``x * x``, ``y * y * y``),
 never ``**``: numpy's float power runs its own vector routines, which can
@@ -34,6 +33,7 @@ for bit.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -169,21 +169,28 @@ def predict(coeffs: QsarCoefficients, x, y):
     """Evaluate the surface; broadcasts over array-valued x and y.
 
     Two Python floats are evaluated without numpy; the result equals the
-    array path's bit for bit.
+    array path's bit for bit. Finite predictors whose surface overflows are
+    a ValidationError on both paths.
     """
     if isinstance(x, float) and isinstance(y, float):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValidationError("predictors must be finite")
+        finite, quiet = math.isfinite, contextlib.nullcontext()
     else:
         import numpy as np
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValidationError("predictors must be finite")
+        quiet = np.errstate(over="ignore", invalid="ignore")
+
+        def finite(v):
+            return bool(np.all(np.isfinite(v)))
+    if not (finite(x) and finite(y)):
+        raise ValidationError("predictors must be finite")
     c = coeffs
-    x2, y2 = x * x, y * y
-    out = (c.p00 + c.p10 * x + c.p01 * y + c.p20 * x2 + c.p11 * x * y
-           + c.p02 * y2 + c.p21 * x2 * y + c.p12 * x * y2 + c.p03 * (y2 * y))
+    with quiet:
+        x2, y2 = x * x, y * y
+        out = (c.p00 + c.p10 * x + c.p01 * y + c.p20 * x2 + c.p11 * x * y
+               + c.p02 * y2 + c.p21 * x2 * y + c.p12 * x * y2 + c.p03 * (y2 * y))
+    if not finite(out):
+        raise ValidationError("predictors too large: the surface overflows")
     return out if getattr(out, "ndim", 0) else float(out)
 
 
@@ -251,8 +258,11 @@ def fit(observations) -> FitResult:
         )
     solution, _, _, _ = np.linalg.lstsq(scaled, rates, rcond=None)
     coeffs = solution / norms
-    residuals = rates - design @ coeffs
-    rss = float(residuals @ residuals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = rates - design @ coeffs
+        rss = float(residuals @ residuals)
+    if not math.isfinite(rss):
+        raise ValidationError("rates too large: the residual sum of squares overflows")
     # Unit-sigma coefficient covariance: D (Xs' Xs)^-1 D with D = diag(1/norms).
     r_full = np.linalg.qr(scaled, mode="r")
     rinv = np.linalg.solve(r_full, np.eye(9))
@@ -398,7 +408,8 @@ def _t_quantile(dof, p):
     F is concave for t > 0, so after at most one step past the root Newton
     climbs to it from below; a step that would leave t <= 0 halves t instead.
     Against mpmath at 40 digits the worst error seen was 11.2 ulp (1.2e-15
-    relative), and 84% of random (dof, level) draws were within 2 ulp.
+    relative), and 84% of random (dof, level) draws were within 2 ulp; at
+    levels 0.9, 0.95 and 0.99 with dof 1-120 it was 4.6 ulp.
     """
     if p == 0.5:
         return 0.0
@@ -428,27 +439,13 @@ def _t_quantile(dof, p):
     raise NumericError(f"t quantile for dof {dof}, p {p!r} did not converge")
 
 
-def _interval_t(dof, level):
-    """The t quantile of a two-sided ``level`` interval with ``dof`` degrees of
-    freedom: the ``_T_TABLE`` entry where there is one, else ``_t_quantile``.
-
-    The table keeps the bytes of model files fitted at levels 0.9, 0.95 and
-    0.99: 225 of its 360 entries differ from ``_t_quantile``'s in the last
-    bits (at dof 51, level 0.95 it is 1 ulp above the correctly rounded
-    value, and that ulp moves 1 of the 9 bound pairs of the benchmark's
-    model). Dropping it is a deliberate output change.
-    """
-    tabled = _T_TABLE.get(level, ())
-    if dof <= len(tabled):
-        return tabled[dof - 1]
-    return _t_quantile(dof, 0.5 + level / 2.0)
-
-
 def confidence_bounds(fit_result: FitResult, observations, level: float = 0.95) -> dict:
     """Per-coefficient (low, high) intervals at the requested level.
 
     Needs more observations than coefficients; with n <= 9 there are no
-    residual degrees of freedom.
+    residual degrees of freedom. A bound that is not finite (a level so
+    near 1 that its t quantile is infinite, or a standard error that
+    overflows) is a ValidationError naming the level.
     """
     obs = list(observations)
     n = len(obs)
@@ -463,13 +460,14 @@ def confidence_bounds(fit_result: FitResult, observations, level: float = 0.95) 
         raise ValidationError("level must be in (0, 1)")
     import numpy as np
     s2 = fit_result.residual_sum_squares / dof
-    se = np.sqrt(s2 * np.diag(fit_result.covariance_unit))
-    tq = _interval_t(dof, level)
+    tq = _t_quantile(dof, 0.5 + level / 2.0)
     values = fit_result.coefficients.as_array()
-    return {
-        name: (float(values[j] - tq * se[j]), float(values[j] + tq * se[j]))
-        for j, name in enumerate(COEFFICIENT_NAMES)
-    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        se = np.sqrt(s2 * np.diag(fit_result.covariance_unit))
+        low, high = values - tq * se, values + tq * se
+    if not (np.all(np.isfinite(low)) and np.all(np.isfinite(high))):
+        raise ValidationError(f"confidence bounds at level {level!r} are not finite")
+    return {name: (float(low[j]), float(high[j])) for j, name in enumerate(COEFFICIENT_NAMES)}
 
 
 def percent_deviation(mean: float, predicted: float) -> float:
@@ -537,106 +535,3 @@ def read_model_json(path) -> QsarCoefficients:
                       for name, pair in bounds.items()}
         return QsarCoefficients(*values, bounds=bounds)
 
-
-#: The t quantile at 0.5 + level / 2, by level, for dof 1-120: the rows of a
-#: classical t table, frozen from the Boost-based quantile that computed the
-#: bounds before this module had ``_t_quantile``. Each entry is within 1e-14
-#: relative of the exact quantile (mpmath, 40 digits).
-_T_TABLE = {
-    0.9: (
-        6.313751514675037, 2.9199855803537242, 2.3533634348018233, 2.1318467863266495,
-        2.0150483733330233, 1.9431802805153042, 1.8945786050900062, 1.8595480375308973,
-        1.833112932656237, 1.8124611228116756, 1.7958848187040433, 1.782287555649319,
-        1.7709333959868725, 1.761310135774891, 1.753050355692572, 1.7458836762762495,
-        1.7396067260750725, 1.7340636066175388, 1.7291328115213682, 1.7247182429207866,
-        1.720742902811878, 1.7171443743802424, 1.713871527747048, 1.710882079909428,
-        1.7081407612518986, 1.7056179197592727, 1.7032884457221265, 1.7011309342659313,
-        1.6991270265334972, 1.697260886593957, 1.6955187825458649, 1.6938887483837102,
-        1.6923603090303438, 1.6909242551868546, 1.6895724577802655, 1.6882977141168156,
-        1.6870936195962631, 1.6859544601667371, 1.6848751217112248, 1.683851013335652,
-        1.682878002132708, 1.6819523574675337, 1.681070703202519, 1.6802299765721167,
-        1.6794273926523544, 1.678660413556865, 1.6779267216418607, 1.6772241961243388,
-        1.6765508926168535, 1.675905025163097, 1.67528495042491, 1.6746891537260253,
-        1.6741162367031004, 1.6735649063521605, 1.673033965289911, 1.6725223030755771,
-        1.6720288884609522, 1.6715527624548587, 1.6710930321038946, 1.6706488649046363,
-        1.6702194837737365, 1.6698041625120112, 1.6694022217068127, 1.6690130250240895,
-        1.6686359758475524, 1.6682705142276324, 1.6679161141074244, 1.667572280796708,
-        1.6672385486685526, 1.6669144790559562, 1.6665996583285334, 1.6662936961315349,
-        1.6659962237714312, 1.6657068927340233, 1.6654253733225628, 1.6651513534046944,
-        1.6648845372582053, 1.6646246445066148, 1.6643714091365505, 1.6641245785896672,
-        1.6638839129226004, 1.663649184029077, 1.6634201749188848, 1.663196679048909,
-        1.662978499701904, 1.6627654494090705, 1.6625573494128771, 1.6623540291668955,
-        1.6621553258697, 1.6619610840301615, 1.6617711550616947, 1.6615853969032335,
-        1.6614036736648987, 1.6612258552965113, 1.661051817277241, 1.6608814403248375,
-        1.6607146101230246, 1.660551217065733, 1.6603911560169906, 1.6602343260853392,
-        1.6600806304117863, 1.659929975970338, 1.6597822733802545, 1.6596374367292366,
-        1.6594953834068038, 1.6593560339471853, 1.6592193118810965, 1.6590851435958247,
-        1.6589534582030747, 1.6588241874140914, 1.658697265421584, 1.6585726287880251,
-        1.6584502163399408, 1.6583299690677942, 1.6582118300311501, 1.6580957442687672,
-        1.657981658713357, 1.6578695221106903, 1.657759284942833, 1.6576508993552352,
-    ),
-    0.95: (
-        12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
-        2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
-        2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
-        2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
-        2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
-        2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
-        2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
-        2.045229642132703, 2.0422724563012378, 2.039513446396408, 2.0369333434601016,
-        2.0345152974493383, 2.0322445093177186, 2.030107928250343, 2.0280940009804502,
-        2.0261924630291093, 2.0243941639119694, 2.022690920036761, 2.021075390306273,
-        2.019540970441376, 2.0180817028184443, 2.016692199227824, 2.0153675744437636,
-        2.014103388880846, 2.012895598919429, 2.0117405137297655, 2.010634757624232,
-        2.0095752371292392, 2.008559112100761, 2.007583770315836, 2.006646805061688,
-        2.0057459953178687, 2.0048792881880564, 2.0040447832891455, 2.003240718847872,
-        2.002465459291007, 2.0017174841452356, 2.000995378088267, 2.0002978220142604,
-        1.999623584994939, 1.9989715170333788, 1.998340542520741, 1.997729654317693,
-        1.9971379083920038, 1.9965644189523117, 1.996008354025296, 1.9954689314298435,
-        1.9949454151072374, 1.994437111771186, 1.9939433678456255, 1.9934635666618719,
-        1.992997125889855, 1.992543495180932, 1.9921021540022417, 1.9916726096446642,
-        1.9912543953883846, 1.9908470688116906, 1.9904502102301285, 1.990063421254446,
-        1.9896863234569029, 1.989318557136572, 1.9889597801751624, 1.9886096669757083,
-        1.9882679074772216, 1.98793420623902, 1.9876082815890708, 1.9872898648311692,
-        1.986978699506281, 1.9866745407037683, 1.9863771544186177, 1.98608631695113,
-        1.9858018143458227, 1.985523441866604, 1.9852510035054978, 1.984984311522457,
-        1.9847231860139845, 1.9844674545084815, 1.9842169515864174, 1.9839715185235518,
-        1.983731002955606, 1.9834952585628793, 1.9832641447734565, 1.9830375264837259,
-        1.9828152737950475, 1.9825972617655006, 1.9823833701756908, 1.982173483307727,
-        1.9819674897364825, 1.981765282132372, 1.9815667570749007, 1.9813718148763053,
-        1.981180359414661, 1.9809922979758567, 1.9808075411039094, 1.9806260024590894,
-        1.9804475986834025, 1.980272249272974, 1.9800998764569397, 1.9799304050824402,
-    ),
-    0.99: (
-        63.656741162871526, 9.924843200918287, 5.840909309733355, 4.604094871349992,
-        4.032142983555228, 3.7074280213248065, 3.4994832973504924, 3.355387331333395,
-        3.249835541592126, 3.16927267261695, 3.1058065155392804, 3.0545395893929013,
-        3.012275838716578, 2.9768427343708344, 2.946712883475238, 2.9207816224251,
-        2.8982305196774183, 2.8784404727386077, 2.8609346064649794, 2.8453397097861077,
-        2.83135955802305, 2.8187560606001423, 2.807335683769999, 2.796939504774456,
-        2.78743581367697, 2.778714533329683, 2.770682957122211, 2.763262455461444,
-        2.756385903670605, 2.7499956535672254, 2.744041919294269, 2.7384814820121877,
-        2.7332766423508357, 2.7283943670707203, 2.7238055892080912, 2.7194846304500073,
-        2.7154087215499882, 2.7115576019130825, 2.707913183517662, 2.7044592674331622,
-        2.701181303578522, 2.6980661862199846, 2.6951020791576745, 2.6922782656930218,
-        2.689585019374643, 2.6870134922422158, 2.6845556178665246, 2.6822040269502154,
-        2.679951973631552, 2.677793270940844, 2.6757222341106477, 2.6737336306472197,
-        2.671822636241004, 2.6699847957348917, 2.6682159884861933, 2.666512397556063,
-        2.664870482241971, 2.6632869535376584, 2.6617587521629673, 2.6602830288550368,
-        2.6588571266539263, 2.6574785649511563, 2.6561450250998613, 2.6548543374110847,
-        2.653604469382925, 2.6523935150283156, 2.651219685183657, 2.650081298694729,
-        2.6489767743886263, 2.6479046237511508, 2.646863444238392, 2.6458519131593254,
-        2.644868782073382, 2.6439128716530895, 2.642983066967393, 2.6420783131459915,
-        2.641197611389272, 2.640340015292127, 2.6395046274532206, 2.638690596344183,
-        2.637897113415776, 2.637123410420374, 2.636368756932123, 2.6356324580479606,
-        2.6349138522543054, 2.634212309445634, 2.633527229082496, 2.6328580384776448,
-        2.6322041912000085, 2.6315651655871584, 2.630940463357764, 2.630329608316288,
-        2.629732145142835, 2.629147638261705, 2.628575670782743, 2.6280158435100693,
-        2.627467774013252, 2.6269310957563734, 2.626405457280827, 2.6258905214380173,
-        2.6253859646684408, 2.6248914763239126, 2.6244067580299557, 2.6239315230856053,
-        2.6234654958980834, 2.6230084114500207, 2.6225600147970334, 2.6221200605936894,
-        2.621688312645978, 2.621264543488595, 2.6208485339854377, 2.6204400729518422,
-        2.6200389567971967, 2.6196449891866536, 2.619257980720771, 2.618877748631969,
-        2.6185041164968, 2.618136913963057, 2.617775976490859, 2.6174211451068654,
-    ),
-}

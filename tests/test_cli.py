@@ -671,6 +671,27 @@ def test_qsar_predict_stdout_is_pinned(tmp_path, capsys, argv, stdout):
     assert run(capsys, "qsar-predict", *argv) == (0, stdout, "")
 
 
+@pytest.mark.parametrize("argv, rate_scale, stderr", [
+    (["qsar-fit", "OBS", "--out", "MODEL"], 1e157,
+     "error: rates too large: the residual sum of squares overflows\n"),
+    (["qsar-fit", "OBS", "--out", "MODEL", "--level", "0.9999999999999999"], 1.0,
+     "error: confidence bounds at level 0.9999999999999999 are not finite\n"),
+    (["qsar-predict", "--x", "1e200", "--y", "1e200"], 1.0,
+     "error: predictors too large: the surface overflows\n"),
+], ids=["fit-rates-overflow", "fit-infinite-quantile", "predict-surface-overflows"])
+def test_qsar_overflows_exit_2_and_write_no_model(tmp_path, capsys, argv, rate_scale, stderr):
+    # A RuntimeWarning would fail the test (warnings are errors here).
+    header, *rows = OBSERVATIONS_12.splitlines()
+    obs = tmp_path / "obs.csv"
+    obs.write_text("\n".join([header, *(
+        f"{row.rsplit(',', 1)[0]},{float(row.rsplit(',', 1)[1]) * rate_scale!r}"
+        for row in rows)]) + "\n")
+    model = tmp_path / "model.json"
+    argv = [{"OBS": str(obs), "MODEL": str(model)}.get(a, a) for a in argv]
+    assert run(capsys, *argv) == (2, "", stderr)
+    assert not model.exists()
+
+
 def session_argv(name, tmp_path, capsys):
     """Argv of one ``session`` subcommand on tiny inputs made in ``tmp_path``."""
     manifest = make_manifest(tmp_path, [("a", [10, 40, 70])])
@@ -848,6 +869,7 @@ def stream_outcome(reader, path, dt):
     "0.0001\x1f,1,2\n",            # loadtxt strips \x1f from a field; float does not
     "0,1,2\n1,3,\x1f4\n",
     "\u00a0\n0.0001\x1f,1,2\n",    # ... in a chunk, the file not being ASCII
+    "inf,1,2\ninf,3,4\n",          # two infinite times: a NaN step, and no warning
 ])
 def test_stream_reader_matches_line_loop(tmp_path, body):
     path = tmp_path / "stream.csv"

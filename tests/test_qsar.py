@@ -278,22 +278,19 @@ def test_t_quantile_at_the_ends_of_its_domain():
     assert qsar._t_quantile(7, 1.0) == math.inf
 
 
-def test_every_tabled_t_quantile_is_within_1e14_of_mpmath():
-    assert sorted(qsar._T_TABLE) == [0.9, 0.95, 0.99]
-    for level, column in qsar._T_TABLE.items():
-        assert len(column) == 120
-        for dof, t in enumerate(column, start=1):
-            assert_t_quantile_within_1e14(t, dof, 0.5 + level / 2.0)
+def test_t_quantile_at_levels_90_95_99_and_dof_1_to_120_is_within_1e14_of_mpmath():
+    for level in (0.9, 0.95, 0.99):
+        p = 0.5 + level / 2.0
+        for dof in range(1, 121):
+            assert_t_quantile_within_1e14(qsar._t_quantile(dof, p), dof, p)
 
 
-def test_interval_t_reads_the_table_at_its_levels_and_dofs_only():
-    assert qsar._interval_t(51, 0.95) == 2.007583770315836
-    assert qsar._interval_t(120, 0.99) == qsar._T_TABLE[0.99][119]
-    assert qsar._interval_t(121, 0.99) == qsar._t_quantile(121, 0.995)
-    assert qsar._interval_t(51, 0.8) == qsar._t_quantile(51, 0.9)
+def test_t_quantile_of_the_benchmark_fit_is_pinned():
+    # 60 observations at level 0.95: the seed-1 qsar-fit model's bytes rest on it.
+    assert qsar._t_quantile(51, 0.975) == 2.007583770315836
 
 
-def test_confidence_bounds_use_the_tabled_t_quantile():
+def test_confidence_bounds_are_within_1e14_of_the_mpmath_quantile_bounds():
     x, y = full_rank_points(30, seed=9)
     rates = qsar.predict(REFERENCE_COEFFICIENTS, x, y) \
         + np.random.default_rng(12).standard_normal(30) * 40.0
@@ -301,22 +298,31 @@ def test_confidence_bounds_use_the_tabled_t_quantile():
     result = qsar.fit(obs)
     se = np.sqrt(result.residual_sum_squares / 21 * np.diag(result.covariance_unit))
     values = result.coefficients.as_array()
+    for level in (0.5, 0.9, 0.95, 0.99):
+        bounds = qsar.confidence_bounds(result, obs, level=level)
+        p = 0.5 + level / 2.0
+        tq = float(exact_t_quantile(21, p, qsar._t_quantile(21, p)))
+        for j, name in enumerate(qsar.COEFFICIENT_NAMES):
+            want = (values[j] - tq * se[j], values[j] + tq * se[j])
+            for got, w in zip(bounds[name], want):
+                assert abs(got - w) <= 1e-14 * tq * se[j] + math.ulp(w), (level, name)
 
-    def bounds_from(tq):
-        return {name: (float(values[j] - tq * se[j]), float(values[j] + tq * se[j]))
-                for j, name in enumerate(qsar.COEFFICIENT_NAMES)}
 
-    # Bit for bit at the tabled levels, whose values keep fitted models' bytes.
-    for level in (0.9, 0.95, 0.99):
-        assert qsar.confidence_bounds(result, obs, level=level) \
-            == bounds_from(qsar._T_TABLE[level][20])
-    # Elsewhere within the solver's tolerance of the exact quantile's bounds.
-    bounds = qsar.confidence_bounds(result, obs, level=0.5)
-    tq = qsar._t_quantile(21, 0.75)
-    expected = bounds_from(float(exact_t_quantile(21, 0.75, tq)))
-    for j, name in enumerate(qsar.COEFFICIENT_NAMES):
-        for got, want in zip(bounds[name], expected[name]):
-            assert abs(got - want) <= 1e-14 * tq * se[j] + math.ulp(want)
+def test_confidence_bounds_that_are_not_finite_name_the_level():
+    # The largest level below 1: 0.5 + level / 2 rounds to 1, so t is infinite.
+    level = 0.9999999999999999
+    x, y = full_rank_points(12, seed=4)
+    obs = make_observations(REFERENCE_COEFFICIENTS, x, y)
+    result = qsar.fit(obs)
+    with pytest.raises(ValidationError, match=rf"level {level!r} are not finite"):
+        qsar.confidence_bounds(result, obs, level=level)
+
+
+def test_fit_rejects_rates_whose_residual_sum_of_squares_overflows():
+    x, y = full_rank_points(20, seed=5)
+    rates = (np.arange(20.0) % 7 - 3.0) * 1e157
+    with pytest.raises(ValidationError, match="residual sum of squares overflows"):
+        qsar.fit(make_observations(None, x, y, rates))
 
 
 def test_predict_on_floats_equals_the_array_path_bit_for_bit():
@@ -335,11 +341,13 @@ def test_predict_on_floats_equals_the_array_path_bit_for_bit():
 def test_predict_on_floats_rejects_nonfinite_and_overflows_like_the_array_path():
     with pytest.raises(ValidationError, match="finite"):
         qsar.predict(REFERENCE_COEFFICIENTS, 1.0, float("nan"))
-    # x^2 overflows in two terms of opposite sign: NaN, not Python's OverflowError
-    with np.errstate(over="ignore", invalid="ignore"):
-        on_array = qsar.predict(REFERENCE_COEFFICIENTS, np.array([1e200]), np.array([2.0]))
-    assert np.isnan(on_array[0])
-    assert np.isnan(qsar.predict(REFERENCE_COEFFICIENTS, 1e200, 2.0))
+    # x^2 overflows in two terms of opposite sign (NaN), or y^3 in one (inf):
+    # neither path returns the non-finite value, nor warns.
+    for x, y in ((1e200, 2.0), (1e200, 1e200), (3.0, 1e150)):
+        with pytest.raises(ValidationError, match="predictors too large: the surface overflows"):
+            qsar.predict(REFERENCE_COEFFICIENTS, np.array([1.0, x]), np.array([1.0, y]))
+        with pytest.raises(ValidationError, match="predictors too large: the surface overflows"):
+            qsar.predict(REFERENCE_COEFFICIENTS, x, y)
 
 
 @pytest.mark.parametrize("x", [np.linspace(100, 800, 9), np.arange(9) * 50.0 + 100,
