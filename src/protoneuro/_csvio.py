@@ -69,11 +69,13 @@ print the same digits, and a larger one goes to ``%d`` on its own.
 """
 
 import functools
+import itertools
 import os
 import re
 
 import numpy as np
 
+from . import _inputs
 from .errors import ParseError
 
 #: Rows formatted per block: large enough to amortise the per-slot array
@@ -128,11 +130,15 @@ def _read_text(fh, first=""):
             return
 
 
-def read_lines(fh, first=""):
-    """The lines of the rest of an open text file, from its text ``first``, in
-    lists of about ``_READ_CHUNK`` characters, split as ``str.splitlines``
-    splits the whole text."""
-    return (text.splitlines() for text in _read_text(fh, first))
+def row_line(path, row, comments=False):
+    """The line number of data row ``row`` (from 0) of a CSV file whose header
+    and rows are its lines that are not blank, nor, with ``comments``, ``#``
+    lines. The file is read again, so only an error message should ask."""
+    with _inputs.open_text(path) as fh:
+        lines = (line for text in _read_text(fh) for line in text.splitlines())
+        held = (number for number, text in enumerate(lines, start=1)
+                if text.strip() and not (comments and text.lstrip().startswith("#")))
+        return next(itertools.islice(held, row + 1, None))
 
 
 def _parse_lines(lines, width, line):

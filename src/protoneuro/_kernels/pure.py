@@ -266,9 +266,8 @@ def lif_run(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt, ta
                 active[fired] = False
                 held.append((k + 1 + hold, fired))
                 wake = held[0][0]
-            if weights is not None:
-                spikes_prev = np.zeros(N)
-                spikes_prev[fired] = 1.0
+            spikes_prev = np.zeros(N)
+            spikes_prev[fired] = 1.0
 
     spike_steps.resize(spikes, refcheck=False)
     spike_neurons.resize(spikes, refcheck=False)
@@ -299,12 +298,12 @@ def rate_run(x0, drive, weights, tau, dt):
     The states x are held one block of steps at a time and checked after
     each block; the run goes on to its last step either way.
 
-    A step is ``dx = weights @ r - x`` (``-x`` without weights), ``dx +=
-    drive``, ``dx *= dt/tau`` (a length-N array), and ``x + dx`` and its
-    tanh written straight into the step's rows. ``(-x) + y`` and ``y - x``
-    are the same IEEE sum, so the update has the bits of the formula read
-    left to right. ``weights @ r`` is ``np.dot`` into ``dx``, which copies
-    ``weights`` on each step unless it is C-contiguous.
+    A step is ``dx = weights @ r - x``, ``dx += drive``, ``dx *= dt/tau`` (a
+    length-N array), and ``x + dx`` and its tanh written straight into the
+    step's rows. ``(-x) + y`` and ``y - x`` are the same IEEE sum, so the
+    update has the bits of the formula read left to right. ``weights @ r``
+    is ``np.dot`` into ``dx``, which copies ``weights`` on each step unless
+    it is C-contiguous.
     """
     N, steps = drive.shape
     x = np.array(x0, dtype=np.float64, copy=True)
@@ -318,11 +317,8 @@ def rate_run(x0, drive, weights, tau, dt):
     for lo in range(0, steps, block):
         hi = min(lo + block, steps)
         for k, state_k in zip(range(lo, hi), state):
-            if weights is not None:
-                np.dot(weights, r, out=dx)
-                dx -= x
-            else:
-                np.negative(x, out=dx)
+            np.dot(weights, r, out=dx)
+            dx -= x
             dx += drive[:, k]
             np.multiply(a, dx, out=dx)
             x = np.add(x, dx, out=state_k)

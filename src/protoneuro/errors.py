@@ -34,8 +34,8 @@ class NumericError(ProtoneuroError):
 class RankDeficiencyError(NumericError):
     """Least-squares design matrix is rank deficient.
 
-    ``columns`` names the basis columns that are linearly dependent on the
-    ones already pivoted in.
+    ``columns`` names the basis columns that add nothing to the rank of the
+    simpler columns kept before them, in basis order.
     """
 
     def __init__(self, message, columns=()):

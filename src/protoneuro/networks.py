@@ -32,7 +32,6 @@ The module also reads what a simulation takes: the network spec JSON
 values and the time steps), and writes the trace, raster and readout CSVs.
 """
 
-import itertools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -340,27 +339,18 @@ def read_stream_csv(path, dt, expected_rows=None):
             column = int(np.argmin(np.isfinite(values[row])))
             name = header.split(",")[column + 1].strip()
             raise ParseError(f"{name} is {values[row, column]:.9g}, not a finite number",
-                             line=_stream_row_line(path, row))
+                             line=_csvio.row_line(path, row))
         with np.errstate(invalid="ignore"):  # inf - inf: a NaN step, reported below
             step = np.diff(rows[:, 0])
         bad = np.flatnonzero(~(np.abs(step - dt) <= 1e-6 * dt))
         if bad.size:
             raise ParseError(f"time step {step[bad[0]]:.9g} s, expected the network's dt "
-                             f"{dt:.9g} s", line=_stream_row_line(path, bad[0] + 1))
+                             f"{dt:.9g} s", line=_csvio.row_line(path, bad[0] + 1))
         # The (steps, d).T layout of the per-row loop, so matmuls add in the same order.
         arr = rows[:, 1:].copy().T
         if expected_rows is not None and arr.shape[0] != expected_rows:
             raise ValidationError(f"{arr.shape[0]} channels, expected {expected_rows}")
     return arr
-
-
-def _stream_row_line(path, row):
-    """The line number of data row ``row`` of a stream file: the header and the
-    rows are its lines that are not blank."""
-    with _inputs.open_text(path) as fh:
-        lines = itertools.chain.from_iterable(_csvio.read_lines(fh))
-        held = (number for number, text in enumerate(lines, start=1) if text.strip())
-        return next(itertools.islice(held, row + 1, None))
 
 
 def _write_long_csv(path, header, times, matrix):

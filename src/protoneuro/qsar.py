@@ -14,10 +14,10 @@ condition numbers around 1e8. Confidence intervals are the standard
 linear-model ones (t quantile times the standard error derived from the
 residual variance and the design covariance).
 
-The rank check is a pivoted Householder QR (Businger and Golub, Numer.
-Math. 7:269, 1965) written with numpy on the nine scaled columns, and the
-design covariance inverts R with ``numpy.linalg.solve``. The t quantile of
-the bounds, at every level and degree of freedom, is solved here with the
+The rank is read from the singular values ``numpy.linalg.lstsq`` returns
+with the coefficients, and the design covariance inverts the R of
+``numpy.linalg.qr`` with ``numpy.linalg.solve``. The t quantile of the
+bounds, at every level and degree of freedom, is solved here with the
 standard library (``_t_quantile``), so the module needs numpy and nothing
 else. numpy is imported inside the array functions only, so
 ``qsar-predict`` (the bundled or a JSON model at one point) starts without
@@ -43,8 +43,6 @@ from .errors import NumericError, ParseError, RankDeficiencyError, ValidationErr
 
 COEFFICIENT_NAMES = ("p00", "p10", "p01", "p20", "p11", "p02", "p21", "p12", "p03")
 BASIS_NAMES = ("1", "x", "y", "x^2", "x*y", "y^2", "x^2*y", "x*y^2", "y^3")
-#: Relative gap below which two column norms tie when pivoting.
-_PIVOT_TIE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -194,43 +192,13 @@ def predict(coeffs: QsarCoefficients, x, y):
     return out if getattr(out, "ndim", 0) else float(out)
 
 
-def _pivoted_qr_diagonal(a):
-    """|diag R| and the column order of a Householder QR with column pivoting.
-
-    Each step moves the remaining column of largest norm to the front and
-    reflects it onto the axis, so |R[k, k]| is non-increasing and a column
-    dependent on the ones before it ends among the last. Norms within a
-    relative ``_PIVOT_TIE`` of the largest count as equal and the first in
-    basis order wins: proportional columns (every power of a constant y)
-    then keep the simplest term whatever the rounding of their norms.
-    """
-    import numpy as np
-    a = np.array(a, dtype=np.float64)
-    n = a.shape[1]
-    piv = np.arange(n)
-    diag = np.zeros(n)
-    for k in range(n):
-        rest = a[k:, k:]
-        sq = np.einsum("ij,ij->j", rest, rest)
-        tied = np.flatnonzero(sq >= sq.max() * (1.0 - _PIVOT_TIE))
-        j = k + int(tied[np.argmin(piv[k:][tied])])
-        a[:, [k, j]] = a[:, [j, k]]
-        piv[[k, j]] = piv[[j, k]]
-        v = a[k:, k].copy()
-        alpha = -math.copysign(math.sqrt(sq[j - k]), v[0])
-        diag[k] = abs(alpha)
-        v[0] -= alpha
-        vv = float(v @ v)
-        if vv > 0:
-            rest -= np.outer(v, (2.0 / vv) * (v @ rest))
-    return diag, piv
-
-
 def fit(observations) -> FitResult:
     """Ordinary least squares over the nine-term basis.
 
-    Raises RankDeficiencyError naming the dependent basis columns when the
-    design is singular, and ValidationError with fewer than 9 observations.
+    Raises RankDeficiencyError when a singular value of the scaled design is
+    at most 1e-10 of the largest, naming, in basis order, each column that
+    adds nothing to the rank of the simpler columns kept before it; and
+    ValidationError with fewer than 9 observations.
     """
     import numpy as np
     obs = list(observations)
@@ -246,17 +214,18 @@ def fit(observations) -> FitResult:
         raise ValidationError("predictors too large: a design column's norm overflows")
     norms[norms == 0] = 1.0
     scaled = design / norms
-    # Pivoted QR both detects deficiency and names the dependent columns.
-    diag, piv = _pivoted_qr_diagonal(scaled)
-    tol = diag.max() * 1e-10 if diag.size else 0.0
-    rank = int(np.sum(diag > tol))
-    if rank < 9:
-        bad = sorted(BASIS_NAMES[j] for j in piv[rank:])
+    solution, _, _, singular = np.linalg.lstsq(scaled, rates, rcond=None)
+    tol = singular[0] * 1e-10
+    if singular[-1] <= tol:
+        kept = []
+        for j in range(9):
+            if np.linalg.matrix_rank(scaled[:, kept + [j]], tol=tol) > len(kept):
+                kept.append(j)
+        bad = sorted(name for j, name in enumerate(BASIS_NAMES) if j not in kept)
         raise RankDeficiencyError(
-            f"design matrix rank {rank} < 9; dependent columns: {', '.join(bad)}",
+            f"design matrix rank {len(kept)} < 9; dependent columns: {', '.join(bad)}",
             columns=bad,
         )
-    solution, _, _, _ = np.linalg.lstsq(scaled, rates, rcond=None)
     coeffs = solution / norms
     with np.errstate(over="ignore", invalid="ignore"):
         residuals = rates - design @ coeffs

@@ -23,7 +23,10 @@ adopts, so each sample is held once. A metadata line among the rows costs
 one more ``np.loadtxt`` call, not a second pass over its chunk. Only a run
 the block parser does not take (a bad line, or a blank line of spaces) goes
 through the line loop, which alone reports parse errors, so messages do
-not depend on the fast path.
+not depend on the fast path. A row the series checks reject (a non-finite
+number, a time not after the one before it) is looked for, and its line
+counted in a second read, only once the checks have failed, so a good file
+pays nothing for the line.
 
 Recorded traces the toolkit cannot obtain from hardware are synthesised as
 Gaussian bumps on a noisy baseline, sampled once per second to match the
@@ -115,8 +118,9 @@ def read_timeseries_csv(path) -> TimeSeries:
     """Parse a series file, validating monotone times and finite values.
 
     The header must be the first line; ``#`` lines anywhere after it set
-    ``unit`` and ``label`` (the last one wins), and a bad line is a
-    ParseError naming it.
+    ``unit`` and ``label`` (the last one wins), and a bad line (one that
+    does not parse, a non-finite number, a time not after the one before
+    it) is a ParseError naming the file and the line.
     """
     meta = {"unit": UNIT_MICROAMPERE, "label": ""}
 
@@ -129,14 +133,36 @@ def read_timeseries_csv(path) -> TimeSeries:
                 # allocator's 1 MiB arenas resident (1 MB of detect's peak RSS).
                 meta[key] = sys.intern(text[len(key) + 1:])
 
-    with _inputs.open_text(path) as fh:
-        header, rest, line = _csvio.read_header(fh)
-        if header.strip() != HEADER:
-            raise ParseError(f"expected header {HEADER!r}", line=1)
-        rows = _csvio.read_rows(fh, 2, rest, line, comment=comment)
     with _inputs.blamed(path):
-        return TimeSeries._adopt(rows[:, 0], rows[:, 1], unit=meta["unit"],
-                                 label=meta["label"])
+        with _inputs.open_text(path) as fh:
+            header, rest, line = _csvio.read_header(fh)
+            if header.strip() != HEADER:
+                raise ParseError(f"expected header {HEADER!r}", line=1)
+            rows = _csvio.read_rows(fh, 2, rest, line, comment=comment)
+        try:
+            return TimeSeries._adopt(rows[:, 0], rows[:, 1], unit=meta["unit"],
+                                     label=meta["label"])
+        except ValidationError:
+            bad = _first_bad_row(rows[:, 0], rows[:, 1])
+            if bad is None:
+                raise
+            raise ParseError(bad[1], line=_csvio.row_line(path, bad[0], comments=True)) from None
+
+
+def _first_bad_row(times, values):
+    """(row, message) for the row that fails the first of ``TimeSeries``'s
+    row checks to fail, in its order (finite times, finite values, increasing
+    times), or None when every row passes them."""
+    for column, name in ((times, "time_s"), (values, "value")):
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            return bad[0], f"{name} is {column[bad[0]]:.9g}, not a finite number"
+    bad = np.flatnonzero(~(times[1:] > times[:-1]))
+    if bad.size:
+        row = bad[0] + 1
+        return row, (f"times must be strictly increasing; {times[row]:.9g} follows "
+                     f"{times[row - 1]:.9g}")
+    return None
 
 
 def write_timeseries_csv(series: TimeSeries, path) -> None:

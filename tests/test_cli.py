@@ -81,7 +81,7 @@ def test_detect_file_that_is_not_utf8_is_validation_error(tmp_path, capsys):
     bad.write_bytes(b"time_s,value\n# unit=volt\n0,1\n1,\xff2\n")
     code, _, stderr = run(capsys, "detect", str(bad))
     assert code == 2
-    assert stderr == "error: line 4: byte 0xff is not valid utf-8\n"
+    assert stderr == f"error: {bad}: line 4: byte 0xff is not valid utf-8\n"
 
 
 @pytest.mark.parametrize("distance", ["-1", "nan"])
@@ -1064,6 +1064,15 @@ BAD_INPUTS = {
     "report-not-utf8": (
         {"report.json": b'{"samples": []}\r\n\xff'},
         ["report", "@report.json"], "report.json", "line 2: byte 0xff"),
+    "series-not-utf8": (
+        {"s.csv": b"time_s,value\n# unit=volt\n0,1\n1,\xff2\n"},
+        ["detect", "@s.csv"], "s.csv", "line 4: byte 0xff"),
+    "series-wrong-header": (
+        {"s.csv": b"time,value\n0,1\n"}, ["detect", "@s.csv"], "s.csv",
+        "line 1: expected header 'time_s,value'"),
+    "series-bad-row": (
+        {"s.csv": b"time_s,value\n0,1\n1,x\n"}, ["detect", "@s.csv"], "s.csv",
+        "line 3: could not convert string to float: 'x'"),
     "stream-not-utf8": (
         {"net.json": _NET, "fin.csv": b"time_s,ch0\n0.0001,1\n0.0002,\x80\n"},
         ["sim-spiking", "--net", "@net.json", "--input", "@fin.csv", "--out-prefix", "@r"],

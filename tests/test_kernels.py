@@ -42,7 +42,7 @@ def reference_lif(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, 
                   tau_syn, record_potentials=True):
     n, steps = drive.shape
     d = np.asarray(drive, dtype=np.float64).tolist()
-    w = None if weights is None else np.asarray(weights, dtype=np.float64).tolist()
+    w = np.asarray(weights, dtype=np.float64).tolist()
     v = [float(x) for x in v0]
     refr = [0.0] * n
     syn = [0.0] * n
@@ -59,12 +59,11 @@ def reference_lif(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, 
             active[j] = refr[j] <= 0.0
             if active[j]:
                 dv = leak * (v_rest - v[j]) + dt * d[j][k]
-                if w is not None:
-                    rec = 0.0
-                    for i in range(n):
-                        if spikes_prev[i] != 0.0:
-                            rec += w[j][i]
-                    dv += rec
+                rec = 0.0
+                for i in range(n):
+                    if spikes_prev[i] != 0.0:
+                        rec += w[j][i]
+                dv += rec
                 v[j] = v[j] + dv
             else:
                 v[j] = v_reset
@@ -89,7 +88,7 @@ def reference_lif(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, 
 def reference_rate(x0, drive, weights, tau, dt):
     n, steps = drive.shape
     d = np.asarray(drive, dtype=np.float64).tolist()
-    w = None if weights is None else np.asarray(weights, dtype=np.float64).tolist()
+    w = np.asarray(weights, dtype=np.float64).tolist()
     x = [float(v) for v in x0]
     r = [math.tanh(v) for v in x]
     a = dt / tau
@@ -98,13 +97,10 @@ def reference_rate(x0, drive, weights, tau, dt):
     for k in range(steps):
         xn = []
         for j in range(n):
-            if w is not None:
-                rec = 0.0
-                for i in range(n):
-                    rec += w[j][i] * r[i]
-                xn.append(x[j] + a * (-x[j] + rec + d[j][k]))
-            else:
-                xn.append(x[j] + a * (-x[j] + d[j][k]))
+            rec = 0.0
+            for i in range(n):
+                rec += w[j][i] * r[i]
+            xn.append(x[j] + a * (-x[j] + rec + d[j][k]))
         x = xn
         r = [math.tanh(v) for v in x]
         state[:, k] = x
@@ -180,9 +176,11 @@ def test_lif_matches_neuron_loop_without_recording():
 
 
 def test_lif_matches_neuron_loop_without_weights():
+    # A zero recurrent matrix: the neurons run uncoupled.
     rng = np.random.default_rng(4)
     drive = rng.uniform(0.0, 2.0, (2, 10000))
-    args = (np.full(2, -0.065), drive, None, 0.020, -0.065, -0.050, -0.065, 0.0, 1e-4, 0.005)
+    args = (np.full(2, -0.065), drive, np.zeros((2, 2)), 0.020, -0.065, -0.050, -0.065, 0.0,
+            1e-4, 0.005)
     vp, fp, sp, np_ = pure.lif_run(*args)
     vr, fr, sr, nr = reference_lif(*args)
     np.testing.assert_array_equal(sp, sr)
@@ -205,8 +203,8 @@ def test_rate_matches_unit_loop():
 def test_rate_matches_unit_loop_without_weights():
     rng = np.random.default_rng(6)
     drive = rng.uniform(-1, 1, (2, 3000))
-    rp, first = pure.rate_run(np.zeros(2), drive, None, 0.02, 1e-4)
-    xr, rr = reference_rate(np.zeros(2), drive, None, 0.02, 1e-4)
+    rp, first = pure.rate_run(np.zeros(2), drive, np.zeros((2, 2)), 0.02, 1e-4)
+    xr, rr = reference_rate(np.zeros(2), drive, np.zeros((2, 2)), 0.02, 1e-4)
     assert first is None
     np.testing.assert_allclose(rp, rr, rtol=1e-12, atol=1e-15)
 
@@ -230,8 +228,7 @@ def vectorised_lif(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory,
     for k in range(steps):
         active = refr <= 0.0
         dv = leak * (v_rest - v) + dt * drive[:, k]
-        if weights is not None:
-            dv = dv + weights @ spikes_prev
+        dv = dv + weights @ spikes_prev
         v = np.where(active, v + dv, v_reset)
         refr = np.maximum(refr - dt, 0.0)
         fired = active & (v > v_th)
@@ -258,10 +255,7 @@ def vectorised_rate(x0, drive, weights, tau, dt):
     state = np.empty((N, steps))
     activities = np.empty((N, steps))
     for k in range(steps):
-        if weights is not None:
-            x = x + a * (-x + weights @ r + drive[:, k])
-        else:
-            x = x + a * (-x + drive[:, k])
+        x = x + a * (-x + weights @ r + drive[:, k])
         r = np.tanh(x)
         state[:, k] = x
         activities[:, k] = r
@@ -313,7 +307,7 @@ def lif_case(n=6, steps=3000, seed=0, low=0.0, high=3.0, refractory=0.002, dt=1e
              weights=True, v_reset=-0.065):
     rng = np.random.default_rng(seed)
     drive = rng.uniform(low, high, (n, steps))
-    w = rng.uniform(-1, 1, (n, n)) * 0.004 if weights else None
+    w = rng.uniform(-1, 1, (n, n)) * 0.004 if weights else np.zeros((n, n))
     return (np.full(n, -0.065), drive, w, 0.020, -0.065, -0.050, v_reset, refractory, dt, 0.005)
 
 
@@ -334,7 +328,7 @@ LIF_CASES = {
     "dense-firing": lif_case(low=50.0, high=400.0, refractory=1e-4),
     "reset-above-threshold": lif_case(v_reset=-0.045),  # a held neuron still cannot fire
     "overflow": overflow_case(),
-    "no-weights": lif_case(weights=False),
+    "no-weights": lif_case(weights=False),  # a zero recurrent matrix
     "one-neuron": lif_case(n=1),
     "two-hundred-neurons": lif_case(n=200, steps=400, high=4.0),
     "zero-steps": lif_case(steps=0),
@@ -385,7 +379,7 @@ def test_lif_has_the_bits_of_the_per_step_update_on_any_drive(small_blocks, data
 
 RATE_CASES = {
     "recurrent": (8, 2000, True, 1.0),
-    "no-weights": (3, 500, False, 1.0),
+    "no-weights": (3, 500, False, 1.0),  # a zero recurrent matrix
     "one-unit": (1, 500, True, 1.0),
     "two-hundred-units": (200, 200, True, 1.0),
     "zero-steps": (5, 0, True, 1.0),
@@ -398,7 +392,7 @@ RATE_CASES = {
 def test_rate_has_the_bits_of_the_per_step_update(n, steps, weights, scale):
     rng = np.random.default_rng(n * 1000 + steps)
     drive = rng.uniform(-1, 1, (n, steps)) * scale
-    w = rng.normal(0, 1.2 / np.sqrt(n), (n, n)) if weights else None
+    w = rng.normal(0, 1.2 / np.sqrt(n), (n, n)) if weights else np.zeros((n, n))
     x0 = rng.uniform(-0.5, 0.5, n)
     tau = 0.01 if scale == 1.0 else 1e-6  # a step longer than tau overshoots, to inf and NaN
     with np.errstate(all="ignore"):

@@ -355,11 +355,22 @@ def test_predict_on_floats_rejects_nonfinite_and_overflows_like_the_array_path()
                          ids=["linspace", "step-50", "random"])
 def test_fit_constant_y_names_the_columns_after_the_simplest(x):
     # With y constant, 1 ~ y ~ y^2 ~ y^3, x ~ x*y ~ x*y^2 and x^2 ~ x^2*y after scaling:
-    # tied pivots go to the first column in basis order, whatever the rounding.
+    # a column that adds nothing to the rank of the simpler ones before it is
+    # named, so the first in basis order is kept, whatever the rounding.
     obs = make_observations(REFERENCE_COEFFICIENTS, x, np.full(x.size, 3.0))
     with pytest.raises(RankDeficiencyError, match="rank 3 < 9") as err:
         qsar.fit(obs)
     assert err.value.columns == ("x*y", "x*y^2", "x^2*y", "y", "y^2", "y^3")
+
+
+def test_fit_two_valued_y_names_the_columns_after_the_simplest():
+    # With y in {1, 2}, y^2 = 3y - 2 and y^3 = 7y - 6 and x*y^2 = 3x*y - 2x: the
+    # simplest terms are kept, however close the norms of the others come.
+    x = np.random.default_rng(24).uniform(100, 700, 20)
+    obs = make_observations(REFERENCE_COEFFICIENTS, x, np.tile([1.0, 2.0], 10))
+    with pytest.raises(RankDeficiencyError, match="rank 6 < 9") as err:
+        qsar.fit(obs)
+    assert err.value.columns == ("x*y^2", "y^2", "y^3")
 
 
 @pytest.mark.parametrize("x", [1e120, 1e200])
@@ -403,28 +414,33 @@ def test_model_json_with_malformed_bounds_names_the_coefficient(tmp_path, bounds
     assert str(err.value).startswith(f"{path}: malformed model document: {message}")
 
 
-def test_pivoted_qr_agrees_with_lapack_on_rank_and_volume():
+def test_fit_rank_agrees_with_lapack_pivoted_qr():
+    # The rank fit reports (9 on success, else the one in its error) is the
+    # rank of LAPACK's pivoted QR at the same 1e-10 relative tolerance, and
+    # the error names 9 - rank columns.
     from scipy import linalg
 
     def scaled(x, y):
         design = qsar.design_matrix(x, y)
         return design / np.linalg.norm(design, axis=0)
 
-    def rank(diag):
-        return int(np.sum(diag > diag.max() * 1e-10))
-
     rng = np.random.default_rng(23)
     for _ in range(40):
         n = int(rng.integers(9, 60))
         x, y = rng.uniform(100, 700, n), rng.integers(1, 9, n).astype(float)
-        designs = [scaled(x, y), scaled(x, np.full(n, 2.0)), scaled(np.full(n, 300.0), y),
-                   scaled(x, rng.choice([1.0, 2.0], n))]
-        for k, a in enumerate(designs):
-            r, _ = linalg.qr(a, mode="r", pivoting=True)
-            lapack = np.abs(np.diag(r))
-            diag, order = qsar._pivoted_qr_diagonal(a)
-            assert sorted(order) == list(range(9))
-            assert rank(diag) == rank(lapack)
-            if k == 0:  # full rank: prod |R[k, k]| = sqrt(det(A'A)) whatever the pivots
-                assert rank(diag) == 9
-                assert np.prod(diag) == pytest.approx(np.prod(lapack), rel=1e-8)
+        designs = [(x, y), (x, np.full(n, 2.0)), (np.full(n, 300.0), y),
+                   (x, rng.choice([1.0, 2.0], n))]
+        for k, (dx, dy) in enumerate(designs):
+            r, _ = linalg.qr(scaled(dx, dy), mode="r", pivoting=True)
+            diag = np.abs(np.diag(r))
+            lapack = int(np.sum(diag > diag.max() * 1e-10))
+            try:
+                qsar.fit(make_observations(None, dx, dy, np.arange(float(n))))
+                rank, columns = 9, ()
+            except RankDeficiencyError as exc:
+                rank = int(str(exc).split()[3])
+                columns = exc.columns
+            assert rank == lapack
+            assert len(columns) == 9 - rank
+            if k == 0:
+                assert rank == 9

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -78,6 +79,23 @@ def test_read_rejects_non_monotone(tmp_path):
     path.write_text("time_s,value\n0,0.1\n0,0.2\n")
     with pytest.raises(ValidationError, match="increasing"):
         signals.read_timeseries_csv(path)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("2,nan", "value is nan, not a finite number"),
+    ("2,inf", "value is inf, not a finite number"),
+    ("-inf,1", "time_s is -inf, not a finite number"),
+    ("1,2", "times must be strictly increasing; 1 follows 1"),
+], ids=["nan", "inf", "-inf", "repeated-time"])
+def test_read_names_the_line_of_a_row_the_series_rejects(tmp_path, row, message):
+    # Blank, metadata and comment lines count in the line number; the rows
+    # after the bad one parse.
+    path = tmp_path / "bad.csv"
+    path.write_text(f"time_s,value\n# unit=volt\n0,1\n\n  # note\n1,1\n{row}\n3,1\n")
+    with pytest.raises(ParseError) as err:
+        signals.read_timeseries_csv(path)
+    assert err.value.line == 7
+    assert str(err.value) == f"{path}: line 7: {message}"
 
 
 def test_read_reports_line_numbers(tmp_path):
@@ -284,7 +302,15 @@ def reference_write_series(series, path):
 
 
 def reference_read_series(path):
-    times, values = [], []
+    try:
+        return reference_read_series_unblamed(path)
+    except ValidationError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def reference_read_series_unblamed(path):
+    times, values, numbers = [], [], []
     unit, label = signals.UNIT_MICROAMPERE, ""
     with open(path, "r", newline="") as fh:
         lines = fh.read().splitlines()
@@ -309,10 +335,17 @@ def reference_read_series(path):
             values.append(float(parts[1]))
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
-    try:
-        return TimeSeries(np.array(times), np.array(values), unit=unit, label=label)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+        numbers.append(lineno)
+    # The checks of TimeSeries, in its order, each naming its first bad line.
+    for column, name in ((times, "time_s"), (values, "value")):
+        for x, lineno in zip(column, numbers):
+            if not math.isfinite(x):
+                raise ParseError(f"{name} is {x:.9g}, not a finite number", line=lineno)
+    for k in range(1, len(times)):
+        if not times[k] > times[k - 1]:
+            raise ParseError(f"times must be strictly increasing; {times[k]:.9g} follows "
+                             f"{times[k - 1]:.9g}", line=numbers[k])
+    return TimeSeries(np.array(times), np.array(values), unit=unit, label=label)
 
 
 def outcome(reader, path):
@@ -626,5 +659,6 @@ def test_read_rejects_a_byte_that_is_not_utf8_naming_its_line(tmp_path, monkeypa
     path = tmp_path / "bad.csv"
     path.write_bytes(b"time_s,value\n# unit=volt\n0,1\n" + b"".join(
         b"%d,1\n" % k for k in range(1, 40)) + b"\r\n40,\xff2\n41,3\n")
-    with pytest.raises(ParseError, match=r"^line 44: byte 0xff is not valid utf-8$"):
+    message = f"{path}: line 44: byte 0xff is not valid utf-8"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         signals.read_timeseries_csv(path)
