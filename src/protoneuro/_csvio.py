@@ -130,14 +130,15 @@ def _read_text(fh, first=""):
             return
 
 
-def row_line(path, row, comments=False):
+def row_line(path, row):
     """The line number of data row ``row`` (from 0) of a CSV file whose header
-    and rows are its lines that are not blank, nor, with ``comments``, ``#``
-    lines. The file is read again, so only an error message should ask."""
+    and rows are its lines that are neither blank nor ``#`` lines (a stream
+    has none: its reader rejects them). The file is read again, so only an
+    error message should ask."""
     with _inputs.open_text(path) as fh:
         lines = (line for text in _read_text(fh) for line in text.splitlines())
         held = (number for number, text in enumerate(lines, start=1)
-                if text.strip() and not (comments and text.lstrip().startswith("#")))
+                if text.strip() and not text.lstrip().startswith("#"))
         return next(itertools.islice(held, row + 1, None))
 
 
@@ -183,9 +184,10 @@ def read_rows(fh, width, first="", line=1, comment=None):
     """The rest of an open text file, from its text ``first`` (the file's
     line ``line``), as an (n, width) float64 array, or a ParseError naming
     the first bad line. Blank lines are skipped, and with a ``comment`` hook
-    so are ``#`` lines, each handed to the hook stripped. The buffer is sized
-    from the file's size and the rows per character read so far, with 1%
-    slack, grown in place if that falls short and trimmed at the end."""
+    so are ``#`` lines, each handed to the hook stripped, with its line
+    number. The buffer is sized from the file's size and the rows per
+    character read so far, with 1% slack, grown in place if that falls short
+    and trimmed at the end."""
     size = os.fstat(fh.fileno()).st_size
     rows, n, seen = np.empty((0, width)), 0, 0
     for chunk in _read_text(fh, first):
@@ -197,7 +199,7 @@ def read_rows(fh, width, first="", line=1, comment=None):
         for stop in marks + [len(lines)]:
             block = _parse_run(lines[start:stop], width, line + start, "\x1f" not in chunk)
             if stop < len(lines):
-                comment(lines[stop].strip())
+                comment(lines[stop].strip(), line + stop)
             start = stop + 1
             if n + len(block) > len(rows):
                 need = n + len(block)

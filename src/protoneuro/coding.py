@@ -13,6 +13,8 @@ row sums and PPI the column sums of that grid. Anything consuming these
 numbers should be aware the definition is a convention of this toolkit.
 """
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,6 +114,9 @@ def init_weights(n: int, seed: int) -> WeightMatrix:
     """Seeded i.i.d. uniform[-1, 1] weights; identical seeds give identical matrices."""
     if n < 1:
         raise ValidationError("n must be >= 1")
+    # n x n float64 entries: more bytes than this no array can index.
+    if n * n * 8 > sys.maxsize:
+        raise ValidationError(f"n must be at most {math.isqrt(sys.maxsize // 8)}, got {n}")
     rng = np.random.default_rng(seed)
     return WeightMatrix(rng.uniform(-1.0, 1.0, size=(n, n)))
 

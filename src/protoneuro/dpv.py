@@ -44,9 +44,7 @@ class DpvParameters:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValidationError(f"{f.name} must be finite, got {value!r}")
+            _finite(getattr(self, f.name), f.name)
         for name in ("step_size", "pulse_width", "scan_rate"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be > 0")
@@ -54,6 +52,17 @@ class DpvParameters:
             raise ValidationError("equilibrium_time must be >= 0")
         if self.start_potential == self.end_potential:
             raise ValidationError("start_potential must differ from end_potential")
+        # Finite fields can still give an infinite span, step count, time or
+        # potential, which step_count could not round nor the waveform print.
+        span = _finite(abs(self.end_potential - self.start_potential),
+                       "the scan span (|end_potential - start_potential|)")
+        _finite(span / self.step_size, "the step count (span / step_size)")
+        _finite(self.step_duration, "step_duration (step_size / scan_rate)")
+        _finite(self.equilibrium_time + scan_duration(self),
+                "the waveform duration (equilibrium_time + steps * step_duration)")
+        for k in (1, step_count(self)):  # the pulse potentials' extremes
+            _finite(self.start_potential + self.direction * k * self.step_size
+                    + self.pulse_amplitude, "a pulse potential (step + pulse_amplitude)")
         if not self.pulse_width < self.step_duration:
             raise ValidationError(
                 "pulse_width must be smaller than step_duration "
@@ -71,6 +80,13 @@ class DpvParameters:
     def direction(self) -> float:
         """+1 for an upward scan, -1 for a downward one."""
         return 1.0 if self.end_potential > self.start_potential else -1.0
+
+
+def _finite(value, name):
+    """``value``, which must be finite; ``name`` says what it is."""
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 class Segment(NamedTuple):

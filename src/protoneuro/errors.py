@@ -14,13 +14,16 @@ class ValidationError(ProtoneuroError):
 
 
 class ParseError(ValidationError):
-    """A text input could not be parsed; carries the offending line number."""
+    """A text input could not be parsed, or a row of it breaks a rule: ``line``
+    (put in front of the message) names the line, ``row`` the 0-based row of
+    a series ``TimeSeries`` rejects, which the series reader turns into a line."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, row=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+        self.row = row
 
 
 class ShapeError(ValidationError):

@@ -23,10 +23,10 @@ adopts, so each sample is held once. A metadata line among the rows costs
 one more ``np.loadtxt`` call, not a second pass over its chunk. Only a run
 the block parser does not take (a bad line, or a blank line of spaces) goes
 through the line loop, which alone reports parse errors, so messages do
-not depend on the fast path. A row the series checks reject (a non-finite
-number, a time not after the one before it) is looked for, and its line
-counted in a second read, only once the checks have failed, so a good file
-pays nothing for the line.
+not depend on the fast path. The row rules (finite times, finite values,
+strictly increasing times) are stated once, in ``TimeSeries``, which names
+the first row that breaks one; only then does the reader count that row's
+line, in a second read, so a good file pays nothing for the line.
 
 Recorded traces the toolkit cannot obtain from hardware are synthesised as
 Gaussian bumps on a noisy baseline, sampled once per second to match the
@@ -85,21 +85,24 @@ class TimeSeries:
         return series
 
     def _own(self, t, v):
-        """Check ``t`` and ``v`` and keep them, read-only."""
+        """Check ``t`` and ``v`` and keep them, read-only. The first row to break
+        a row rule, taken in order, is a ParseError carrying that ``row``."""
         if t.ndim != 1 or v.ndim != 1:
             raise ValidationError("times and values must be one-dimensional")
         if t.size != v.size:
             raise ValidationError(f"times ({t.size}) and values ({v.size}) differ in length")
         if t.size < 1:
             raise ValidationError("a series needs at least one sample")
-        if not np.all(np.isfinite(t)):
-            raise ValidationError("times contain non-finite entries")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("values contain non-finite entries")
-        if not np.all(t[1:] > t[:-1]):
-            raise ValidationError("times must be strictly increasing")
-        if self.unit not in _UNITS:
-            raise ValidationError(f"unit must be one of {_UNITS}, got {self.unit!r}")
+        # No bool array outlives its check: a column can hold a million rows.
+        for column, name in ((t, "time_s"), (v, "value")):
+            if not np.isfinite(column).all():
+                row = int(np.argmin(np.isfinite(column)))
+                raise ParseError(f"{name} is {column[row]:.9g}, not a finite number", row=row)
+        if not (t[1:] > t[:-1]).all():
+            row = int(np.argmin(t[1:] > t[:-1])) + 1
+            raise ParseError(f"times must be strictly increasing; {t[row]:.9g} follows "
+                             f"{t[row - 1]:.9g}", row=row)
+        _check_unit(self.unit)
         t.flags.writeable = False
         v.flags.writeable = False
         self.times = t
@@ -114,17 +117,23 @@ class TimeSeries:
         return float(self.times[-1] - self.times[0])
 
 
+def _check_unit(unit, line=None):
+    """Reject a ``unit`` outside ``_UNITS``; ``line`` is the line that set it."""
+    if unit not in _UNITS:
+        raise ParseError(f"unit must be one of {_UNITS}, got {unit!r}", line=line)
+
+
 def read_timeseries_csv(path) -> TimeSeries:
     """Parse a series file, validating monotone times and finite values.
 
     The header must be the first line; ``#`` lines anywhere after it set
     ``unit`` and ``label`` (the last one wins), and a bad line (one that
-    does not parse, a non-finite number, a time not after the one before
-    it) is a ParseError naming the file and the line.
+    does not parse, an unknown unit, a non-finite number, a time not after
+    the one before it) is a ParseError naming the file and the line.
     """
     meta = {"unit": UNIT_MICROAMPERE, "label": ""}
 
-    def comment(text):
+    def comment(text, line):
         text = text[1:].strip()
         for key in meta:
             if text.startswith(key + "="):
@@ -132,6 +141,7 @@ def read_timeseries_csv(path) -> TimeSeries:
                 # made among a chunk's line strings would keep one of the
                 # allocator's 1 MiB arenas resident (1 MB of detect's peak RSS).
                 meta[key] = sys.intern(text[len(key) + 1:])
+        _check_unit(meta["unit"], line)
 
     with _inputs.blamed(path):
         with _inputs.open_text(path) as fh:
@@ -142,27 +152,8 @@ def read_timeseries_csv(path) -> TimeSeries:
         try:
             return TimeSeries._adopt(rows[:, 0], rows[:, 1], unit=meta["unit"],
                                      label=meta["label"])
-        except ValidationError:
-            bad = _first_bad_row(rows[:, 0], rows[:, 1])
-            if bad is None:
-                raise
-            raise ParseError(bad[1], line=_csvio.row_line(path, bad[0], comments=True)) from None
-
-
-def _first_bad_row(times, values):
-    """(row, message) for the row that fails the first of ``TimeSeries``'s
-    row checks to fail, in its order (finite times, finite values, increasing
-    times), or None when every row passes them."""
-    for column, name in ((times, "time_s"), (values, "value")):
-        bad = np.flatnonzero(~np.isfinite(column))
-        if bad.size:
-            return bad[0], f"{name} is {column[bad[0]]:.9g}, not a finite number"
-    bad = np.flatnonzero(~(times[1:] > times[:-1]))
-    if bad.size:
-        row = bad[0] + 1
-        return row, (f"times must be strictly increasing; {times[row]:.9g} follows "
-                     f"{times[row - 1]:.9g}")
-    return None
+        except ParseError as exc:
+            raise ParseError(exc.args[0], line=_csvio.row_line(path, exc.row)) from None
 
 
 def write_timeseries_csv(series: TimeSeries, path) -> None:
@@ -258,6 +249,10 @@ class SyntheticSpikeSpec:
                 raise ValidationError("jitter_fraction must be in [0, 1)")
         if self.duration is None or self.duration <= 0:
             raise ValidationError(f"duration must be > 0, got {self.duration!r}")
+        # One float64 sample a second: more than this many bytes no array can index.
+        if (math.floor(self.duration) + 1) * 8 > sys.maxsize:
+            raise ValidationError(f"duration must be below {sys.maxsize // 8} s, "
+                                  f"got {self.duration!r}")
         if st and (st[0] < 0 or st[-1] > self.duration):
             raise ValidationError("spike_times must lie within [0, duration]")
 
@@ -299,20 +294,25 @@ def synthesize_spiky_series(spec: SyntheticSpikeSpec) -> TimeSeries:
     offsets = np.arange(width)
     # Spikes go in row blocks, so a wide bump cannot make the grid outgrow memory.
     step = max(1, _BUMP_GRID_CELLS // max(width, 1))
-    for s in range(0, spike_times.size, step):
-        ts = spike_times[s:s + step, None]
-        inside = offsets < (hi - lo)[s:s + step, None]
-        pos = np.minimum(lo[s:s + step, None] + offsets, times.size - 1)
-        bump = spec.spike_amplitude * np.exp(-((times[pos] - ts) ** 2) / (2 * sigma**2))
-        # Unbuffered and in index order: overlapping bumps add spike by spike.
-        np.add.at(values, pos[inside], bump[inside])
-    if spec.noise_sd > 0:
-        # values + noise_sd * standard_normal(n), drawn and added block by
-        # block: the generator fills a block as it fills a whole array.
-        noise = np.empty(min(_BUMP_GRID_CELLS, times.size))
-        for start in range(0, times.size, noise.size):
-            block = noise[:times.size - start]
-            rng().standard_normal(out=block)
-            block *= spec.noise_sd
-            values[start:start + block.size] += block
-    return TimeSeries._adopt(times, values, unit=UNIT_MICROAMPERE, label=spec.label)
+    # A sum that overflows is left to TimeSeries, which names its row.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, spike_times.size, step):
+            ts = spike_times[s:s + step, None]
+            inside = offsets < (hi - lo)[s:s + step, None]
+            pos = np.minimum(lo[s:s + step, None] + offsets, times.size - 1)
+            bump = spec.spike_amplitude * np.exp(-((times[pos] - ts) ** 2) / (2 * sigma**2))
+            # Unbuffered and in index order: overlapping bumps add spike by spike.
+            np.add.at(values, pos[inside], bump[inside])
+        if spec.noise_sd > 0:
+            # values + noise_sd * standard_normal(n), drawn and added block by
+            # block: the generator fills a block as it fills a whole array.
+            noise = np.empty(min(_BUMP_GRID_CELLS, times.size))
+            for start in range(0, times.size, noise.size):
+                block = noise[:times.size - start]
+                rng().standard_normal(out=block)
+                block *= spec.noise_sd
+                values[start:start + block.size] += block
+    try:
+        return TimeSeries._adopt(times, values, unit=UNIT_MICROAMPERE, label=spec.label)
+    except ParseError as exc:
+        raise ValidationError(f"at t={times[exc.row]:g} s: {exc}") from None

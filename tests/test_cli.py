@@ -1070,6 +1070,9 @@ BAD_INPUTS = {
     "series-wrong-header": (
         {"s.csv": b"time,value\n0,1\n"}, ["detect", "@s.csv"], "s.csv",
         "line 1: expected header 'time_s,value'"),
+    "series-bad-unit": (
+        {"s.csv": b"time_s,value\n# unit=bogus\n0,1\n"}, ["detect", "@s.csv"], "s.csv",
+        "line 2: unit must be one of"),
     "series-bad-row": (
         {"s.csv": b"time_s,value\n0,1\n1,x\n"}, ["detect", "@s.csv"], "s.csv",
         "line 3: could not convert string to float: 'x'"),
@@ -1208,6 +1211,37 @@ def test_non_finite_and_negative_flags_exit_2_naming_the_field(tmp_path, argv, f
     assert line.startswith(f"error: {field} must be ")
     assert done.stdout == ""
     assert list(tmp_path.iterdir()) == [tmp_path / "net.json"]
+
+
+# Finite flags whose derived size or sum is out of range: each once ended in
+# a traceback (exit 1), a RuntimeWarning or a waveform of infinite times.
+OUT_OF_RANGE = [
+    (["synth", "--spike-times", "1", "--duration", "1e300"], None, "duration must be below"),
+    (["synth", "--spike-times", "1", "--duration", "10", "--baseline", "1e308",
+      "--amplitude", "1e308"], None, "at t=1 s: value is inf, not a finite number"),
+    (["weights", "--n", "1000000000000"], None, "n must be at most 1073741823"),
+    (["waveform"], {"start_potential": -1e308, "end_potential": 1e308},
+     "the scan span (|end_potential - start_potential|) must be finite"),
+    (["waveform"], {"scan_rate": 1e-320}, "step_duration (step_size / scan_rate) must be finite"),
+]
+
+
+@pytest.mark.parametrize("argv, dpv, message", OUT_OF_RANGE,
+                         ids=["synth-duration", "synth-overflow", "weights-n",
+                              "waveform-span", "waveform-scan-rate"])
+def test_out_of_range_sizes_and_sums_exit_2_naming_the_field(tmp_path, argv, dpv, message):
+    config = []
+    if dpv is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps({"dpv": dpv}))
+        config = ["--config", str(tmp_path / "cfg.json")]
+    done = subprocess.run([sys.executable, "-m", "protoneuro.cli", *argv, *config,
+                           "--out", str(tmp_path / "out.csv")],
+                          env=src_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: ") and message in line
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["sim-spiking", "sim-rate"])

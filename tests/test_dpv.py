@@ -44,6 +44,22 @@ def test_invalid_parameters_rejected(field, value):
         dpv.DpvParameters(**{field: value})
 
 
+_HUGE_STEPS = dict(step_size=1e307, pulse_width=0.5, scan_rate=1e307, equilibrium_time=0.0)
+
+
+@pytest.mark.parametrize("params, quantity", [
+    (dict(step_size=1e-320, pulse_width=1e-323), "the step count"),
+    (dict(equilibrium_time=1.7e308, scan_rate=1e-306), "the waveform duration"),
+    (dict(start_potential=0.0, end_potential=1.79e308, pulse_amplitude=0.1, **_HUGE_STEPS),
+     "a pulse potential"),  # the last step rounds past the end potential
+    (dict(start_potential=1.7e308, end_potential=0.0, pulse_amplitude=1e308, **_HUGE_STEPS),
+     "a pulse potential"),  # the first pulse of a downward scan
+], ids=["step-count", "duration", "last-pulse", "first-pulse"])
+def test_derived_quantities_must_be_finite(params, quantity):
+    with pytest.raises(ValidationError, match=f"^{quantity} .* must be finite, got inf$"):
+        dpv.DpvParameters(**params)
+
+
 def test_equal_start_end_rejected():
     with pytest.raises(ValidationError):
         dpv.DpvParameters(start_potential=1.0, end_potential=1.0)

@@ -14,12 +14,14 @@ from protoneuro.signals import SyntheticSpikeSpec, TimeSeries
 
 
 def test_timeseries_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
         TimeSeries(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
+    assert info.value.row == 1
     with pytest.raises(ValidationError):
         TimeSeries(np.array([0.0, 1.0]), np.array([1.0]))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
         TimeSeries(np.array([0.0]), np.array([np.nan]))
+    assert info.value.row == 0
     with pytest.raises(ValidationError):
         TimeSeries(np.array([]), np.array([]))
     with pytest.raises(ValidationError):
