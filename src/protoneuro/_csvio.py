@@ -5,7 +5,7 @@ of numeric rows. Handling them one Python call per row made file I/O the
 bulk of a command's run time, so their readers and writers go through the
 functions here, which stand in exactly for the per-row code.
 
-Parsing: ``read_header`` takes a file's header line and ``read_rows`` its
+Parsing: ``read_table`` takes a file's header, checked first, and its
 body, in one pass of 64 KiB chunks of lines (``str.splitlines``'s lines,
 so a break such as ``\x0c`` or ``\u2028`` splits them). A chunk's ``#``
 lines go to the format's hook, and each run of rows between them, past its
@@ -97,29 +97,11 @@ _E_SPAN = 290
 _CHARS = {c: np.uint8(ord(c)) for c in "-0.e+"}
 
 
-def read_header(fh, skip_blank=False):
-    """(header, rest, line): the first line of an open text file (with
-    ``skip_blank``, the first that is not blank; "" if there is none), the
-    text read past it and the number of the line after it."""
-    text, line = "", 1
-    while True:
-        if not text:
-            text = fh.readline()
-        if not text:
-            return "", "", line
-        first = text.splitlines(keepends=True)[0]
-        text = text[len(first):]
-        line += 1
-        header = first.splitlines()[0]
-        if header.strip() or not skip_blank:
-            return header, text, line
-
-
-def _read_text(fh, first=""):
-    """The rest of an open text file, from its text ``first``, in pieces of
-    about ``_READ_CHUNK`` characters, each cut after its last newline, so
-    that ``str.splitlines`` splits the pieces as it splits the whole text."""
-    pending = first
+def _read_text(fh):
+    """An open text file in pieces of about ``_READ_CHUNK`` characters, each
+    cut after its last newline, so that ``str.splitlines`` splits the pieces
+    as it splits the whole text."""
+    pending = ""
     while True:
         chunk = fh.read(_READ_CHUNK)
         text = pending + chunk
@@ -180,19 +162,32 @@ def _parse_run(lines, width, line, loadtxt):
     return _parse_lines(lines, width, line + start)
 
 
-def read_rows(fh, width, first="", line=1, comment=None):
-    """The rest of an open text file, from its text ``first`` (the file's
-    line ``line``), as an (n, width) float64 array, or a ParseError naming
-    the first bad line. Blank lines are skipped, and with a ``comment`` hook
-    so are ``#`` lines, each handed to the hook stripped, with its line
-    number. The buffer is sized from the file's size and the rows per
-    character read so far, with 1% slack, grown in place if that falls short
-    and trimmed at the end."""
+def read_table(fh, check_header, comment=None):
+    """(header, rows) of an open text CSV file: the header is its first line
+    that is not blank ("" if there is none), which ``check_header(header,
+    line)`` checks before any row is parsed, and the rows are the lines after
+    it as an (n, width) float64 array, width the header's field count, or a
+    ParseError naming the first bad line. Blank lines are skipped, and with a
+    ``comment`` hook so are ``#`` lines, each handed to the hook stripped,
+    with its line number. The buffer is sized from the file's size and the
+    rows per character read so far, with 1% slack, grown in place if that
+    falls short and trimmed at the end."""
     size = os.fstat(fh.fileno()).st_size
-    rows, n, seen = np.empty((0, width)), 0, 0
-    for chunk in _read_text(fh, first):
+    header, n, seen, line = None, 0, 0, 1
+    for chunk in _read_text(fh):
         seen += len(chunk)
         lines = chunk.splitlines()
+        if header is None:
+            skip = next((i for i, text in enumerate(lines) if text.strip()), len(lines))
+            line += skip
+            if skip == len(lines):
+                continue
+            header = lines[skip]
+            check_header(header, line)
+            width = len(header.split(","))
+            rows = np.empty((0, width))
+            lines = lines[skip + 1:]
+            line += 1
         marks = [] if comment is None or "#" not in chunk else \
             [i for i, text in enumerate(lines) if text.lstrip().startswith("#")]
         start = 0
@@ -211,8 +206,11 @@ def read_rows(fh, width, first="", line=1, comment=None):
             rows[n:n + len(block)] = block
             n += len(block)
         line += len(lines)
+    if header is None:
+        check_header("", line)
+        return "", np.empty((0, 1))
     rows.resize((n, width), refcheck=False)
-    return rows
+    return header, rows
 
 
 @functools.cache

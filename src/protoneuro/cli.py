@@ -209,7 +209,11 @@ def _input_stream(args, dt, rows):
         return networks.read_stream_csv(args.input, dt, rows)
     import numpy as np
     drive = _inputs.number(args.drive or 0.0, "--drive")
-    return np.full((rows, _inputs.integer(args.steps, 0, "--steps")), drive)
+    steps = _inputs.integer(args.steps, 0, "--steps")
+    # A (rows, steps) float64 drive: more bytes than this no array can index.
+    if rows * steps * 8 > sys.maxsize:
+        raise ValidationError(f"--steps must be at most {sys.maxsize // (8 * rows)}, got {steps}")
+    return np.full((rows, steps), drive)
 
 
 def cmd_sim_spiking(args) -> int:

@@ -11,6 +11,7 @@ The module is standard library only, so ``waveform`` starts without numpy.
 """
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -56,7 +57,12 @@ class DpvParameters:
         # potential, which step_count could not round nor the waveform print.
         span = _finite(abs(self.end_potential - self.start_potential),
                        "the scan span (|end_potential - start_potential|)")
-        _finite(span / self.step_size, "the step count (span / step_size)")
+        steps = _finite(span / self.step_size, "the step count (span / step_size)")
+        # 2 * steps + 1 segments: no list can index more than sys.maxsize // 8.
+        most = (sys.maxsize // 8 - 1) // 2
+        if step_count(self) > most:
+            raise ValidationError(f"the step count (span / step_size) must be at most "
+                                  f"{most}, got {steps:.9g}")
         _finite(self.step_duration, "step_duration (step_size / scan_rate)")
         _finite(self.equilibrium_time + scan_duration(self),
                 "the waveform duration (equilibrium_time + steps * step_duration)")

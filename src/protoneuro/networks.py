@@ -28,7 +28,7 @@ its pre-activation states one block of steps at a time as it goes.
 
 The module also reads what a simulation takes: the network spec JSON
 (``load_network_json``) and the input and feedback stream CSVs
-(``read_stream_csv``, one ``_csvio.read_rows`` pass and array tests of the
+(``read_stream_csv``, one ``_csvio.read_table`` pass and array tests of the
 values and the time steps), and writes the trace, raster and readout CSVs.
 """
 
@@ -324,14 +324,14 @@ def read_stream_csv(path, dt, expected_rows=None):
     non-finite value, and both over an earlier bad step; only a non-finite
     value or a bad step re-reads the file, to name its line.
     """
-    with _inputs.blamed(path), _inputs.open_text(path) as fh:
-        header, rest, line = _csvio.read_header(fh, skip_blank=True)
+    def check_header(header, line):
         if not header.startswith("time_s"):
             raise ValidationError("expected a header starting with time_s")
-        width = len(header.split(","))
-        if width < 2:
+        if "," not in header:
             raise ValidationError("header lists no channels")
-        rows = _csvio.read_rows(fh, width, rest, line)
+
+    with _inputs.blamed(path), _inputs.open_text(path) as fh:
+        header, rows = _csvio.read_table(fh, check_header)
         values = rows[:, 1:]
         bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
         if bad.size:

@@ -143,12 +143,13 @@ def read_timeseries_csv(path) -> TimeSeries:
                 meta[key] = sys.intern(text[len(key) + 1:])
         _check_unit(meta["unit"], line)
 
+    def check_header(header, line):
+        if not (line == 1 and header.strip() == HEADER):
+            raise ParseError(f"expected header {HEADER!r}", line=1)
+
     with _inputs.blamed(path):
         with _inputs.open_text(path) as fh:
-            header, rest, line = _csvio.read_header(fh)
-            if header.strip() != HEADER:
-                raise ParseError(f"expected header {HEADER!r}", line=1)
-            rows = _csvio.read_rows(fh, 2, rest, line, comment=comment)
+            _, rows = _csvio.read_table(fh, check_header, comment)
         try:
             return TimeSeries._adopt(rows[:, 0], rows[:, 1], unit=meta["unit"],
                                      label=meta["label"])

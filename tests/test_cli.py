@@ -1120,6 +1120,24 @@ BAD_INPUTS = {
         {"m.json": json.dumps({**_MANIFEST, "sample_labels": 5}).encode()},
         ["pipeline", "@m.json", "--output-dir", "@out"], "m.json",
         'manifest "sample_labels" must be a list'),
+    **{f"manifest-{case}": ({"m.json": json.dumps({**_MANIFEST, **doc}).encode()},
+                            ["pipeline", "@m.json", "--output-dir", "@out"], "m.json", place)
+       for case, doc, place in [
+        ("lengths-differ", {"sample_labels": ["a", "b"]},
+         "sample_labels and source_files differ in length"),
+        ("no-samples", {"sample_labels": [], "source_files": []}, "manifest lists no samples"),
+        ("duplicate-labels", {"sample_labels": ["a", "a"], "source_files": ["a.csv", "a.csv"]},
+         "sample labels must be unique"),
+        ("weights-bogus", {"weights": "bogus"}, 'weights must be "seeded" or "reference"'),
+    ]},
+    **{f"observations-{case}": (
+        {"obs.csv": b"label,molecular_weight_gmol,peptide_length,mean_firing_rate_hz\n" + row},
+        ["qsar-fit", "@obs.csv", "--out", "@model.json"], "obs.csv", place)
+       for case, row, place in [
+        ("three-fields", b"s0,100,2\n", "line 2: expected 4 fields, got 3"),
+        ("fractional-length", b"s0,100,0.5,3\n", "line 2: peptide_length must be >= 1"),
+        ("nan-rate", b"s0,100,2,nan\n", "line 2: mean_firing_rate must be finite"),
+    ]},
     "report-an-array": (
         {"report.json": b"[]"}, ["report", "@report.json"], "report.json",
         "must be a JSON object"),
@@ -1223,25 +1241,35 @@ OUT_OF_RANGE = [
     (["waveform"], {"start_potential": -1e308, "end_potential": 1e308},
      "the scan span (|end_potential - start_potential|) must be finite"),
     (["waveform"], {"scan_rate": 1e-320}, "step_duration (step_size / scan_rate) must be finite"),
+    (["waveform", "--step-size", "1e-300", "--pulse-width", "1e-303"], None,
+     "the step count (span / step_size) must be at most 576460752303423487, got 1.6e+301"),
+    (["sim-spiking", "--steps", "10000000000000000000"], None,
+     "--steps must be at most 1152921504606846975"),
+    (["sim-rate", "--steps", "10000000000000000000"], None,
+     "--steps must be at most 1152921504606846975"),
 ]
 
 
 @pytest.mark.parametrize("argv, dpv, message", OUT_OF_RANGE,
                          ids=["synth-duration", "synth-overflow", "weights-n",
-                              "waveform-span", "waveform-scan-rate"])
+                              "waveform-span", "waveform-scan-rate", "waveform-step-count",
+                              "sim-spiking-steps", "sim-rate-steps"])
 def test_out_of_range_sizes_and_sums_exit_2_naming_the_field(tmp_path, argv, dpv, message):
     config = []
     if dpv is not None:
         (tmp_path / "cfg.json").write_text(json.dumps({"dpv": dpv}))
         config = ["--config", str(tmp_path / "cfg.json")]
-    done = subprocess.run([sys.executable, "-m", "protoneuro.cli", *argv, *config,
-                           "--out", str(tmp_path / "out.csv")],
+    out = ["--out", str(tmp_path / "out.csv")]
+    if argv[0].startswith("sim-"):
+        (tmp_path / "net.json").write_text(json.dumps({"n": 2}))
+        out = ["--net", str(tmp_path / "net.json"), "--out-prefix", str(tmp_path / "out")]
+    done = subprocess.run([sys.executable, "-m", "protoneuro.cli", *argv, *config, *out],
                           env=src_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr and "Warning" not in done.stderr
     [line] = done.stderr.splitlines()
     assert line.startswith("error: ") and message in line
-    assert not (tmp_path / "out.csv").exists()
+    assert {path.name for path in tmp_path.iterdir()} <= {"cfg.json", "net.json"}
 
 
 @pytest.mark.parametrize("command", ["sim-spiking", "sim-rate"])

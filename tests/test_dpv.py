@@ -60,6 +60,18 @@ def test_derived_quantities_must_be_finite(params, quantity):
         dpv.DpvParameters(**params)
 
 
+def test_step_count_beyond_any_list_rejected():
+    # 1.6e301 steps: the check comes before any segment is built.
+    with pytest.raises(ValidationError, match=r"^the step count \(span / step_size\) must be "
+                                              r"at most 576460752303423487, got 1\.6e\+301$"):
+        dpv.DpvParameters(step_size=1e-300, pulse_width=1e-303)
+
+
+def test_step_larger_than_the_scan_span_rejected():
+    with pytest.raises(ValidationError, match="^step_size larger than the scan span$"):
+        dpv.DpvParameters(start_potential=0.0, end_potential=0.001, step_size=0.01)
+
+
 def test_equal_start_end_rejected():
     with pytest.raises(ValidationError):
         dpv.DpvParameters(start_potential=1.0, end_potential=1.0)
