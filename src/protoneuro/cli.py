@@ -150,6 +150,7 @@ def cmd_pipeline(args) -> int:
 
     samples = {}  # label -> (series, stats), in manifest order
     errors = {}
+    invalid = False  # whether a sample failed validation, not only I/O
     for label, path in zip(manifest.sample_labels, manifest.source_files):
         try:
             series = signals.read_timeseries_csv(path)
@@ -157,6 +158,9 @@ def cmd_pipeline(args) -> int:
             samples[label] = series, spikes.compute_stats(train)
         except (ValidationError, OSError) as exc:
             errors[label] = str(exc)
+            invalid |= isinstance(exc, ValidationError)
+            print(f"{'error' if isinstance(exc, ValidationError) else 'i/o error'}: {exc}",
+                  file=sys.stderr)
 
     report = {
         "aggregate": None,
@@ -197,7 +201,9 @@ def cmd_pipeline(args) -> int:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"report={report_path} samples_ok={len(samples)} samples_failed={len(errors)}")
-    return EXIT_OK if not errors else EXIT_IO
+    if not errors:
+        return EXIT_OK
+    return EXIT_VALIDATION if invalid else EXIT_IO
 
 
 def _input_stream(args, dt, rows):
@@ -265,9 +271,10 @@ def cmd_qsar_predict(args) -> int:
     mean = None if args.mean is None else _inputs.number(args.mean, "--mean")
     coeffs = qsar.read_model_json(args.model) if args.model else qsar.REFERENCE_COEFFICIENTS
     rate = qsar.predict(coeffs, args.x, args.y)
+    deviation = None if mean is None else qsar.percent_deviation(mean, rate)
     print(f"predicted_rate_hz={rate:.6g}")
-    if mean is not None:
-        print(f"percent_deviation={qsar.percent_deviation(mean, rate):+.4f}%")
+    if deviation is not None:
+        print(f"percent_deviation={deviation:+.4f}%")
     return EXIT_OK
 
 

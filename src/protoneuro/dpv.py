@@ -7,6 +7,11 @@ just before the pulse and once at its end. This module builds the potential
 programme from the instrument parameters and exposes the sampling schedule;
 it does not model the electrochemical cell.
 
+``_steps`` is the one step formula. It yields each step's base potential,
+base-phase start, pulse start (the before-pulse sample) and end (the
+after-pulse sample; the last step's end is the waveform's ``total_duration``).
+The waveform, the sampling schedule and the protocol checks read it alone.
+
 The module is standard library only, so ``waveform`` starts without numpy.
 """
 
@@ -64,11 +69,10 @@ class DpvParameters:
             raise ValidationError(f"the step count (span / step_size) must be at most "
                                   f"{most}, got {steps:.9g}")
         _finite(self.step_duration, "step_duration (step_size / scan_rate)")
-        _finite(self.equilibrium_time + scan_duration(self),
-                "the waveform duration (equilibrium_time + steps * step_duration)")
-        for k in (1, step_count(self)):  # the pulse potentials' extremes
-            _finite(self.start_potential + self.direction * k * self.step_size
-                    + self.pulse_amplitude, "a pulse potential (step + pulse_amplitude)")
+        (first_v, *_), (last_v, *_, end) = _steps(self, (1, step_count(self)))
+        _finite(end, "the waveform duration (equilibrium_time + steps * step_duration)")
+        for base_v in (first_v, last_v):  # the pulse potentials' extremes
+            _finite(base_v + self.pulse_amplitude, "a pulse potential (step + pulse_amplitude)")
         if not self.pulse_width < self.step_duration:
             raise ValidationError(
                 "pulse_width must be smaller than step_duration "
@@ -133,33 +137,32 @@ def step_count(params: DpvParameters) -> int:
     return int(round(span / params.step_size))
 
 
+def _steps(params: DpvParameters, ks=None):
+    """(base potential, base start, pulse start, step end) of each step k in
+    ``ks``, by default every step from 1 to ``step_count``."""
+    eq, step_duration = params.equilibrium_time, params.step_duration
+    start, direction, step_size = params.start_potential, params.direction, params.step_size
+    base_phase = step_duration - params.pulse_width
+    for k in range(1, step_count(params) + 1) if ks is None else ks:
+        base_start = eq + (k - 1) * step_duration
+        yield (start + direction * k * step_size, base_start, base_start + base_phase,
+               eq + k * step_duration)
+
+
 def generate_waveform(params: DpvParameters) -> PotentialWaveform:
     """Build the full potential programme for one scan.
 
     An optional equilibrium hold at the start potential is followed by
-    ``step_count`` base/pulse segment pairs. The base potential of step k is
-    start + direction*k*step_size; the pulse sits on the final pulse_width
-    seconds of the step at base + pulse_amplitude.
+    ``step_count`` base/pulse segment pairs, each pulse at its step's base
+    potential + pulse_amplitude.
     """
-    n = step_count(params)
     eq = params.equilibrium_time
-    sd = params.step_duration
-    pw = params.pulse_width
-    sign = params.direction
-
-    segments = []
-    if eq > 0:
-        segments.append(Segment(0.0, eq, params.start_potential, PHASE_EQUILIBRIUM))
-    total = eq + n * sd
-    for k in range(1, n + 1):
-        base_v = params.start_potential + sign * k * params.step_size
-        base_start = eq + (k - 1) * sd
-        pulse_start = base_start + (sd - pw)
-        step_end = total if k == n else eq + k * sd
+    segments = [Segment(0.0, eq, params.start_potential, PHASE_EQUILIBRIUM)] if eq > 0 else []
+    for base_v, base_start, pulse_start, step_end in _steps(params):
         segments.append(Segment(base_start, pulse_start - base_start, base_v, PHASE_BASE))
         segments.append(Segment(pulse_start, step_end - pulse_start,
                                 base_v + params.pulse_amplitude, PHASE_PULSE))
-    return PotentialWaveform(tuple(segments), total)
+    return PotentialWaveform(tuple(segments), step_end)
 
 
 def sample_instants(params: DpvParameters) -> list[tuple[float, str]]:
@@ -169,14 +172,10 @@ def sample_instants(params: DpvParameters) -> list[tuple[float, str]]:
     after-pulse sample at the end of each pulse phase; times are strictly
     increasing and offset by the equilibrium time.
     """
-    n = step_count(params)
-    eq = params.equilibrium_time
-    sd = params.step_duration
-    pw = params.pulse_width
     out = []
-    for k in range(1, n + 1):
-        out.append((eq + (k - 1) * sd + (sd - pw), BEFORE_PULSE))
-        out.append((eq + k * sd, AFTER_PULSE))
+    for _, _, before, after in _steps(params):
+        out.append((before, BEFORE_PULSE))
+        out.append((after, AFTER_PULSE))
     return out
 
 

@@ -417,7 +417,11 @@ def percent_deviation(mean: float, predicted: float) -> float:
     """Signed disparity of prediction vs observation: 100*(predicted-mean)/mean."""
     if mean == 0:
         raise ValidationError("mean firing rate must be nonzero")
-    return 100.0 * (predicted - mean) / mean
+    deviation = 100.0 * (predicted - mean) / mean
+    if not math.isfinite(deviation):
+        raise ValidationError(f"mean firing rate {mean!r} gives a percent deviation of "
+                              f"{deviation}, not a finite number")
+    return deviation
 
 
 def read_observations_csv(path) -> list[QsarObservation]:

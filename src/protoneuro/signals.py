@@ -231,6 +231,13 @@ class SyntheticSpikeSpec:
             raise ValidationError("spike_amplitude must be > 0")
         if self.spike_half_width <= 0:
             raise ValidationError("spike_half_width must be > 0")
+        try:  # the bump's variance, as synthesize_spiky_series divides by it
+            variance = 2 * _bump_sigma(self.spike_half_width)**2
+        except OverflowError:
+            variance = math.inf
+        if not math.isfinite(variance):
+            raise ValidationError("spike_half_width must give a finite bump variance "
+                                  f"(2 * sigma**2), got {self.spike_half_width!r}")
         if self.noise_sd < 0:
             raise ValidationError("noise_sd must be >= 0")
         st = self.spike_times
@@ -258,6 +265,11 @@ class SyntheticSpikeSpec:
             raise ValidationError("spike_times must lie within [0, duration]")
 
 
+def _bump_sigma(spike_half_width: float) -> float:
+    """Standard deviation of a Gaussian bump with this half width at half maximum."""
+    return spike_half_width / math.sqrt(2.0 * math.log(2.0))
+
+
 def _placed_spike_times(spec: SyntheticSpikeSpec, rng: "np.random.Generator") -> np.ndarray:
     """The spike times of ``spec``; ``rng`` draws the jitter of two or more
     spikes placed by count (otherwise it may be None)."""
@@ -268,9 +280,16 @@ def _placed_spike_times(spec: SyntheticSpikeSpec, rng: "np.random.Generator") ->
     if spec.count == 1:
         return np.array([spec.mean_isi])
     gaps = spec.mean_isi * (1.0 + spec.jitter_fraction * rng.uniform(-1, 1, spec.count - 1))
-    # Rescale so the realised mean ISI is exact, not just exact in expectation.
-    gaps *= (spec.count - 1) * spec.mean_isi / gaps.sum()
-    return spec.mean_isi + np.concatenate(([0.0], np.cumsum(gaps)))
+    # Gaps whose sum overflows put every spike beyond any duration, which the
+    # caller names; a span that overflows leaves the last time inf or nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Rescale so the realised mean ISI is exact, not just exact in expectation.
+        gaps *= (spec.count - 1) * spec.mean_isi / gaps.sum()
+        times = spec.mean_isi + np.concatenate(([0.0], np.cumsum(gaps)))
+    if not math.isfinite(times[-1]):
+        raise ValidationError(f"mean_isi {spec.mean_isi!r} places {spec.count} spikes "
+                              "beyond the float range")
+    return times
 
 
 def synthesize_spiky_series(spec: SyntheticSpikeSpec) -> TimeSeries:
@@ -288,7 +307,7 @@ def synthesize_spiky_series(spec: SyntheticSpikeSpec) -> TimeSeries:
         )
     times = np.arange(math.floor(spec.duration) + 1, dtype=np.float64)
     values = np.full(times.size, spec.baseline)
-    sigma = spec.spike_half_width / math.sqrt(2.0 * math.log(2.0))
+    sigma = _bump_sigma(spec.spike_half_width)
     lo = np.searchsorted(times, spike_times - 6 * sigma)
     hi = np.searchsorted(times, spike_times + 6 * sigma)
     width = int((hi - lo).max(initial=0))

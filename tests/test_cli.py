@@ -327,12 +327,27 @@ def test_pipeline_partial_failure_reported(tmp_path, capsys):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({"sample_labels": ["good", "bad"],
                                     "source_files": ["good.csv", "bad.csv"], "seed": 0}))
-    code, stdout, _ = run(capsys, "pipeline", str(manifest), "--output-dir",
-                          str(tmp_path / "out"))
-    assert code != 0
+    code, stdout, stderr = run(capsys, "pipeline", str(manifest), "--output-dir",
+                               str(tmp_path / "out"))
+    assert code == 2
+    assert stderr == f"error: {bad}: line 2: could not convert string to float: 'zap'\n"
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert "bad" in report["errors"]
     assert len(report["samples"]) == 1
+
+
+def test_pipeline_sample_that_cannot_be_read_exits_1(tmp_path, capsys):
+    write_series(tmp_path / "good.csv", np.arange(30.0), np.zeros(30), label="good")
+    (tmp_path / "dir.csv").mkdir()
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"sample_labels": ["good", "dir"],
+                                    "source_files": ["good.csv", "dir.csv"], "seed": 0}))
+    code, stdout, stderr = run(capsys, "pipeline", str(manifest), "--output-dir",
+                               str(tmp_path / "out"))
+    assert code == 1
+    assert stderr.startswith("i/o error: ") and stderr.count("\n") == 1
+    assert "samples_ok=1 samples_failed=1" in stdout
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["errors"].keys() == {"dir"}
 
 
 def test_pipeline_rejects_mismatched_time_base(tmp_path, capsys):
@@ -1247,13 +1262,18 @@ OUT_OF_RANGE = [
      "--steps must be at most 1152921504606846975"),
     (["sim-rate", "--steps", "10000000000000000000"], None,
      "--steps must be at most 1152921504606846975"),
+    (["synth", "--spike-times", "1", "--half-width", "1e200", "--duration", "3"], None,
+     "spike_half_width must give a finite bump variance (2 * sigma**2), got 1e+200"),
+    (["synth", "--count", "3", "--mean-isi", "1e308", "--duration", "3"], None,
+     "mean_isi 1e+308 places 3 spikes beyond the float range"),
 ]
 
 
 @pytest.mark.parametrize("argv, dpv, message", OUT_OF_RANGE,
                          ids=["synth-duration", "synth-overflow", "weights-n",
                               "waveform-span", "waveform-scan-rate", "waveform-step-count",
-                              "sim-spiking-steps", "sim-rate-steps"])
+                              "sim-spiking-steps", "sim-rate-steps", "synth-half-width",
+                              "synth-mean-isi"])
 def test_out_of_range_sizes_and_sums_exit_2_naming_the_field(tmp_path, argv, dpv, message):
     config = []
     if dpv is not None:
@@ -1270,6 +1290,16 @@ def test_out_of_range_sizes_and_sums_exit_2_naming_the_field(tmp_path, argv, dpv
     [line] = done.stderr.splitlines()
     assert line.startswith("error: ") and message in line
     assert {path.name for path in tmp_path.iterdir()} <= {"cfg.json", "net.json"}
+
+
+@pytest.mark.parametrize("mean, deviation", [("1e308", "-inf"), ("1e-320", "inf")])
+def test_percent_deviation_out_of_range_exits_2_naming_the_mean(mean, deviation):
+    done = subprocess.run([sys.executable, "-m", "protoneuro.cli", "qsar-predict",
+                           "--x", "300", "--y", "2", "--mean", mean],
+                          env=src_env(), capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr == (f"error: mean firing rate {float(mean)!r} gives a percent "
+                           f"deviation of {deviation}, not a finite number\n")
 
 
 @pytest.mark.parametrize("command", ["sim-spiking", "sim-rate"])

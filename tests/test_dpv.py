@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protoneuro import dpv
 from protoneuro.errors import ValidationError
@@ -165,6 +167,37 @@ def test_waveform_invariants_random_params():
         # pulse rides on the preceding base
         for b, s in zip(bases, pulses):
             assert s.potential == pytest.approx(b.potential + p.pulse_amplitude)
+
+
+@st.composite
+def protocols(draw):
+    """Valid protocols of 1 to 300 steps, scanning either way."""
+    steps = draw(st.integers(1, 300))
+    step_size = draw(st.floats(1e-4, 0.1))
+    start = draw(st.floats(-8, 8))
+    scan_rate = draw(st.floats(1e-4, 10))
+    return dpv.DpvParameters(
+        equilibrium_time=draw(st.sampled_from([0.0, 100.0]) | st.floats(0, 200)),
+        start_potential=start,
+        end_potential=start + draw(st.sampled_from([-1, 1])) * steps * step_size,
+        step_size=step_size, pulse_amplitude=draw(st.floats(-0.5, 0.5)),
+        pulse_width=draw(st.floats(0.01, 0.99)) * step_size / scan_rate, scan_rate=scan_rate)
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=protocols())
+def test_waveform_pulses_start_and_end_at_the_sampling_instants(params):
+    w = dpv.generate_waveform(params)
+    instants = dpv.sample_instants(params)
+    ends = [s.start_time for s in w.segments[1:]] + [w.total_duration]
+    pulses = [(s, end) for s, end in zip(w.segments, ends) if s.phase == dpv.PHASE_PULSE]
+    assert len(instants) == 2 * len(pulses) == 2 * dpv.step_count(params)
+    for (pulse, end), before, after in zip(pulses, instants[::2], instants[1::2]):
+        assert (pulse.start_time, dpv.BEFORE_PULSE) == before
+        assert (end, dpv.AFTER_PULSE) == after
+    bases = [s.potential for s in w.segments if s.phase == dpv.PHASE_BASE]
+    step = params.direction * params.step_size
+    assert np.diff([params.start_potential, *bases]) == pytest.approx(step, rel=1e-9)
 
 
 def test_potential_at_matches_segments():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -186,6 +187,13 @@ def test_percent_deviation_sign_and_zero():
     assert qsar.percent_deviation(10.0, 9.0) < 0
     with pytest.raises(ValidationError):
         qsar.percent_deviation(0.0, 1.0)
+
+
+@pytest.mark.parametrize("mean, predicted", [(1e308, 678.6), (1e-320, 678.6),
+                                             (-1e308, 1e308)])
+def test_percent_deviation_that_overflows_names_the_mean(mean, predicted):
+    with pytest.raises(ValidationError, match=re.escape(f"mean firing rate {mean!r} gives")):
+        qsar.percent_deviation(mean, predicted)
 
 
 def test_reference_bounds_contain_values():
