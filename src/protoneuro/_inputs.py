@@ -9,6 +9,7 @@ fields are checked, not coerced. Standard library only, so ``report`` and
 
 import contextlib
 import json
+import math
 import sys
 
 from .errors import ParseError, ValidationError
@@ -83,6 +84,13 @@ def number(value, name):
             or not -sys.float_info.max <= value <= sys.float_info.max:
         raise ValidationError(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def finite(value, name):
+    """``value``, which must be finite; ``name`` says what it is."""
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def string(value, name):

@@ -48,16 +48,19 @@ def _resolve_seed(args, config) -> int:
     return _inputs.integer(env, 0, "PROTONEURO_SEED")
 
 
+def _given(args, section):
+    """The flags given in ``args`` whose dests name fields of the dataclass ``section``."""
+    return {name: getattr(args, name) for name in section.__dataclass_fields__
+            if getattr(args, name, None) is not None}
+
+
 def cmd_waveform(args) -> int:
     import dataclasses
 
     from . import dpv
     from .config import load_config
     config = load_config(args.config)
-    flags = dict(start_potential=args.start, end_potential=args.end, step_size=args.step_size,
-                 pulse_amplitude=args.pulse_amplitude, pulse_width=args.pulse_width,
-                 scan_rate=args.scan_rate, equilibrium_time=args.equilibrium_time)
-    params = dataclasses.replace(config.dpv, **{k: v for k, v in flags.items() if v is not None})
+    params = dataclasses.replace(config.dpv, **_given(args, config.dpv))
     waveform = dpv.generate_waveform(params)
     dpv.write_waveform_csv(waveform, args.out)
     print(f"steps={dpv.step_count(params)} scan_duration_s={dpv.scan_duration(params):g}")
@@ -69,18 +72,7 @@ def cmd_synth(args) -> int:
     from .config import load_config
     config = load_config(args.config)
     seed = _resolve_seed(args, config)
-    # The spec checks the flags; a missing duration comes only from flags that were given.
-    duration = args.duration
-    if duration is None and args.spike_times:
-        duration = args.spike_times[-1] + 5 * args.half_width
-    elif duration is None and args.count is not None and args.mean_isi is not None:
-        duration = (args.count + 1) * args.mean_isi
-    spec = signals.SyntheticSpikeSpec(
-        duration=duration, spike_times=args.spike_times, count=args.count,
-        mean_isi=args.mean_isi, jitter_fraction=args.jitter, spike_amplitude=args.amplitude,
-        spike_half_width=args.half_width, baseline=args.baseline,
-        noise_sd=args.noise_sd, seed=seed, label=args.label,
-    )
+    spec = signals.SyntheticSpikeSpec(**_given(args, signals.SyntheticSpikeSpec) | {"seed": seed})
     series = signals.synthesize_spiky_series(spec)
     signals.write_timeseries_csv(series, args.out)
     print(f"samples={len(series)} duration_s={series.duration:g}")
@@ -93,8 +85,7 @@ def cmd_detect(args) -> int:
     from . import signals, spikes
     from .config import load_config
     config = load_config(args.config)
-    detcfg = dataclasses.replace(config.detection, **{k: v for k, v in dict(
-        threshold=args.threshold, min_peak_distance=args.min_distance).items() if v is not None})
+    detcfg = dataclasses.replace(config.detection, **_given(args, config.detection))
     series = signals.read_timeseries_csv(args.input)
     train = spikes.detect_spikes(series, detcfg)
     stats = spikes.compute_stats(train)
@@ -109,10 +100,12 @@ def cmd_detect(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    import dataclasses
+
     from . import coding, signals
     from .config import load_config
     config = load_config(args.config)
-    threshold = args.threshold if args.threshold is not None else config.coding.threshold
+    threshold = dataclasses.replace(config.coding, **_given(args, config.coding)).threshold
     series_list = [signals.read_timeseries_csv(p) for p in args.inputs]
     labels = [s.label or f"n{i + 1}" for i, s in enumerate(series_list)]
     code = coding.encode(signals.stack_values(series_list, labels), threshold, labels=labels)
@@ -175,12 +168,13 @@ def cmd_pipeline(args) -> int:
     }
 
     if samples:
+        # First: it rejects a network too large to build, before a label is made for each neuron.
+        weights = coding.weight_matrix(manifest.weights, n_neurons, manifest.seed)
         mean_count, mean_isi = spikes.aggregate_stats([stats for _, stats in samples.values()])
         report["aggregate"] = {"mean_count": mean_count, "mean_isi_of_means_s": mean_isi}
         labels = list(samples) + [f"unassigned{j + 1}" for j in range(n_neurons - len(samples))]
         potentials = signals.stack_values([series for series, _ in samples.values()], labels)
         code = coding.encode(potentials, manifest.coding.threshold, labels=labels)
-        weights = coding.weight_matrix(manifest.weights, n_neurons, manifest.seed)
         grid = coding.psi_ppi(weights, code)
         report.update({
             "code_matrix": code.entries.tolist(),
@@ -363,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("waveform", help="generate the excitation waveform CSV")
     _add_config(p)
     p.add_argument("--out", required=True, help="output CSV (time_s,potential_V,phase)")
-    p.add_argument("--start", type=float, help="start potential (V)")
-    p.add_argument("--end", type=float, help="end potential (V)")
+    p.add_argument("--start", dest="start_potential", type=float, help="start potential (V)")
+    p.add_argument("--end", dest="end_potential", type=float, help="end potential (V)")
     p.add_argument("--step-size", type=float, help="staircase step (V)")
     p.add_argument("--pulse-amplitude", type=float, help="pulse height (V)")
     p.add_argument("--pulse-width", type=float, help="pulse duration (s)")
@@ -378,21 +372,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output series CSV")
     p.add_argument("--count", type=int, help="number of spikes to place")
     p.add_argument("--mean-isi", type=float, help="mean inter-spike interval (s)")
-    p.add_argument("--jitter", type=float, default=0.0, help="ISI jitter fraction in [0,1)")
+    p.add_argument("--jitter", dest="jitter_fraction", type=float,
+                   help="ISI jitter fraction in [0,1)")
     p.add_argument("--spike-times", type=float, nargs="+", help="explicit spike times (s)")
     p.add_argument("--duration", type=float, help="series duration (s)")
-    p.add_argument("--amplitude", type=float, default=0.001, help="bump height (uA)")
-    p.add_argument("--half-width", type=float, default=1.5, help="bump half width (s)")
-    p.add_argument("--baseline", type=float, default=0.0, help="baseline level (uA)")
-    p.add_argument("--noise-sd", type=float, default=0.0, help="white noise SD (uA)")
-    p.add_argument("--label", default="", help="sample label stored in the CSV")
+    p.add_argument("--amplitude", dest="spike_amplitude", type=float, help="bump height (uA)")
+    p.add_argument("--half-width", dest="spike_half_width", type=float,
+                   help="bump half width (s)")
+    p.add_argument("--baseline", type=float, help="baseline level (uA)")
+    p.add_argument("--noise-sd", type=float, help="white noise SD (uA)")
+    p.add_argument("--label", help="sample label stored in the CSV")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("detect", help="detect spikes and write train/stats")
     _add_config(p)
     p.add_argument("input", help="input series CSV")
     p.add_argument("--threshold", type=float, help="detection threshold")
-    p.add_argument("--min-distance", type=float, help="minimum peak distance (s)")
+    p.add_argument("--min-distance", dest="min_peak_distance", type=float,
+                   help="minimum peak distance (s)")
     p.add_argument("--train-out", help="spike train CSV (spike_time_s,amplitude)")
     p.add_argument("--stats-out", help="statistics JSON")
     p.set_defaults(func=cmd_detect)

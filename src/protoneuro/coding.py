@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _csvio
+from . import _csvio, _inputs
 from .config import CodingConfig, derive_seed  # CodingConfig is re-exported
 from .errors import ShapeError, ValidationError
 
@@ -105,8 +105,7 @@ def encode(potentials, threshold: float, labels=None) -> CodeMatrix:
     p = np.asarray(potentials, dtype=np.float64)
     if p.ndim != 2:
         raise ShapeError("potentials must be a 2-D matrix (neurons x samples)")
-    if not np.isfinite(threshold):
-        raise ValidationError("threshold must be finite")
+    _inputs.finite(threshold, "threshold")
     return CodeMatrix((p > threshold).astype(np.uint8), neuron_labels=labels)
 
 

@@ -26,7 +26,6 @@ defined here (``spikes`` and ``coding`` re-export them), so loading a
 config imports no numpy and ``waveform`` starts without it.
 """
 
-import math
 import numbers
 import os
 from dataclasses import dataclass, field
@@ -60,10 +59,10 @@ class SpikeDetectionConfig:
     min_peak_distance: float = 5.0
 
     def __post_init__(self):
-        if not math.isfinite(self.threshold):
-            raise ValidationError("threshold must be finite")
+        _inputs.finite(self.threshold, "threshold")
         if not self.min_peak_distance >= 0:  # NaN fails this test too
             raise ValidationError("min_peak_distance must be >= 0")
+        _inputs.finite(self.min_peak_distance, "min_peak_distance")
 
 
 @dataclass(frozen=True)
@@ -77,8 +76,7 @@ class CodingConfig:
     def __post_init__(self):
         if not (isinstance(self.neuron_count, numbers.Integral) and self.neuron_count >= 1):
             raise ValidationError("neuron_count must be an integer >= 1")
-        if not math.isfinite(self.threshold):
-            raise ValidationError("threshold must be finite")
+        _inputs.finite(self.threshold, "threshold")
         if not self.time_window > 0:  # NaN fails this test too
             raise ValidationError("time_window must be > 0")
 

@@ -15,12 +15,12 @@ The waveform, the sampling schedule and the protocol checks read it alone.
 The module is standard library only, so ``waveform`` starts without numpy.
 """
 
-import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
+from ._inputs import finite as _finite
 from .errors import ValidationError
 
 PHASE_EQUILIBRIUM = "equilibrium"
@@ -90,13 +90,6 @@ class DpvParameters:
     def direction(self) -> float:
         """+1 for an upward scan, -1 for a downward one."""
         return 1.0 if self.end_potential > self.start_potential else -1.0
-
-
-def _finite(value, name):
-    """``value``, which must be finite; ``name`` says what it is."""
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 class Segment(NamedTuple):

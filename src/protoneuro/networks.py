@@ -32,6 +32,7 @@ The module also reads what a simulation takes: the network spec JSON
 values and the time steps), and writes the trace, raster and readout CSVs.
 """
 
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -242,12 +243,12 @@ def _spec_weights(spec: dict, own_keys):
     The spec may hold the keys every network takes and ``own_keys``; any
     other key, a size, dimension or seed that is not an integer, or an
     explicit array that is not numeric is a ValidationError naming it.
-    ``weights(key, shape)`` returns the spec's explicit array under ``key``,
-    or else draws one uniform [-1, 1] scaled by 1/sqrt(n) from the spec's
-    seed (``None`` when ``shape`` is None). All draws come from one
-    generator in call order, so a matrix given explicitly shifts the draws
-    after it. The generator is made at the first draw: a spec that gives
-    every matrix does not load ``numpy.random``.
+    ``weights(key, shape, dims)`` returns the spec's array under ``key``, or
+    else draws one uniform [-1, 1] scaled by 1/sqrt(n) from the spec's seed
+    (``None`` when ``shape``, whose sizes ``dims`` names, is None). All draws
+    come from one generator in call order, so a matrix given explicitly
+    shifts the draws after it. The generator is made at the first draw: a
+    spec that gives every matrix does not load ``numpy.random``.
     """
     _inputs.check_keys(spec, ("n", "input_dim", "seed", "recurrent_weights", "input_weights")
                        + own_keys, "network spec")
@@ -257,7 +258,7 @@ def _spec_weights(spec: dict, own_keys):
     scale = 1.0 / np.sqrt(n)
     rng = None
 
-    def weights(key, shape):
+    def weights(key, shape, dims):
         nonlocal rng
         if key in spec:
             try:
@@ -266,11 +267,14 @@ def _spec_weights(spec: dict, own_keys):
                 raise ValidationError(f"{_SPEC(key)}: {exc}") from None
         if shape is None:
             return None
+        if shape[0] * shape[1] * 8 > sys.maxsize:  # float64 entries no array can index
+            raise ValidationError(f"{key} ({dims} = {shape[0]} x {shape[1]}) is too large to draw")
         if rng is None:
             rng = np.random.default_rng(seed)
         return rng.uniform(-1.0, 1.0, size=shape) * scale
 
-    return n, weights("recurrent_weights", (n, n)), weights("input_weights", (n, d_in)), weights
+    return (n, weights("recurrent_weights", (n, n), "n x n"),
+            weights("input_weights", (n, d_in), "n x input_dim"), weights)
 
 
 def spiking_network_from_dict(spec: dict) -> SpikingNetwork:
@@ -284,7 +288,7 @@ def spiking_network_from_dict(spec: dict) -> SpikingNetwork:
     """
     n, j, u, weights = _spec_weights(spec, ("output_dim", "output_weights", "lif", "tau_syn"))
     d_out = _inputs.integer(spec.get("output_dim", 1), 1, _SPEC("output_dim"))
-    w = weights("output_weights", (d_out, n))
+    w = weights("output_weights", (d_out, n), "output_dim x n")
     return SpikingNetwork(n=n, recurrent_weights=j, input_weights=u, output_weights=w,
                           lif=_spec_lif(spec), **_spec_numbers(spec, ("tau_syn",)))
 
@@ -298,7 +302,7 @@ def rate_network_from_dict(spec: dict) -> RateNetwork:
     n, j, u, weights = _spec_weights(
         spec, ("feedback_dim", "feedback_weights", "time_constant", "dt"))
     d_fb = _inputs.integer(spec.get("feedback_dim", 0), 0, _SPEC("feedback_dim"))
-    fb = weights("feedback_weights", (n, d_fb) if d_fb > 0 else None)
+    fb = weights("feedback_weights", (n, d_fb) if d_fb > 0 else None, "n x feedback_dim")
     return RateNetwork(n=n, recurrent_weights=j, input_weights=u, feedback_weights=fb,
                        **_spec_numbers(spec, ("time_constant", "dt")))
 

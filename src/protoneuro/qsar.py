@@ -61,8 +61,8 @@ class QsarCoefficients:
     bounds: dict = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not all(math.isfinite(getattr(self, n)) for n in COEFFICIENT_NAMES):
-            raise ValidationError("coefficients must be finite")
+        for name in COEFFICIENT_NAMES:
+            _inputs.finite(getattr(self, name), name)
         if self.bounds is not None:
             for name in self.bounds:
                 if name not in COEFFICIENT_NAMES:
@@ -139,8 +139,7 @@ class QsarObservation:
     mean_firing_rate: float
 
     def __post_init__(self):
-        if not math.isfinite(self.mean_firing_rate):
-            raise ValidationError("mean_firing_rate must be finite")
+        _inputs.finite(self.mean_firing_rate, "mean_firing_rate")
 
 
 @dataclass(frozen=True)

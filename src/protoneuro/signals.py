@@ -199,10 +199,11 @@ class SyntheticSpikeSpec:
     realised mean inter-spike interval equals ``mean_isi`` exactly; the
     first spike sits one mean interval after t=0. Each spike is a Gaussian
     bump of the given amplitude whose half width at half maximum is
-    ``spike_half_width``. Sampling is one sample per second.
+    ``spike_half_width``. Sampling is one sample per second. A missing
+    ``duration`` is the last spike time + 5 half widths, else (count + 1) * mean_isi.
     """
 
-    duration: float
+    duration: float = None
     spike_times: tuple = None
     count: int = None
     mean_isi: float = None
@@ -217,16 +218,17 @@ class SyntheticSpikeSpec:
     def __post_init__(self):
         if self.spike_times is not None:
             object.__setattr__(self, "spike_times", tuple(float(t) for t in self.spike_times))
-        # The duration last: a command line derives a missing duration from
-        # the spike times, mean_isi or half width, when those were given.
+        # A missing duration is derived first and checked last: its sources are named first.
+        if self.duration is None and self.spike_times:
+            object.__setattr__(self, "duration", self.spike_times[-1] + 5 * self.spike_half_width)
+        elif self.duration is None and self.count is not None and self.mean_isi is not None:
+            object.__setattr__(self, "duration", (self.count + 1) * self.mean_isi)
         for t in self.spike_times or ():
-            if not math.isfinite(t):
-                raise ValidationError(f"spike_times must be finite, got {t!r}")
+            _inputs.finite(t, "spike_times")
         for name in ("mean_isi", "jitter_fraction", "spike_amplitude", "spike_half_width",
                      "baseline", "noise_sd", "duration"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
+            if getattr(self, name) is not None:
+                _inputs.finite(getattr(self, name), name)
         if self.spike_amplitude <= 0:
             raise ValidationError("spike_amplitude must be > 0")
         if self.spike_half_width <= 0:
@@ -302,9 +304,8 @@ def synthesize_spiky_series(spec: SyntheticSpikeSpec) -> TimeSeries:
     jittered = spec.spike_times is None and spec.count > 1
     spike_times = _placed_spike_times(spec, rng() if jittered else None)
     if spike_times.size and spike_times[-1] > spec.duration:
-        raise ValidationError(
-            f"generated spikes extend to {spike_times[-1]:.1f} s, beyond duration {spec.duration}"
-        )
+        raise ValidationError(f"generated spikes extend to {spike_times[-1]:.9g} s, "
+                              f"beyond duration {spec.duration}")
     times = np.arange(math.floor(spec.duration) + 1, dtype=np.float64)
     values = np.full(times.size, spec.baseline)
     sigma = _bump_sigma(spec.spike_half_width)

@@ -93,6 +93,14 @@ def test_detect_bad_min_distance_names_the_field(tmp_path, capsys, distance):
     assert "min_peak_distance must be >= 0" in stderr
 
 
+def test_detect_infinite_min_distance_exits_2_as_in_a_config(tmp_path, capsys):
+    src = tmp_path / "s.csv"
+    write_series(src, np.arange(30.0), np.concatenate([np.zeros(10), [1.0], np.zeros(19)]))
+    code, stdout, stderr = run(capsys, "detect", str(src), "--min-distance", "inf")
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: min_peak_distance must be finite, got inf\n"
+
+
 def test_synth_detect_reference_row(tmp_path, capsys):
     src = tmp_path / "row.csv"
     code, _, _ = run(capsys, "synth", "--out", str(src), "--count", "726",
@@ -310,6 +318,18 @@ def test_pipeline_too_many_samples(tmp_path, capsys):
     assert "neurons" in stderr
 
 
+def test_pipeline_checks_the_network_size_before_labelling_each_neuron(tmp_path):
+    # Run apart, with a timeout: labelling 10**12 neurons first would not end.
+    manifest = make_manifest(tmp_path, [("a", [10, 40])], coding={"neuron_count": 10**12})
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "protoneuro.cli", "pipeline", str(manifest),
+                           "--output-dir", str(out)],
+                          env=src_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: n must be at most 1073741823, got 1000000000000\n"
+    assert not out.exists()
+
+
 def test_pipeline_missing_source_file(tmp_path, capsys):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({"sample_labels": ["x"],
@@ -508,6 +528,45 @@ def test_network_spec_errors_name_the_key(tmp_path, capsys, command, spec, messa
                           "--drive", "1", "--out-prefix", str(tmp_path / "r"))
     assert code == 2
     assert message in stderr
+
+
+@pytest.mark.parametrize("command, spec, message", [
+    ("sim-spiking", {"n": 10**12}, "recurrent_weights (n x n = "
+     "1000000000000 x 1000000000000) is too large to draw"),
+    ("sim-spiking", {"n": 2, "output_dim": 4 * 10**18}, "output_weights (output_dim x n "
+     "= 4000000000000000000 x 2) is too large to draw"),
+    ("sim-rate", {"n": 2, "input_dim": 4 * 10**18}, "input_weights (n x input_dim = "
+     "2 x 4000000000000000000) is too large to draw"),
+    ("sim-rate", {"n": 2, "feedback_dim": 4 * 10**18}, "feedback_weights (n x "
+     "feedback_dim = 2 x 4000000000000000000) is too large to draw"),
+], ids=["spiking-n", "spiking-output-dim", "rate-input-dim", "rate-feedback-dim"])
+def test_network_spec_sizes_no_array_can_hold_exit_2_naming_the_sizes(tmp_path, capsys,
+                                                                       command, spec, message):
+    net = tmp_path / "big.json"
+    net.write_text(json.dumps(spec))
+    code, stdout, stderr = run(capsys, command, "--net", str(net), "--steps", "1",
+                               "--out-prefix", str(tmp_path / "o"))
+    assert (code, stdout, stderr) == (2, "", f"error: {net}: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
+
+
+def test_sim_rate_feedback_needs_feedback_weights(tmp_path, capsys):
+    net, stream = tmp_path / "net.json", tmp_path / "in.csv"
+    net.write_text(json.dumps({"n": 1}))
+    stream.write_text("time_s,ch0\n1e-4,0.5\n2e-4,0.5\n")
+    code, stdout, stderr = run(capsys, "sim-rate", "--net", str(net), "--input", str(stream),
+                               "--feedback", str(stream), "--out-prefix", str(tmp_path / "r"))
+    assert (code, stdout, stderr) == (2, "", "error: network spec has no feedback weights\n")
+
+
+@pytest.mark.parametrize("command", ["sim-spiking", "sim-rate"])
+def test_sim_input_stream_needs_input_dim_channels(tmp_path, capsys, command):
+    net, stream = tmp_path / "net.json", tmp_path / "in1.csv"
+    net.write_text(json.dumps({"n": 1, "input_dim": 2}))
+    stream.write_text("time_s,ch0\n1e-4,0.5\n2e-4,0.5\n")
+    code, stdout, stderr = run(capsys, command, "--net", str(net), "--input", str(stream),
+                               "--out-prefix", str(tmp_path / "r"))
+    assert (code, stdout, stderr) == (2, "", f"error: {stream}: 1 channels, expected 2\n")
 
 
 def test_sim_spiking_overflow_names_step_and_neuron(tmp_path, capsys):
@@ -1290,6 +1349,15 @@ def test_out_of_range_sizes_and_sums_exit_2_naming_the_field(tmp_path, argv, dpv
     [line] = done.stderr.splitlines()
     assert line.startswith("error: ") and message in line
     assert {path.name for path in tmp_path.iterdir()} <= {"cfg.json", "net.json"}
+
+
+def test_synth_spikes_beyond_the_duration_name_the_last_to_nine_digits(tmp_path, capsys):
+    code, stdout, stderr = run(capsys, "synth", "--out", str(tmp_path / "x.csv"), "--count", "3",
+                               "--mean-isi", "8e307", "--jitter", "0.9", "--seed", "1",
+                               "--duration", "3")
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: generated spikes extend to 8e+307 s, beyond duration 3.0\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("mean, deviation", [("1e308", "-inf"), ("1e-320", "inf")])
