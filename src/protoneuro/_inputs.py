@@ -60,6 +60,16 @@ def read_json_object(path, what):
     return doc
 
 
+def max_items(item_bytes):
+    """The most items of ``item_bytes`` bytes each that one array can hold.
+
+    numpy and list sizes are signed machine words, so no array, list or
+    buffer spans more than ``sys.maxsize`` bytes; a size beyond this is
+    rejected before anything is drawn or built.
+    """
+    return sys.maxsize // item_bytes
+
+
 def check_keys(section, known, where):
     """Require ``section`` to be an object holding only ``known`` keys."""
     if not isinstance(section, dict):

@@ -17,9 +17,10 @@ and streams, QSAR files, configs and manifests are read by ``signals``,
 ``networks``, ``qsar`` and ``config``, and a report by ``_inputs``, which
 also checks the flags no dataclass checks (``--seed``, ``--steps``,
 ``--drive``, ``--n``, ``--mean``). Each analysis stage is built once,
-outside this module: ``signals.stack_values`` for the potential matrix and
-``coding.weight_matrix`` for the weights, shared by ``encode``, ``weights``
-and ``pipeline``; ``networks`` makes every simulation decision.
+outside this module: ``signals.ValueStack`` for the potential matrix, which
+``encode`` and ``pipeline`` feed one series at a time as they read each
+file, and ``coding.weight_matrix`` for the weights, shared by ``encode``,
+``weights`` and ``pipeline``; ``networks`` makes every simulation decision.
 """
 
 import argparse
@@ -106,9 +107,13 @@ def cmd_encode(args) -> int:
     from .config import load_config
     config = load_config(args.config)
     threshold = dataclasses.replace(config.coding, **_given(args, config.coding)).threshold
-    series_list = [signals.read_timeseries_csv(p) for p in args.inputs]
-    labels = [s.label or f"n{i + 1}" for i, s in enumerate(series_list)]
-    code = coding.encode(signals.stack_values(series_list, labels), threshold, labels=labels)
+    stack, labels = signals.ValueStack(), []
+    for i, path in enumerate(args.inputs):
+        series = signals.read_timeseries_csv(path)
+        labels.append(series.label or f"n{i + 1}")
+        stack.add(series)
+        del series  # the next file is read with only its own rows held
+    code = coding.encode(stack.matrix(labels), threshold, labels=labels)
     coding.write_code_csv(code, args.out)
     print(f"neurons={code.neuron_count} samples={code.sample_count} "
           f"active_fraction={code.entries.mean():.6g}")
@@ -141,14 +146,13 @@ def cmd_pipeline(args) -> int:
             f"but the coding network has {n_neurons} neurons"
         )
 
-    samples = {}  # label -> (series, stats), in manifest order
+    samples = {}  # label -> stats, in manifest order
+    stack = signals.ValueStack()  # the values of each sample in samples
     errors = {}
     invalid = False  # whether a sample failed validation, not only I/O
     for label, path in zip(manifest.sample_labels, manifest.source_files):
         try:
-            series = signals.read_timeseries_csv(path)
-            train = spikes.detect_spikes(series, manifest.detection)
-            samples[label] = series, spikes.compute_stats(train)
+            samples[label] = _sample_stats(path, manifest.detection, stack)
         except (ValidationError, OSError) as exc:
             errors[label] = str(exc)
             invalid |= isinstance(exc, ValidationError)
@@ -162,7 +166,7 @@ def cmd_pipeline(args) -> int:
         "coding": {"neuron_count": n_neurons, "threshold": manifest.coding.threshold,
                    "time_window_s": manifest.coding.time_window},
         "errors": errors,
-        "samples": [spikes.stats_to_dict(stats, label) for label, (_, stats) in samples.items()],
+        "samples": [spikes.stats_to_dict(stats, label) for label, stats in samples.items()],
         "seed": manifest.seed,
         "weights_source": manifest.weights,
     }
@@ -170,11 +174,11 @@ def cmd_pipeline(args) -> int:
     if samples:
         # First: it rejects a network too large to build, before a label is made for each neuron.
         weights = coding.weight_matrix(manifest.weights, n_neurons, manifest.seed)
-        mean_count, mean_isi = spikes.aggregate_stats([stats for _, stats in samples.values()])
+        mean_count, mean_isi = spikes.aggregate_stats(list(samples.values()))
         report["aggregate"] = {"mean_count": mean_count, "mean_isi_of_means_s": mean_isi}
         labels = list(samples) + [f"unassigned{j + 1}" for j in range(n_neurons - len(samples))]
-        potentials = signals.stack_values([series for series, _ in samples.values()], labels)
-        code = coding.encode(potentials, manifest.coding.threshold, labels=labels)
+        # The potential matrix is held only while it is encoded.
+        code = coding.encode(stack.matrix(labels), manifest.coding.threshold, labels=labels)
         grid = coding.psi_ppi(weights, code)
         report.update({
             "code_matrix": code.entries.tolist(),
@@ -200,6 +204,19 @@ def cmd_pipeline(args) -> int:
     return EXIT_VALIDATION if invalid else EXIT_IO
 
 
+def _sample_stats(path, detection, stack):
+    """The spike statistics of the series in ``path``, whose values go on ``stack``.
+
+    The series is dropped on return, so the pipeline reads the next file with
+    only its own rows held.
+    """
+    from . import signals, spikes
+    series = signals.read_timeseries_csv(path)
+    stats = spikes.compute_stats(spikes.detect_spikes(series, detection))
+    stack.add(series)
+    return stats
+
+
 def _input_stream(args, dt, rows):
     """A ``sim-*`` input: the ``--input`` stream or ``--steps`` columns of ``--drive``."""
     from . import networks
@@ -210,9 +227,9 @@ def _input_stream(args, dt, rows):
     import numpy as np
     drive = _inputs.number(args.drive or 0.0, "--drive")
     steps = _inputs.integer(args.steps, 0, "--steps")
-    # A (rows, steps) float64 drive: more bytes than this no array can index.
-    if rows * steps * 8 > sys.maxsize:
-        raise ValidationError(f"--steps must be at most {sys.maxsize // (8 * rows)}, got {steps}")
+    most = _inputs.max_items(8 * rows)  # steps of a (rows, steps) float64 drive
+    if steps > most:
+        raise ValidationError(f"--steps must be at most {most}, got {steps}")
     return np.full((rows, steps), drive)
 
 

@@ -14,7 +14,6 @@ numbers should be aware the definition is a convention of this toolkit.
 """
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,9 +34,12 @@ class CodeMatrix:
         e = np.asarray(self.entries)
         if e.ndim != 2:
             raise ShapeError("code entries must be a 2-D matrix")
-        if not np.isin(e, (0, 1)).all():
+        # One bool copy, equal to the entries exactly when each is 0 or 1 (NaN
+        # is neither), checks them and, viewed as uint8, becomes them.
+        b = e.astype(bool)
+        if not np.array_equal(e, b):
             raise ValidationError("code entries must be 0 or 1")
-        self.entries = e.astype(np.uint8)
+        self.entries = b.view(np.uint8)
         if self.neuron_labels is None:
             self.neuron_labels = [f"n{j + 1}" for j in range(e.shape[0])]
         elif len(self.neuron_labels) != e.shape[0]:
@@ -106,16 +108,16 @@ def encode(potentials, threshold: float, labels=None) -> CodeMatrix:
     if p.ndim != 2:
         raise ShapeError("potentials must be a 2-D matrix (neurons x samples)")
     _inputs.finite(threshold, "threshold")
-    return CodeMatrix((p > threshold).astype(np.uint8), neuron_labels=labels)
+    return CodeMatrix(p > threshold, neuron_labels=labels)
 
 
 def init_weights(n: int, seed: int) -> WeightMatrix:
     """Seeded i.i.d. uniform[-1, 1] weights; identical seeds give identical matrices."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    # n x n float64 entries: more bytes than this no array can index.
-    if n * n * 8 > sys.maxsize:
-        raise ValidationError(f"n must be at most {math.isqrt(sys.maxsize // 8)}, got {n}")
+    most = math.isqrt(_inputs.max_items(8))  # n of n x n float64 entries
+    if n > most:
+        raise ValidationError(f"n must be at most {most}, got {n}")
     rng = np.random.default_rng(seed)
     return WeightMatrix(rng.uniform(-1.0, 1.0, size=(n, n)))
 

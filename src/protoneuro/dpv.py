@@ -15,12 +15,11 @@ The waveform, the sampling schedule and the protocol checks read it alone.
 The module is standard library only, so ``waveform`` starts without numpy.
 """
 
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from ._inputs import finite as _finite
+from ._inputs import finite as _finite, max_items as _max_items
 from .errors import ValidationError
 
 PHASE_EQUILIBRIUM = "equilibrium"
@@ -63,8 +62,7 @@ class DpvParameters:
         span = _finite(abs(self.end_potential - self.start_potential),
                        "the scan span (|end_potential - start_potential|)")
         steps = _finite(span / self.step_size, "the step count (span / step_size)")
-        # 2 * steps + 1 segments: no list can index more than sys.maxsize // 8.
-        most = (sys.maxsize // 8 - 1) // 2
+        most = (_max_items(8) - 1) // 2  # steps of 2 * steps + 1 listed segments
         if step_count(self) > most:
             raise ValidationError(f"the step count (span / step_size) must be at most "
                                   f"{most}, got {steps:.9g}")

@@ -32,7 +32,6 @@ The module also reads what a simulation takes: the network spec JSON
 values and the time steps), and writes the trace, raster and readout CSVs.
 """
 
-import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -267,7 +266,7 @@ def _spec_weights(spec: dict, own_keys):
                 raise ValidationError(f"{_SPEC(key)}: {exc}") from None
         if shape is None:
             return None
-        if shape[0] * shape[1] * 8 > sys.maxsize:  # float64 entries no array can index
+        if shape[0] * shape[1] > _inputs.max_items(8):  # float64 entries
             raise ValidationError(f"{key} ({dims} = {shape[0]} x {shape[1]}) is too large to draw")
         if rng is None:
             rng = np.random.default_rng(seed)

@@ -170,23 +170,64 @@ def write_timeseries_csv(series: TimeSeries, path) -> None:
         _csvio.write_rows(fh, "%.12g,%.9g\n", series.times, series.values)
 
 
-def stack_values(series_list, labels) -> np.ndarray:
-    """The ``(len(labels), n)`` potential matrix of ``series_list``.
+class ValueStack:
+    """The potential matrix of series fed in one at a time.
 
-    Each series is cut to the shortest length ``n`` and becomes the row of its
-    label; rows after the last series are zero. A series whose times over that
-    length differ from the first series' is a ValidationError naming its label.
+    ``matrix(labels)`` cuts each series to the shortest length ``n`` and makes
+    it the row of its label; rows after the last series are zero. A series
+    whose times over that length differ from the first series' is a
+    ValidationError naming its label, raised there, after every series is in.
+
+    A stack keeps no series, only copies of what the matrix uses: the first
+    series' times and each series' values, cut to the shortest length seen so
+    far, and how many of each series' leading times equal the first's. (A
+    column view would keep the reader's whole two-column buffer alive.) So a
+    caller that drops each series once it is added holds one at a time.
     """
-    if len(series_list) > len(labels):
-        raise ValidationError(f"{len(series_list)} series for {len(labels)} labels")
-    n = min(len(s) for s in series_list)
-    base = series_list[0].times[:n]
-    matrix = np.zeros((len(labels), n))
-    for row, (series, label) in enumerate(zip(series_list, labels)):
-        if not np.array_equal(series.times[:n], base):
-            raise ValidationError(f"{label}: time base differs from the first input")
-        matrix[row] = series.values[:n]
-    return matrix
+
+    def __init__(self, series=()):
+        self._base = None  # the first series' times
+        self._rows = []  # each series' values
+        self._agree = []  # each series' count of leading times equal to _base
+        for one in series:
+            self.add(one)
+            del one  # so that the next series is made with this one gone
+
+    def add(self, series):
+        """Take the values of ``series``, and count its times that agree with the first's."""
+        if self._base is None:
+            self._base = series.times.copy()
+        n = min(len(series), self._base.size)
+        if n < self._base.size:
+            self._base = self._base[:n].copy()
+            for row, values in enumerate(self._rows):
+                self._rows[row] = values[:n].copy()
+        differ = series.times[:n] != self._base
+        self._agree.append(int(differ.argmax()) if differ.any() else n)
+        self._rows.append(series.values[:n].copy())
+
+    def matrix(self, labels) -> np.ndarray:
+        """The ``(len(labels), n)`` matrix. It takes over the rows, so that they
+        are not held twice: the stack is empty afterwards."""
+        if self._base is None:
+            raise ValidationError("no series to stack")
+        if len(self._rows) > len(labels):
+            raise ValidationError(f"{len(self._rows)} series for {len(labels)} labels")
+        n = self._base.size
+        for agree, label in zip(self._agree, labels):
+            if agree < n:
+                raise ValidationError(f"{label}: time base differs from the first input")
+        rows, self._base, self._rows, self._agree = self._rows, None, [], []
+        matrix = np.zeros((len(labels), n))
+        for row in range(len(rows)):
+            matrix[row] = rows[row]
+            rows[row] = None
+        return matrix
+
+
+def stack_values(series_list, labels) -> np.ndarray:
+    """The ``(len(labels), n)`` potential matrix of ``series_list`` (see ``ValueStack``)."""
+    return ValueStack(series_list).matrix(labels)
 
 
 @dataclass(frozen=True)
@@ -218,10 +259,14 @@ class SyntheticSpikeSpec:
     def __post_init__(self):
         if self.spike_times is not None:
             object.__setattr__(self, "spike_times", tuple(float(t) for t in self.spike_times))
+        most = _inputs.max_items(8)  # float64 spike times, or samples one a second
+        if self.count is not None and self.count > most:
+            raise ValidationError(f"count must be at most {most}, got {self.count}")
         # A missing duration is derived first and checked last: its sources are named first.
         if self.duration is None and self.spike_times:
             object.__setattr__(self, "duration", self.spike_times[-1] + 5 * self.spike_half_width)
-        elif self.duration is None and self.count is not None and self.mean_isi is not None:
+        elif (self.duration is None and self.count is not None and self.count >= 0
+              and self.mean_isi is not None):
             object.__setattr__(self, "duration", (self.count + 1) * self.mean_isi)
         for t in self.spike_times or ():
             _inputs.finite(t, "spike_times")
@@ -259,10 +304,8 @@ class SyntheticSpikeSpec:
                 raise ValidationError("jitter_fraction must be in [0, 1)")
         if self.duration is None or self.duration <= 0:
             raise ValidationError(f"duration must be > 0, got {self.duration!r}")
-        # One float64 sample a second: more than this many bytes no array can index.
-        if (math.floor(self.duration) + 1) * 8 > sys.maxsize:
-            raise ValidationError(f"duration must be below {sys.maxsize // 8} s, "
-                                  f"got {self.duration!r}")
+        if math.floor(self.duration) + 1 > most:
+            raise ValidationError(f"duration must be below {most} s, got {self.duration!r}")
         if st and (st[0] < 0 or st[-1] > self.duration):
             raise ValidationError("spike_times must lie within [0, duration]")
 

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -381,6 +382,49 @@ def test_pipeline_rejects_mismatched_time_base(tmp_path, capsys):
     assert (code, stdout) == (2, "")
     assert stderr == "error: second: time base differs from the first input\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("moved, code", [(70, 0), (40, 2)], ids=["past-the-shortest", "within"])
+def test_pipeline_checks_time_bases_over_the_shortest_length(tmp_path, capsys, moved, code):
+    # The second sample is the shortest (60 samples); the third one's times
+    # leave the first one's at index `moved`.
+    times = np.arange(81.0)
+    times[moved] += 0.5
+    for name, t in (("a", np.arange(81.0)), ("b", np.arange(60.0)), ("c", times)):
+        write_series(tmp_path / f"{name}.csv", t, np.zeros(t.size), label=name)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"sample_labels": ["first", "second", "third"],
+                                    "source_files": ["a.csv", "b.csv", "c.csv"], "seed": 0}))
+    out = tmp_path / "out"
+    got, stdout, stderr = run(capsys, "pipeline", str(manifest), "--output-dir", str(out))
+    assert got == code
+    if code == 0:
+        report = json.loads((out / "report.json").read_text())
+        assert [len(row) for row in report["code_matrix"]] == [60] * 10
+    else:
+        assert stdout == ""
+        assert stderr == "error: third: time base differs from the first input\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "encode"])
+def test_a_series_is_gone_before_the_next_file_is_read(tmp_path, capsys, monkeypatch, command):
+    manifest = make_manifest(tmp_path, [("a", [10]), ("b", [20]), ("c", [30])])
+    read = signals.read_timeseries_csv
+    series_refs, alive_at_read = [], []
+
+    def reading(path):
+        alive_at_read.append(sum(ref() is not None for ref in series_refs))
+        series = read(path)
+        series_refs.append(weakref.ref(series))
+        return series
+
+    monkeypatch.setattr(signals, "read_timeseries_csv", reading)
+    argv = {"pipeline": ["pipeline", str(manifest), "--output-dir", str(tmp_path / "out")],
+            "encode": ["encode", *(str(tmp_path / f"{x}.csv") for x in "abc"),
+                       "--out", str(tmp_path / "code.csv")]}[command]
+    assert run(capsys, *argv)[0] == 0
+    assert alive_at_read == [0, 0, 0]
 
 
 def test_encode_rows_equal_the_pipeline_code_matrix(tmp_path, capsys):
@@ -1325,6 +1369,11 @@ OUT_OF_RANGE = [
      "spike_half_width must give a finite bump variance (2 * sigma**2), got 1e+200"),
     (["synth", "--count", "3", "--mean-isi", "1e308", "--duration", "3"], None,
      "mean_isi 1e+308 places 3 spikes beyond the float range"),
+    (["synth", "--count", "100000000000000000000", "--mean-isi", "1", "--duration", "10"], None,
+     "count must be at most 1152921504606846975, got 100000000000000000000"),
+    (["synth", "--count", "9" * 330, "--mean-isi", "1"], None,
+     "count must be at most 1152921504606846975, got 999"),
+    (["synth", "--count", "-" + "9" * 330, "--mean-isi", "1"], None, "count must be >= 0"),
 ]
 
 
@@ -1332,7 +1381,8 @@ OUT_OF_RANGE = [
                          ids=["synth-duration", "synth-overflow", "weights-n",
                               "waveform-span", "waveform-scan-rate", "waveform-step-count",
                               "sim-spiking-steps", "sim-rate-steps", "synth-half-width",
-                              "synth-mean-isi"])
+                              "synth-mean-isi", "synth-count", "synth-count-without-duration",
+                              "synth-negative-count-without-duration"])
 def test_out_of_range_sizes_and_sums_exit_2_naming_the_field(tmp_path, argv, dpv, message):
     config = []
     if dpv is not None:

@@ -48,6 +48,21 @@ def test_encode_rejects_bad_shapes():
         coding.encode([[1.0, 2.0]], 0.5, labels=["a", "b"])
 
 
+@pytest.mark.parametrize("bad", [0.5, 2, -1, np.nan])
+def test_code_matrix_rejects_entries_other_than_0_and_1(bad):
+    with pytest.raises(ValidationError, match="^code entries must be 0 or 1$"):
+        CodeMatrix(np.array([[0, 1], [1, bad]]))
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int64, np.float64])
+def test_code_matrix_takes_0_and_1_of_any_dtype_as_the_same_entries(dtype):
+    given = np.array([[0, 1, 1], [1, 0, 0]], dtype=dtype)
+    code = CodeMatrix(given)
+    assert code.entries.dtype == np.uint8
+    assert code.entries.tobytes() == bytes([0, 1, 1, 1, 0, 0])
+    assert not np.shares_memory(code.entries, given)
+
+
 def test_init_weights_range_and_determinism():
     w1 = coding.init_weights(10, seed=123)
     w2 = coding.init_weights(10, seed=123)

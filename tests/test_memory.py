@@ -9,11 +9,12 @@ call is made once on a tiny input first, so that first-use imports do not
 count.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
 
-from protoneuro import _csvio, networks, signals
+from protoneuro import _csvio, cli, networks, signals
 from protoneuro._kernels import pure
 from protoneuro.signals import SyntheticSpikeSpec
 
@@ -57,6 +58,32 @@ def test_synthesis_with_noise_holds_the_series_once():
     # against 33 for a whole noise draw, its scaled copy and their sum.
     signals.synthesize_spiky_series(noisy_spec(1000))
     assert peak_bytes_per_sample(signals.synthesize_spiky_series, noisy_spec(N)) < 24
+
+
+def test_pipeline_reads_one_file_at_a_time(tmp_path, capsys):
+    # Six files of 100,000 samples on a 10-neuron network. The pipeline holds
+    # one file's rows while it reads, plus a copy of 8 bytes a sample of each
+    # file read before; its peak, about 23 bytes a sample of all files, is
+    # the code it encodes and writes. Every series held until the report
+    # was written, with the int64 temporaries of an isin check as large as
+    # the potential matrix, took about 51.
+    files, samples = 6, 100_000
+    for k in range(files):
+        spec = SyntheticSpikeSpec(duration=samples - 1, count=samples // 300, mean_isi=250.0,
+                                  jitter_fraction=0.3, noise_sd=3e-4, seed=k, label=f"s{k}")
+        signals.write_timeseries_csv(signals.synthesize_spiky_series(spec), tmp_path / f"s{k}.csv")
+    labels = [f"s{k}" for k in range(files)]
+    for name, count in (("small.json", 1), ("m.json", files)):
+        (tmp_path / name).write_text(json.dumps({
+            "sample_labels": labels[:count], "source_files": [f"{x}.csv" for x in labels[:count]],
+            "coding": {"neuron_count": 10, "threshold": 5e-4}, "seed": 7}))
+    assert cli.main(["pipeline", str(tmp_path / "small.json"), "--output-dir",
+                     str(tmp_path / "small")]) == 0
+    peak, code = traced_peak(cli.main, ["pipeline", str(tmp_path / "m.json"), "--output-dir",
+                                        str(tmp_path / "out")])
+    assert code == 0
+    assert f"samples_ok={files} samples_failed=0" in capsys.readouterr().out
+    assert peak / (files * samples) < 36
 
 
 def test_local_maxima_of_a_noisy_trace_needs_no_run_index():

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -245,6 +246,81 @@ def test_stack_values_cuts_to_the_shortest_and_zero_pads():
         signals.stack_values([a, late], ["a", "late"])
     with pytest.raises(ValidationError, match="2 series for 1 labels"):
         signals.stack_values([a, b], ["a"])
+
+
+def reference_stack_values(series_list, labels):
+    # The list-based potential matrix that ValueStack replaced, which held
+    # every series until the matrix was built.
+    if len(series_list) > len(labels):
+        raise ValidationError(f"{len(series_list)} series for {len(labels)} labels")
+    n = min(len(s) for s in series_list)
+    base = series_list[0].times[:n]
+    matrix = np.zeros((len(labels), n))
+    for row, (series, label) in enumerate(zip(series_list, labels)):
+        if not np.array_equal(series.times[:n], base):
+            raise ValidationError(f"{label}: time base differs from the first input")
+        matrix[row] = series.values[:n]
+    return matrix
+
+
+@st.composite
+def series_lists(draw):
+    # Series on the time base 0, 1, 2, ... of drawn lengths, some with one
+    # time moved, so that bases differ before, at or past the shortest length.
+    series = []
+    for k in range(draw(st.integers(1, 6))):
+        size = draw(st.integers(1, 8))
+        times = np.arange(size, dtype=float)
+        moved = draw(st.none() | st.integers(0, size - 1))
+        if moved is not None:
+            times[moved] -= 0.5
+        values = draw(st.lists(st.floats(-1e3, 1e3), min_size=size, max_size=size))
+        series.append(TimeSeries(times, np.array(values), label=f"s{k}"))
+    extra = draw(st.integers(-1, 2))  # -1 leaves a series without a label
+    labels = [s.label for s in series][:len(series) + min(extra, 0)]
+    return series, labels + [f"pad{j}" for j in range(extra)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_lists())
+def test_value_stack_fed_a_generator_is_the_list_based_matrix(drawn):
+    series, labels = drawn
+    try:
+        expected = reference_stack_values(series, labels)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
+            signals.ValueStack(s for s in series).matrix(labels)
+        return
+    matrix = signals.ValueStack(s for s in series).matrix(labels)
+    assert matrix.dtype == np.float64
+    assert np.array_equal(matrix, expected)
+
+
+def test_value_stack_accepts_times_that_differ_only_past_the_shortest_length():
+    a = TimeSeries(np.arange(5.0), np.arange(5.0))
+    b = TimeSeries(np.arange(3.0), np.arange(3.0) + 10)
+    c = TimeSeries([0.0, 1.0, 2.0, 30.0, 40.0], np.arange(5.0) + 20)
+    matrix = signals.ValueStack([a, b, c]).matrix(["a", "b", "c"])
+    assert matrix.tolist() == [[0.0, 1.0, 2.0], [10.0, 11.0, 12.0], [20.0, 21.0, 22.0]]
+    d = TimeSeries([0.0, 1.0, 2.5], np.zeros(3))
+    with pytest.raises(ValidationError, match="^d: time base differs from the first input$"):
+        signals.ValueStack([a, b, d]).matrix(["a", "b", "d"])
+
+
+def test_value_stack_keeps_no_part_of_the_readers_buffer(tmp_path):
+    # A read series' columns are views of one (n, 2) buffer; a stack that
+    # kept a view of either column would keep the whole buffer alive.
+    path = tmp_path / "s.csv"
+    path.write_text("time_s,value\n0,1\n1,2\n2,3\n")
+    series = signals.read_timeseries_csv(path)
+    rows = weakref.ref(series.times.base)
+    assert series.values.base is rows()
+    stack = signals.ValueStack([series])
+    del series
+    assert rows() is None
+    assert stack.matrix(["a", "b"]).tolist() == [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]
+    with pytest.raises(ValidationError, match="^no series to stack$"):
+        stack.matrix(["a"])
 
 
 def reference_synthesized_values(spec):
