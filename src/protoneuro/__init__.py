@@ -31,7 +31,7 @@ for _module, _names in (
     ("signals", "SyntheticSpikeSpec TimeSeries read_timeseries_csv "
                 "synthesize_spiky_series write_timeseries_csv"),
     ("spikes", "INCONSISTENT_REFERENCE_ROWS REFERENCE_SPIKE_TABLE SpikeStats SpikeTrain "
-               "aggregate_stats compute_stats detect_spikes detect_spikes_naive"),
+               "aggregate_stats compute_stats detect_spikes"),
 ):
     _EXPORTS.update((name, (_module, name)) for name in _names.split())
 del _module, _names

@@ -5,7 +5,7 @@ of numeric rows. Handling them one Python call per row made file I/O the
 bulk of a command's run time, so their readers and writers go through the
 functions here, which stand in exactly for the per-row code.
 
-Parsing: ``read_table`` takes a file's header, checked first, and its
+Parsing: ``row_blocks`` takes a file's header, checked first, and its
 body, in one pass of 64 KiB chunks of lines (``str.splitlines``'s lines,
 so a break such as ``\x0c`` or ``\u2028`` splits them). A chunk's ``#``
 lines go to the format's hook, and each run of rows between them, past its
@@ -16,8 +16,9 @@ holding ``\x1f`` (white space ``np.loadtxt`` strips from a field and
 ``float`` does not), goes through the line loop ``_parse_lines``, which
 accepts what ``float`` accepts and alone raises a ParseError, naming the
 first bad line as ``str.splitlines`` numbers the whole text (a ``#`` line
-is one in a stream, which has no hook). The rows go into one buffer sized
-from the file's size, so each is held once.
+is one in a stream, which has no hook). It yields each block of rows as it
+is parsed, for a reader that holds no more than a chunk; ``read_table``
+puts them into one buffer sized from the file's size, so each is held once.
 
 Formatting: ``write_rows`` (and ``write_long_rows`` for the time-major
 trace files) writes ``BLOCK_ROWS`` rows at a time with array arithmetic to
@@ -162,18 +163,16 @@ def _parse_run(lines, width, line, loadtxt):
     return _parse_lines(lines, width, line + start)
 
 
-def read_table(fh, check_header, comment=None):
-    """(header, rows) of an open text CSV file: the header is its first line
-    that is not blank ("" if there is none), which ``check_header(header,
-    line)`` checks before any row is parsed, and the rows are the lines after
-    it as an (n, width) float64 array, width the header's field count, or a
-    ParseError naming the first bad line. Blank lines are skipped, and with a
+def row_blocks(fh, check_header, comment=None):
+    """(block, seen) for each run of rows of an open text CSV file, in order:
+    a non-empty (k, width) float64 array, width the header's field count,
+    and the characters read up to the end of its chunk. The header is the
+    first line that is not blank ("" if there is none), which
+    ``check_header(header, line)`` checks before any row is parsed, and a
+    bad line is a ParseError naming it. Blank lines are skipped, and with a
     ``comment`` hook so are ``#`` lines, each handed to the hook stripped,
-    with its line number. The buffer is sized from the file's size and the
-    rows per character read so far, with 1% slack, grown in place if that
-    falls short and trimmed at the end."""
-    size = os.fstat(fh.fileno()).st_size
-    header, n, seen, line = None, 0, 0, 1
+    with its line number, before the rows above it are yielded."""
+    header, seen, line = None, 0, 1
     for chunk in _read_text(fh):
         seen += len(chunk)
         lines = chunk.splitlines()
@@ -185,7 +184,6 @@ def read_table(fh, check_header, comment=None):
             header = lines[skip]
             check_header(header, line)
             width = len(header.split(","))
-            rows = np.empty((0, width))
             lines = lines[skip + 1:]
             line += 1
         marks = [] if comment is None or "#" not in chunk else \
@@ -196,20 +194,41 @@ def read_table(fh, check_header, comment=None):
             if stop < len(lines):
                 comment(lines[stop].strip(), line + stop)
             start = stop + 1
-            if n + len(block) > len(rows):
-                need = n + len(block)
-                capacity = max(int(need * size / seen * 1.01), need + need // 8)
-                if n:  # resize zero-fills what it adds; np.empty leaves the slack untouched
-                    rows.resize((capacity, width), refcheck=False)
-                else:
-                    rows = np.empty((capacity, width))
-            rows[n:n + len(block)] = block
-            n += len(block)
+            if len(block):
+                yield block, seen
         line += len(lines)
     if header is None:
         check_header("", line)
-        return "", np.empty((0, 1))
-    rows.resize((n, width), refcheck=False)
+
+
+def read_table(fh, check_header, comment=None):
+    """(header, rows) of an open text CSV file: ``row_blocks``' header and
+    blocks, these as one (n, width) float64 array. The buffer is sized from
+    the file's size and the rows per character read so far, with 1% slack,
+    grown in place if that falls short and trimmed at the end."""
+    size = os.fstat(fh.fileno()).st_size
+    header = None
+
+    def check(text, line):
+        nonlocal header
+        check_header(text, line)
+        header = text
+
+    rows, n = None, 0
+    for block, seen in row_blocks(fh, check, comment):
+        if rows is None or n + len(block) > len(rows):
+            need = n + len(block)
+            capacity = max(int(need * size / seen * 1.01), need + need // 8)
+            if n:  # resize zero-fills what it adds; np.empty leaves the slack untouched
+                rows.resize((capacity, block.shape[1]), refcheck=False)
+            else:
+                rows = np.empty((capacity, block.shape[1]))
+        rows[n:n + len(block)] = block
+        n += len(block)
+        del block  # so that the next block is parsed with this one gone
+    if rows is None:
+        return header, np.empty((0, len(header.split(","))))
+    rows.resize((n, rows.shape[1]), refcheck=False)
     return header, rows
 
 

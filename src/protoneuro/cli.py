@@ -21,6 +21,9 @@ outside this module: ``signals.ValueStack`` for the potential matrix, which
 ``encode`` and ``pipeline`` feed one series at a time as they read each
 file, and ``coding.weight_matrix`` for the weights, shared by ``encode``,
 ``weights`` and ``pipeline``; ``networks`` makes every simulation decision.
+``synth`` and ``detect`` take the series as a stream of blocks
+(``signals.SyntheticSeries``, ``signals.SeriesFile``), so neither holds a
+whole recording.
 """
 
 import argparse
@@ -74,7 +77,11 @@ def cmd_synth(args) -> int:
     config = load_config(args.config)
     seed = _resolve_seed(args, config)
     spec = signals.SyntheticSpikeSpec(**_given(args, signals.SyntheticSpikeSpec) | {"seed": seed})
-    series = signals.synthesize_spiky_series(spec)
+    series = signals.SyntheticSeries(spec)
+    # Made once to check every value before --out is opened, so that a value
+    # that overflows in a late block exits 2 with --out as it was.
+    for _ in series.blocks():
+        pass
     signals.write_timeseries_csv(series, args.out)
     print(f"samples={len(series)} duration_s={series.duration:g}")
     return EXIT_OK
@@ -87,7 +94,7 @@ def cmd_detect(args) -> int:
     from .config import load_config
     config = load_config(args.config)
     detcfg = dataclasses.replace(config.detection, **_given(args, config.detection))
-    series = signals.read_timeseries_csv(args.input)
+    series = signals.SeriesFile(args.input)
     train = spikes.detect_spikes(series, detcfg)
     stats = spikes.compute_stats(train)
     if args.train_out:

@@ -1349,12 +1349,18 @@ def test_non_finite_and_negative_flags_exit_2_naming_the_field(tmp_path, argv, f
     assert list(tmp_path.iterdir()) == [tmp_path / "net.json"]
 
 
+# A sum that overflows in the second block of samples, after a first one
+# with every value finite.
+LATE_OVERFLOW = ["synth", "--spike-times", "100000", "--duration", "100010", "--baseline",
+                 "1e308", "--amplitude", "1e308"]
+
 # Finite flags whose derived size or sum is out of range: each once ended in
 # a traceback (exit 1), a RuntimeWarning or a waveform of infinite times.
 OUT_OF_RANGE = [
     (["synth", "--spike-times", "1", "--duration", "1e300"], None, "duration must be below"),
     (["synth", "--spike-times", "1", "--duration", "10", "--baseline", "1e308",
       "--amplitude", "1e308"], None, "at t=1 s: value is inf, not a finite number"),
+    (LATE_OVERFLOW, None, "at t=100000 s: value is inf, not a finite number"),
     (["weights", "--n", "1000000000000"], None, "n must be at most 1073741823"),
     (["waveform"], {"start_potential": -1e308, "end_potential": 1e308},
      "the scan span (|end_potential - start_potential|) must be finite"),
@@ -1378,7 +1384,8 @@ OUT_OF_RANGE = [
 
 
 @pytest.mark.parametrize("argv, dpv, message", OUT_OF_RANGE,
-                         ids=["synth-duration", "synth-overflow", "weights-n",
+                         ids=["synth-duration", "synth-overflow", "synth-late-overflow",
+                              "weights-n",
                               "waveform-span", "waveform-scan-rate", "waveform-step-count",
                               "sim-spiking-steps", "sim-rate-steps", "synth-half-width",
                               "synth-mean-isi", "synth-count", "synth-count-without-duration",
@@ -1399,6 +1406,15 @@ def test_out_of_range_sizes_and_sums_exit_2_naming_the_field(tmp_path, argv, dpv
     [line] = done.stderr.splitlines()
     assert line.startswith("error: ") and message in line
     assert {path.name for path in tmp_path.iterdir()} <= {"cfg.json", "net.json"}
+
+
+def test_synth_that_overflows_leaves_an_existing_out_as_it_was(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    out.write_text("time_s,value\n0,1\n")
+    code, stdout, stderr = run(capsys, *LATE_OVERFLOW, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: at t=100000 s: value is inf, not a finite number\n"
+    assert out.read_text() == "time_s,value\n0,1\n"
 
 
 def test_synth_spikes_beyond_the_duration_name_the_last_to_nine_digits(tmp_path, capsys):

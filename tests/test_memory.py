@@ -60,6 +60,41 @@ def test_synthesis_with_noise_holds_the_series_once():
     assert peak_bytes_per_sample(signals.synthesize_spiky_series, noisy_spec(N)) < 24
 
 
+def synth_argv(path, samples):
+    return ["synth", "--out", str(path), "--count", str(samples // 300), "--mean-isi", "250",
+            "--jitter", "0.3", "--noise-sd", "3e-4", "--duration", str(samples - 1), "--seed", "5"]
+
+
+def test_synth_holds_one_block_not_the_series(tmp_path, capsys):
+    # synth makes, checks and writes the series a block of 65,536 samples at
+    # a time, so its peak does not grow with the series: 1e5 and 1e6
+    # samples peak within 0.2 MB of each other (about 5.6 MB). Made whole
+    # and then written, the 1e6-sample series peaked 14.5 MB higher.
+    assert cli.main(synth_argv(tmp_path / "tiny.csv", 1000)) == 0
+    small, code = traced_peak(cli.main, synth_argv(tmp_path / "small.csv", 100_000))
+    assert code == 0
+    large, code = traced_peak(cli.main, synth_argv(tmp_path / "large.csv", 1_000_000))
+    assert code == 0
+    assert "samples=1000000 " in capsys.readouterr().out
+    assert abs(large - small) < 2e6
+
+
+def test_detect_holds_a_chunk_of_the_file_not_the_series(tmp_path, capsys):
+    # detect reads the file in blocks of rows and keeps only the candidates
+    # above the threshold: about 7 bytes a sample, well under the 16 the
+    # series takes. Reading the whole series first took about 23.
+    path = tmp_path / "s.csv"
+    signals.write_timeseries_csv(signals.synthesize_spiky_series(noisy_spec(N)), path)
+    argv = ["detect", str(path), "--threshold", "5e-4", "--min-distance", "5"]
+    small = tmp_path / "small.csv"
+    small.write_text("time_s,value\n0,0\n1,1\n2,0\n")
+    assert cli.main(["detect", str(small)]) == 0
+    peak, code = traced_peak(cli.main, argv)
+    assert code == 0
+    assert capsys.readouterr().out.count("count=") == 2
+    assert peak / N < 10
+
+
 def test_pipeline_reads_one_file_at_a_time(tmp_path, capsys):
     # Six files of 100,000 samples on a 10-neuron network. The pipeline holds
     # one file's rows while it reads, plus a copy of 8 bytes a sample of each

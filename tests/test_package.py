@@ -23,7 +23,7 @@ PUBLIC_NAMES = {
                 "synthesize_spiky_series", "write_timeseries_csv"],
     "spikes": ["INCONSISTENT_REFERENCE_ROWS", "REFERENCE_SPIKE_TABLE", "SpikeDetectionConfig",
                "SpikeStats", "SpikeTrain", "aggregate_stats", "compute_stats",
-               "detect_spikes", "detect_spikes_naive"],
+               "detect_spikes"],
 }
 EXPORTS = [(module, name) for module, names in PUBLIC_NAMES.items() for name in names]
 

@@ -68,6 +68,46 @@ def test_noise_drawn_in_blocks_is_the_one_shot_draw():
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
+@st.composite
+def rows_with_faults(draw):
+    """Increasing times and finite values, with up to four faults put in:
+    a non-finite time or value, or a time not after the one before it."""
+    n = draw(st.integers(1, 40))
+    times, values = np.arange(float(n)), np.zeros(n)
+    for _ in range(draw(st.integers(0, 4))):
+        row = draw(st.integers(0, n - 1))
+        fault = draw(st.sampled_from(["time", "value", "order"]))
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        if fault == "time":
+            times[row] = bad
+        elif fault == "value":
+            values[row] = bad
+        elif row:
+            times[row] = times[row - 1] - draw(st.sampled_from([0.0, 0.5, 3.0]))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    return times, values, cuts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=rows_with_faults())
+def test_row_rules_raise_the_whole_array_error_on_any_split(case):
+    # The first break of the first rule broken, in TimeSeries' order, however
+    # the rows are split: a non-finite time wins over a time that goes back
+    # before it, and each break names its row in the whole series.
+    times, values, cuts = case
+    rules = signals._RowRules()
+    for a, b in zip([0, *cuts], [*cuts, times.size]):
+        rules.add(times[a:b], values[a:b])
+    try:
+        TimeSeries(times, values)
+    except ParseError as whole:
+        with pytest.raises(ParseError) as split:
+            rules.check()
+        assert (str(split.value), split.value.row) == (str(whole), whole.row)
+    else:
+        rules.check()
+
+
 def test_read_basic_file(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("time_s,value\n# unit=microampere\n0,0.0\n1,0.1\n")
@@ -486,11 +526,20 @@ def test_series_writer_matches_per_row_writer_on_any_finite_values(tmp_path, tim
     assert_series_writers_agree(TimeSeries(np.sort(times), np.array(values)), tmp_path)
 
 
+def read_streamed(path):
+    """A series file read block by block, as ``detect`` reads it, then joined."""
+    source = signals.SeriesFile(path)
+    times, values = zip(*source.blocks())
+    return TimeSeries(np.concatenate(times), np.concatenate(values), unit=source.unit,
+                      label=source.label)
+
+
 def assert_series_readers_agree(text, tmp_path):
     path = tmp_path / "in.csv"
     path.write_bytes(text.encode())
     got = outcome(signals.read_timeseries_csv, path)
     assert got == outcome(reference_read_series, path)
+    assert got == outcome(read_streamed, path)
     return got
 
 
@@ -504,6 +553,8 @@ def assert_series_readers_agree(text, tmp_path):
     "0,1_0\n1,2\n",                                    # float accepts, loadtxt not
     "0,nan\n1,2\n",                                    # non-finite value
     "0,1\n0,2\n",                                      # non-monotone times
+    "0,1\n2,1\n1,1\ninf,1\n",        # a non-finite time after a time that goes back
+    "0,nan\n1,1\n1,x\n",              # a bad line after a non-finite value
     "",                                                # no rows at all
     "# unit=volt\n",                                   # metadata only
     "0,1\n1,\n",                                       # empty field
@@ -622,7 +673,8 @@ def test_series_reader_parses_a_clean_file_in_one_call(tmp_path, monkeypatch, ne
     text = newline.join(["time_s,value", "# unit=volt", "", "  ", "# label=x", "0,1", "",
                          "1, 2.5", "2,-3e-4", ""])
     assert assert_series_readers_agree(text, tmp_path)[2:] == ("volt", "x")
-    assert len(calls) == 1
+    # One call for read_timeseries_csv and one for the streamed read.
+    assert len(calls) == 2
 @pytest.mark.parametrize("body, chunks", [
     ("0,1\n\n\n1,2\n\n2,3\n\n", range(1, 16)),   # empty lines, wherever the cuts fall
     ("0,1\n  \n1,2\n\t\n2,3\n \n", [1]),          # whitespace-only lines, each at a cut

@@ -19,6 +19,8 @@ from protoneuro.spikes import (
     SpikeTrain,
 )
 
+from oracles import detect_spikes_naive
+
 DEFAULT = SpikeDetectionConfig()
 
 
@@ -48,13 +50,13 @@ def random_config(rng, series):
 def test_flat_series_has_no_spikes():
     s = TimeSeries(np.arange(100.0), np.zeros(100))
     assert len(spikes.detect_spikes(s, DEFAULT)) == 0
-    assert len(spikes.detect_spikes_naive(s, DEFAULT)) == 0
+    assert len(detect_spikes_naive(s, DEFAULT)) == 0
 
 
 def test_three_bumps_detected():
     s = bumps([10, 20, 30], [0.001] * 3, 50)
     train = spikes.detect_spikes(s, DEFAULT)
-    oracle = spikes.detect_spikes_naive(s, DEFAULT)
+    oracle = detect_spikes_naive(s, DEFAULT)
     assert np.array_equal(train.spike_times, [10, 20, 30])
     assert np.array_equal(train.spike_times, oracle.spike_times)
     assert np.array_equal(train.spike_amplitudes, oracle.spike_amplitudes)
@@ -65,7 +67,7 @@ def test_close_bumps_keep_higher_amplitude():
     s = bumps([10, 13], [0.002, 0.001], 40)
     train = spikes.detect_spikes(s, DEFAULT)
     assert np.array_equal(train.spike_times, [10.0])
-    oracle = spikes.detect_spikes_naive(s, DEFAULT)
+    oracle = detect_spikes_naive(s, DEFAULT)
     assert np.array_equal(oracle.spike_times, [10.0])
 
 
@@ -85,7 +87,7 @@ def test_plateau_takes_first_sample():
     cfg = SpikeDetectionConfig(threshold=0.5, min_peak_distance=0.0)
     train = spikes.detect_spikes(s, cfg)
     assert np.array_equal(train.spike_times, [1.0])
-    assert np.array_equal(spikes.detect_spikes_naive(s, cfg).spike_times, [1.0])
+    assert np.array_equal(detect_spikes_naive(s, cfg).spike_times, [1.0])
 
 
 def test_endpoints_are_not_peaks():
@@ -133,7 +135,7 @@ def test_min_distance_is_measured_in_seconds():
     s = TimeSeries(times, values)
     cfg = SpikeDetectionConfig(threshold=0.5, min_peak_distance=4.0)
     fast = spikes.detect_spikes(s, cfg)
-    naive = spikes.detect_spikes_naive(s, cfg)
+    naive = detect_spikes_naive(s, cfg)
     assert np.array_equal(fast.spike_times, naive.spike_times)
 
 
@@ -143,7 +145,7 @@ def test_oracle_equivalence_on_random_signals():
         s = random_series(rng)
         cfg = random_config(rng, s)
         fast = spikes.detect_spikes(s, cfg)
-        naive = spikes.detect_spikes_naive(s, cfg)
+        naive = detect_spikes_naive(s, cfg)
         assert np.array_equal(fast.spike_times, naive.spike_times)
         assert np.array_equal(fast.spike_amplitudes, naive.spike_amplitudes)
 
@@ -169,9 +171,64 @@ def plateau_series_and_config(draw):
 def test_oracle_equivalence_on_quantised_plateau_signals(case):
     series, cfg = case
     fast = spikes.detect_spikes(series, cfg)
-    naive = spikes.detect_spikes_naive(series, cfg)
+    naive = detect_spikes_naive(series, cfg)
     assert np.array_equal(fast.spike_times, naive.spike_times)
     assert np.array_equal(fast.spike_amplitudes, naive.spike_amplitudes)
+
+
+class Split:
+    """A series as a stream of the blocks between ``cuts``."""
+
+    def __init__(self, series, cuts):
+        self.series, self.edges = series, [0, *cuts, len(series)]
+
+    def blocks(self):
+        return ((self.series.times[a:b], self.series.values[a:b])
+                for a, b in zip(self.edges, self.edges[1:]))
+
+
+@st.composite
+def split_series_and_config(draw):
+    n = draw(st.integers(1, 80))
+    shape = draw(st.sampled_from(["walk", "plateaus", "flat"]))
+    if shape == "flat":
+        values = np.full(n, 1.0)
+    else:
+        # A quantised walk; "plateaus" repeats each level, so runs of equal
+        # values span several blocks.
+        steps = draw(st.lists(st.sampled_from([-2, -1, 0, 1, 2]), min_size=n, max_size=n))
+        values = np.cumsum(steps, dtype=np.float64)
+        if shape == "plateaus":
+            values = np.repeat(values, draw(st.integers(2, 9)))[:n]
+    times = np.cumsum(draw(st.lists(st.sampled_from([0.5, 1.0, 4.0]), min_size=n, max_size=n)))
+    threshold = draw(st.sampled_from(sorted({values.min() - 1.0, *values.tolist()})))
+    distance = draw(st.sampled_from([0.0, 1.0, 5.0, 20.0]))
+    if n == 1 or draw(st.booleans()):
+        cuts = list(range(1, n))  # blocks of one sample
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+    return TimeSeries(times, values), SpikeDetectionConfig(threshold, distance), cuts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=split_series_and_config())
+def test_detection_on_any_split_into_blocks_is_detection_on_the_whole(case):
+    series, cfg, cuts = case
+    whole = spikes.detect_spikes(series, cfg)
+    split = spikes.detect_spikes(Split(series, cuts), cfg)
+    assert np.array_equal(split.spike_times, whole.spike_times)
+    assert np.array_equal(split.spike_amplitudes, whole.spike_amplitudes)
+    assert split.duration == whole.duration
+
+
+def test_detection_finds_a_plateau_peak_that_spans_blocks():
+    values = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 2.0, 2.0, 0.0])
+    series = TimeSeries(np.arange(10.0), values)
+    cfg = SpikeDetectionConfig(threshold=0.5, min_peak_distance=0.0)
+    for cuts in ([], [2, 4], list(range(1, 10)), [1, 8]):
+        train = spikes.detect_spikes(Split(series, cuts), cfg)
+        assert train.spike_times.tolist() == [1.0, 7.0]
+
 
 def test_output_invariants_on_random_signals():
     rng = np.random.default_rng(8)
