@@ -99,18 +99,10 @@ def _conflict_windows(t, d):
     """Per candidate, the index range ``[lo, hi)`` of candidates it conflicts with.
 
     ``j`` is inside when ``fl(t[max] - t[min]) < d``, the predicate of the
-    one-at-a-time loop. ``searchsorted`` on ``t - d`` and ``t + d`` rounds
-    differently, so its edges are moved, one distinct time at a time, until
-    they agree with that subtraction.
+    one-at-a-time loop: ``hi`` moves from ``searchsorted(t, t + d)`` one
+    distinct time at a time until it agrees. That difference is monotone, so
+    ``hi`` never decreases and ``lo[i]`` is the first ``j`` with ``i < hi[j]``.
     """
-    lo = np.searchsorted(t, t - d, side="right")
-    while True:
-        grow = (lo > 0) & (t - t[lo - 1] < d)
-        shrink = ~grow & ~(t - t[np.minimum(lo, t.size - 1)] < d)
-        if not (grow.any() or shrink.any()):
-            break
-        lo[grow] = np.searchsorted(t, t[lo[grow] - 1], side="left")
-        lo[shrink] = np.searchsorted(t, t[lo[shrink]], side="right")
     hi = np.searchsorted(t, t + d, side="left")
     while True:
         grow = (hi < t.size) & (t[np.minimum(hi, t.size - 1)] - t < d)
@@ -119,7 +111,7 @@ def _conflict_windows(t, d):
             break
         hi[grow] = np.searchsorted(t, t[hi[grow]], side="right")
         hi[shrink] = np.searchsorted(t, t[hi[shrink] - 1], side="left")
-    return lo, hi
+    return np.searchsorted(hi, np.arange(t.size), side="right"), hi
 
 
 def _range_min(r, lo, hi):

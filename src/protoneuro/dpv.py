@@ -11,12 +11,16 @@ it does not model the electrochemical cell.
 base-phase start, pulse start (the before-pulse sample) and end (the
 after-pulse sample; the last step's end is the waveform's ``total_duration``).
 The waveform, the sampling schedule and the protocol checks read it alone.
+A waveform holds only its parameters and makes each segment as it is read;
+``write_waveform_csv`` writes each row as it is made, so memory does not grow
+with the step count and a run too long for the disk ends in an ``OSError``.
 
 The module is standard library only, so ``waveform`` starts without numpy.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import NamedTuple
 
 from ._inputs import finite as _finite, max_items as _max_items
@@ -103,23 +107,45 @@ class Segment(NamedTuple):
 
 @dataclass(frozen=True)
 class PotentialWaveform:
-    """Piecewise-constant potential programme.
+    """Piecewise-constant potential programme, made from its parameters.
 
-    Segments are contiguous, ordered and non-overlapping; their durations
-    sum to ``total_duration`` exactly (durations are derived from the
-    boundary times, so the sum telescopes).
+    Iterating yields each segment from ``_steps`` as it is read. Segments are
+    contiguous, ordered and non-overlapping; their durations sum to
+    ``total_duration`` exactly (durations are derived from the boundary
+    times, so the sum telescopes).
     """
 
-    segments: tuple[Segment, ...]
-    total_duration: float
+    params: DpvParameters
+
+    def __iter__(self):
+        p = self.params
+        if p.equilibrium_time > 0:
+            yield Segment(0.0, p.equilibrium_time, p.start_potential, PHASE_EQUILIBRIUM)
+        for base_v, base_start, pulse_start, step_end in _steps(p):
+            yield Segment(base_start, pulse_start - base_start, base_v, PHASE_BASE)
+            yield Segment(pulse_start, step_end - pulse_start,
+                          base_v + p.pulse_amplitude, PHASE_PULSE)
+
+    @cached_property
+    def segments(self) -> tuple[Segment, ...]:
+        """Every segment, listed, for callers that index."""
+        return tuple(self)
+
+    @property
+    def total_duration(self) -> float:
+        """The last step's end."""
+        return next(_steps(self.params, (step_count(self.params),)))[3]
 
     def potential_at(self, t: float) -> float:
         """Potential at time ``t``; each segment covers [start, end)."""
-        if t < 0 or t > self.total_duration:
+        if not 0 <= t <= self.total_duration:  # NaN included
             raise ValidationError(f"time {t} outside waveform [0, {self.total_duration}]")
-        i = bisect_right(self.segments, t, key=lambda s: s.start_time) - 1
-        i = min(max(i, 0), len(self.segments) - 1)
-        return self.segments[i].potential
+        p = self.params
+        k = bisect_right(range(1, step_count(p) + 1), t, key=lambda k: next(_steps(p, (k,)))[1])
+        if k == 0:  # before the first step: the equilibrium hold
+            return p.start_potential
+        base_v, _, pulse_start, _ = next(_steps(p, (k,)))
+        return base_v if t < pulse_start else base_v + p.pulse_amplitude
 
 
 def step_count(params: DpvParameters) -> int:
@@ -141,19 +167,13 @@ def _steps(params: DpvParameters, ks=None):
 
 
 def generate_waveform(params: DpvParameters) -> PotentialWaveform:
-    """Build the full potential programme for one scan.
+    """The potential programme for one scan, made segment by segment as it is read.
 
     An optional equilibrium hold at the start potential is followed by
     ``step_count`` base/pulse segment pairs, each pulse at its step's base
     potential + pulse_amplitude.
     """
-    eq = params.equilibrium_time
-    segments = [Segment(0.0, eq, params.start_potential, PHASE_EQUILIBRIUM)] if eq > 0 else []
-    for base_v, base_start, pulse_start, step_end in _steps(params):
-        segments.append(Segment(base_start, pulse_start - base_start, base_v, PHASE_BASE))
-        segments.append(Segment(pulse_start, step_end - pulse_start,
-                                base_v + params.pulse_amplitude, PHASE_PULSE))
-    return PotentialWaveform(tuple(segments), step_end)
+    return PotentialWaveform(params)
 
 
 def sample_instants(params: DpvParameters) -> list[tuple[float, str]]:
@@ -181,9 +201,9 @@ def write_waveform_csv(waveform: PotentialWaveform, path) -> None:
     One row per segment boundary: the potential sampled at the start of each
     segment plus a terminal row at the waveform end.
     """
-    last = waveform.segments[-1]
-    rows = "".join(f"{s.start_time:.9g},{s.potential:.9g},{s.phase}\r\n"
-                   for s in waveform.segments)
+    p = waveform.params
+    last_v, *_, end = next(_steps(p, (step_count(p),)))
     with open(path, "w", newline="") as fh:
-        fh.write(f"time_s,potential_V,phase\r\n{rows}"
-                 f"{waveform.total_duration:.9g},{last.potential:.9g},{last.phase}\r\n")
+        fh.write("time_s,potential_V,phase\r\n")
+        fh.writelines(f"{s.start_time:.9g},{s.potential:.9g},{s.phase}\r\n" for s in waveform)
+        fh.write(f"{end:.9g},{last_v + p.pulse_amplitude:.9g},{PHASE_PULSE}\r\n")

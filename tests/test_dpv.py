@@ -1,8 +1,10 @@
 import csv
+from bisect import bisect_right
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from protoneuro import dpv
@@ -213,6 +215,35 @@ def test_potential_at_matches_segments():
         w.potential_at(w.total_duration + 0.1)
 
 
+def segment_list_potential(w, t):
+    """The lookup over the listed segments: the last one starting at or before ``t``."""
+    i = bisect_right(w.segments, t, key=lambda s: s.start_time) - 1
+    return w.segments[min(max(i, 0), len(w.segments) - 1)].potential
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=protocols())
+@example(params=two_step_params(equilibrium=0.0))
+@example(params=two_step_params(equilibrium=2.0))
+@example(params=replace(two_step_params(equilibrium=0.0), start_potential=0.002, end_potential=0))
+@example(params=replace(two_step_params(equilibrium=2.0), start_potential=0.002, end_potential=0))
+def test_potential_at_agrees_with_bisecting_the_segment_list(params):
+    # Every segment start and midpoint, and the end, with and without an
+    # equilibrium hold, scanning either way.
+    w = dpv.generate_waveform(params)
+    times = [w.total_duration]
+    for s in w.segments:
+        times += [s.start_time, s.start_time + s.duration / 2]
+    for t in times:
+        assert w.potential_at(t) == segment_list_potential(w, t)
+
+
+def test_potential_at_nan_rejected():
+    w = dpv.generate_waveform(two_step_params())
+    with pytest.raises(ValidationError, match=r"^time nan outside waveform \[0, 2\.0\]$"):
+        w.potential_at(float("nan"))
+
+
 def test_waveform_csv_export(tmp_path):
     w = dpv.generate_waveform(two_step_params())
     path = tmp_path / "wf.csv"
@@ -250,4 +281,16 @@ def test_waveform_csv_bytes_equal_the_csv_writer_loop(tmp_path, params, exponent
     data = (tmp_path / "wf.csv").read_bytes()
     assert data == (tmp_path / "ref.csv").read_bytes()
     assert (b"e-05" in data and b"e+09" in data) == exponent
+    assert data.count(b"equilibrium") == (params.equilibrium_time > 0)
+
+
+@settings(max_examples=800, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(params=protocols())
+def test_waveform_csv_bytes_equal_the_csv_writer_loop_on_drawn_protocols(tmp_path, params):
+    w = dpv.generate_waveform(params)
+    dpv.write_waveform_csv(w, tmp_path / "wf.csv")
+    csv_writer_waveform(w, tmp_path / "ref.csv")
+    data = (tmp_path / "wf.csv").read_bytes()
+    assert data == (tmp_path / "ref.csv").read_bytes()
     assert data.count(b"equilibrium") == (params.equilibrium_time > 0)

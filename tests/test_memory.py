@@ -1,6 +1,6 @@
-"""Peak memory of the series path, the simulation kernels and the block
-writer, in bytes per sample (a neuron-step for the kernels, a spike for the
-raster, a row for the writer).
+"""Peak memory of the series path, the simulation kernels, the block writer
+and the DPV waveform: in bytes per sample (a neuron-step for the kernels, a
+spike for the raster, a row for the writer), and in bytes for the waveform.
 
 ``tracemalloc`` traces NumPy's array buffers as well as Python objects, so
 the peak over a call counts every copy of the data the call holds at once.
@@ -119,6 +119,19 @@ def test_pipeline_reads_one_file_at_a_time(tmp_path, capsys):
     assert code == 0
     assert f"samples_ok={files} samples_failed=0" in capsys.readouterr().out
     assert peak / (files * samples) < 36
+
+
+def test_waveform_holds_no_segment_list(tmp_path, capsys):
+    # 32,000 steps: each segment is made from its step and written as it is
+    # made, so the peak is the file buffer and a few rows, about 0.13 MB.
+    # A tuple of two segments a step and the whole CSV as one string took
+    # 16.7 MB.
+    argv = ["waveform", "--out", str(tmp_path / "w.csv"), "--step-size", "0.0005"]
+    assert cli.main([*argv[:3], "--step-size", "4"]) == 0
+    peak, code = traced_peak(cli.main, argv)
+    assert code == 0
+    assert "steps=32000 " in capsys.readouterr().out
+    assert peak < 1e6
 
 
 def test_local_maxima_of_a_noisy_trace_needs_no_run_index():

@@ -4,7 +4,7 @@ from bisect import bisect_left, insort
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from protoneuro._kernels import pure
@@ -55,6 +55,19 @@ def prune_cases(draw):
 @given(case=prune_cases())
 def test_prune_matches_greedy_loop(case):
     assert_prune_matches(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=prune_cases())
+def test_conflict_windows_match_the_pairwise_predicate(case):
+    # The O(m^2) predicate of the loop, fl(t[max] - t[min]) < d, on every
+    # pair; at the 1e6 + 0.3 offsets t - d and t + d round.
+    t, _, d = case
+    assume(d > 0)  # prune_min_distance keeps every candidate before it asks
+    lo, hi = pure._conflict_windows(t, d)
+    i, j = np.indices((t.size, t.size))
+    conflict = t[np.maximum(i, j)] - t[np.minimum(i, j)] < d
+    np.testing.assert_array_equal((lo[:, None] <= j) & (j < hi[:, None]), conflict)
 
 
 def test_prune_matches_greedy_loop_on_uniform_times():
