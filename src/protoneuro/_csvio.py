@@ -62,11 +62,9 @@ row`` per row (``%.9g`` and ``f"{x:.9g}"`` share one formatter). Each
   rows' ASCII bytes in order, written with no decode and re-encode; both
   go ``_WRITE_ROWS`` rows at a time.
 
-The writers use three row formats, ``%.12g,%.9g``, ``%.9g,%.9g`` and
-``%d,%.9g``, and the long rows; so fields are ``%.9g``, ``%.12g`` or
-``%d`` of an integer array, and anything else is a ValueError. A ``%d``
-field is a ``%.12g`` field: for an integer below 10**12 in size the two
-print the same digits, and a larger one goes to ``%d`` on its own.
+The writers' fields are ``%.9g`` and ``%.12g``, and anything else is a
+ValueError. Integer columns (neuron indices, 0/1 codes) are ``%.12g``
+fields, which print every integer below 10**12 in size as ``%d`` does.
 """
 
 import functools
@@ -89,7 +87,7 @@ _WRITE_ROWS = 4096
 #: under a megabyte however long the file.
 _READ_CHUNK = 1 << 16
 
-_FIELD = re.compile(r"%(?:\.(9|12)g|d)")
+_FIELD = re.compile(r"%\.(9|12)g")
 #: The P digits are taken from the digit tables in chunks of these widths.
 _CHUNK_WIDTHS = {9: (5, 4), 12: (4, 4, 4)}
 #: ``e`` range covered by the scale tables; |x| in [1e-280, 1e280] needs
@@ -302,23 +300,15 @@ def _scaled_digits(x, p):
     return q, e, np.flatnonzero(~valid & (x != 0))
 
 
-def _field_slots(column, precision):
-    """The slot rows of a column formatted as ``%.Pg`` (``precision`` None: ``%d``).
+def _field_slots(column, p):
+    """The slot rows of a column formatted as ``%.Pg``, P = ``p``.
 
     Returns an (h, n) uint8 array holding, for each of the n values, its
     characters in slot order and NUL in the slots it does not use; h counts
     only the slots some value uses.
     """
     column = np.asarray(column)
-    if precision is None:
-        if column.dtype.kind not in "iu":
-            raise ValueError(f"%d needs an integer column, not {column.dtype}")
-        fmt, p = "%d", 12
-        x = column.astype(np.float64)
-        x[~(np.abs(x) < 1e12)] = np.nan
-    else:
-        fmt, p = f"%.{precision}g", precision
-        x = column.astype(np.float64, copy=False)
+    x = column.astype(np.float64, copy=False)
     q, e, bad = _scaled_digits(x, p)
 
     # Digits, in chunks of at most five, and how many are significant. Below
@@ -366,7 +356,7 @@ def _field_slots(column, precision):
     has_e3 = has_expo and bool((expo & (np.abs(X) >= 100)).any())
     live = (has_neg + (n_zeros + 2 if n_zeros >= 0 else 0) + n_digits + len(dots)
             + (4 + has_e3 if has_expo else 0))
-    fallback = [fmt % v for v in column[bad].tolist()]
+    fallback = [f"%.{p}g" % v for v in column[bad].tolist()]
 
     c = _CHARS
     out = np.zeros((max(live, *map(len, fallback), 0), x.size), np.uint8)
@@ -436,21 +426,21 @@ def _write_block(fh, parts):
 
 
 def _parse_format(row_format):
-    """Split ``row_format`` into its literal texts and field precisions (None: %d)."""
+    """Split ``row_format`` into its literal texts and field precisions."""
     parts = _FIELD.split(row_format)
     literals = parts[::2]
     if any("%" in text for text in literals):
         raise ValueError(f"unsupported row format {row_format!r}")
-    return literals, [None if g is None else int(g) for g in parts[1::2]]
+    return literals, [int(g) for g in parts[1::2]]
 
 
 def write_rows(fh, row_format, *columns):
     """Write ``row_format % row`` for each row of the equal-length columns to
     the binary file ``fh``, as ASCII.
 
-    ``row_format`` formats one row, newline included, from ``%.9g``,
-    ``%.12g`` and ``%d`` fields (``%d`` on integer columns only); the bytes
-    are those of ``%`` on the row's Python floats and ints.
+    ``row_format`` formats one row, newline included, from ``%.9g`` and
+    ``%.12g`` fields; the bytes are those of ``%`` on the row's Python
+    floats and ints.
     """
     literals, precisions = _parse_format(row_format)
     columns = [np.asarray(col) for col in columns]
@@ -476,7 +466,7 @@ def write_long_rows(fh, times, matrix):
     n = matrix.shape[0]
     if n == 0:
         return
-    index = _field_slots(np.arange(n), None)
+    index = _field_slots(np.arange(n), 12)
     steps_per_block = max(1, BLOCK_ROWS // n)
     for lo in range(0, len(times), steps_per_block):
         block = slice(lo, lo + steps_per_block)

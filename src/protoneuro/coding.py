@@ -175,7 +175,11 @@ def write_code_csv(code: CodeMatrix, path) -> None:
     """Export codes with neuron labels as header; one row per time sample."""
     with open(path, "wb") as fh:
         fh.write((",".join(code.neuron_labels) + "\n").encode())
-        _csvio.write_rows(fh, ",".join(["%d"] * code.neuron_count) + "\n", *code.entries)
+        _csvio.write_rows(fh, ",".join(["%.12g"] * code.neuron_count) + "\n", *code.entries)
+
+
+#: Side of one heatmap cell, in SVG pixels.
+_CELL = 28
 
 
 def _ramp_color(frac: float) -> str:
@@ -186,7 +190,7 @@ def _ramp_color(frac: float) -> str:
     return f"rgb({r},{g},{b})"
 
 
-def write_heatmap_svg(grid: PsiPpiGrid, path, labels=None, cell: int = 28) -> None:
+def write_heatmap_svg(grid: PsiPpiGrid, path, labels=None) -> None:
     """Standalone SVG heatmap of the grid; output bytes are deterministic."""
     g = grid.grid
     n = g.shape[0]
@@ -194,8 +198,8 @@ def write_heatmap_svg(grid: PsiPpiGrid, path, labels=None, cell: int = 28) -> No
     lo, hi = float(g.min()), float(g.max())
     span = hi - lo if hi > lo else 1.0
     margin = 90
-    width = margin + n * cell + 20
-    height = margin + n * cell + 20
+    width = margin + n * _CELL + 20
+    height = margin + n * _CELL + 20
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<text x="{margin}" y="20" font-size="13" font-family="sans-serif">'
@@ -204,20 +208,20 @@ def write_heatmap_svg(grid: PsiPpiGrid, path, labels=None, cell: int = 28) -> No
     for j in range(n):
         for i in range(n):
             frac = (float(g[j, i]) - lo) / span
-            x = margin + i * cell
-            y = margin + j * cell
+            x = margin + i * _CELL
+            y = margin + j * _CELL
             parts.append(
-                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
+                f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
                 f'fill="{_ramp_color(frac)}"><title>{labels[j]} &#8592; {labels[i]}: '
                 f"{g[j, i]:.6g}</title></rect>"
             )
     for i, lab in enumerate(labels):
-        x = margin + i * cell + cell // 2
+        x = margin + i * _CELL + _CELL // 2
         parts.append(
             f'<text x="{x}" y="{margin - 8}" font-size="10" font-family="sans-serif" '
             f'text-anchor="middle">{lab}</text>'
         )
-        y = margin + i * cell + cell // 2 + 4
+        y = margin + i * _CELL + _CELL // 2 + 4
         parts.append(
             f'<text x="{margin - 8}" y="{y}" font-size="10" font-family="sans-serif" '
             f'text-anchor="end">{lab}</text>'

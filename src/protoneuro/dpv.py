@@ -20,7 +20,6 @@ The module is standard library only, so ``waveform`` starts without numpy.
 
 from bisect import bisect_right
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import NamedTuple
 
 from ._inputs import finite as _finite, max_items as _max_items
@@ -66,7 +65,8 @@ class DpvParameters:
         span = _finite(abs(self.end_potential - self.start_potential),
                        "the scan span (|end_potential - start_potential|)")
         steps = _finite(span / self.step_size, "the step count (span / step_size)")
-        most = (_max_items(8) - 1) // 2  # steps of 2 * steps + 1 listed segments
+        # sample_instants lists 2 * steps entries, and tuple(waveform) 2 * steps + 1.
+        most = (_max_items(8) - 1) // 2
         if step_count(self) > most:
             raise ValidationError(f"the step count (span / step_size) must be at most "
                                   f"{most}, got {steps:.9g}")
@@ -100,10 +100,6 @@ class Segment(NamedTuple):
     potential: float
     phase: str
 
-    @property
-    def end_time(self) -> float:
-        return self.start_time + self.duration
-
 
 @dataclass(frozen=True)
 class PotentialWaveform:
@@ -125,11 +121,6 @@ class PotentialWaveform:
             yield Segment(base_start, pulse_start - base_start, base_v, PHASE_BASE)
             yield Segment(pulse_start, step_end - pulse_start,
                           base_v + p.pulse_amplitude, PHASE_PULSE)
-
-    @cached_property
-    def segments(self) -> tuple[Segment, ...]:
-        """Every segment, listed, for callers that index."""
-        return tuple(self)
 
     @property
     def total_duration(self) -> float:

@@ -52,6 +52,8 @@ class LifParameters:
     dt: float = 0.0001
 
     def __post_init__(self):
+        for f in fields(self):
+            _inputs.finite(getattr(self, f.name), f.name)
         if not self.membrane_time_constant > 0:
             raise ValidationError("membrane_time_constant must be > 0")
         if not self.threshold > self.reset:
@@ -107,7 +109,7 @@ class SpikingNetwork(_Network):
     tau_syn: float = 0.005
 
     def __post_init__(self):
-        if not self.tau_syn > 0:
+        if not _inputs.finite(self.tau_syn, "tau_syn") > 0:
             raise ValidationError("tau_syn must be > 0")
         super().__post_init__()
         self.output_weights = _as_matrix("output_weights", self.output_weights, (None, self.n))
@@ -122,9 +124,9 @@ class RateNetwork(_Network):
     dt: float = 0.0001
 
     def __post_init__(self):
-        if not self.time_constant > 0:
+        if not _inputs.finite(self.time_constant, "time_constant") > 0:
             raise ValidationError("time_constant must be > 0")
-        if not self.dt > 0:
+        if not _inputs.finite(self.dt, "dt") > 0:
             raise ValidationError("dt must be > 0")
         super().__post_init__()
         if self.feedback_weights is not None:
@@ -336,10 +338,9 @@ def read_stream_csv(path, dt, expected_rows=None):
     with _inputs.blamed(path), _inputs.open_text(path) as fh:
         header, rows = _csvio.read_table(fh, check_header)
         values = rows[:, 1:]
-        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-        if bad.size:
-            row = int(bad[0])
-            column = int(np.argmin(np.isfinite(values[row])))
+        first = _kernels.first_nonfinite(values)
+        if first is not None:
+            row, column = first
             name = header.split(",")[column + 1].strip()
             raise ParseError(f"{name} is {values[row, column]:.9g}, not a finite number",
                              line=_csvio.row_line(path, row))
@@ -374,7 +375,7 @@ def write_raster_csv(trace: SimulationTrace, path) -> None:
     """Raster export: ``neuron,spike_time_s`` rows."""
     with open(path, "wb") as fh:
         fh.write(b"neuron,spike_time_s\n")
-        _csvio.write_rows(fh, "%d,%.9g\n", trace.spike_neurons, trace.spike_times)
+        _csvio.write_rows(fh, "%.12g,%.9g\n", trace.spike_neurons, trace.spike_times)
 
 
 def write_outputs_csv(trace: SimulationTrace, path) -> None:

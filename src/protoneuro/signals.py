@@ -37,9 +37,7 @@ Gaussian bumps on a noisy baseline, sampled once per second to match the
 data-logger convention used throughout. ``SyntheticSeries`` makes the
 series 65,536 samples at a time, each block with the bumps that reach into
 it and its share of the noise draw, so ``synth`` checks and then writes a
-block at a time and never holds the series. On the 1,000,001-sample
-``series`` benchmark, ``synth``'s peak RSS fell from 57.5 to 44.5 MB (2 vCPU
-host, Python 3.11.7, numpy 2.4.6).
+block at a time and never holds the series.
 """
 
 import contextlib
@@ -272,13 +270,10 @@ class ValueStack:
     caller that drops each series once it is added holds one at a time.
     """
 
-    def __init__(self, series=()):
+    def __init__(self):
         self._base = None  # the first series' times
         self._rows = []  # each series' values
         self._agree = []  # each series' count of leading times equal to _base
-        for one in series:
-            self.add(one)
-            del one  # so that the next series is made with this one gone
 
     def add(self, series):
         """Take the values of ``series``, and count its times that agree with the first's."""
@@ -310,11 +305,6 @@ class ValueStack:
             matrix[row] = rows[row]
             rows[row] = None
         return matrix
-
-
-def stack_values(series_list, labels) -> np.ndarray:
-    """The ``(len(labels), n)`` potential matrix of ``series_list`` (see ``ValueStack``)."""
-    return ValueStack(series_list).matrix(labels)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,7 @@ holds a whole recording: it reads the file a chunk of rows at a time
 Each block goes to ``local_maxima`` behind the first samples of the last
 two runs of equal values before it, which is all the context a block's
 maxima need, so the candidates are those of the whole series on any split.
-On the 1,000,001-sample ``series`` benchmark file, ``detect``'s peak RSS
-fell from 57.7 to 43.7 MB (2 vCPU host, Python 3.11.7, numpy 2.4.6); an
-in-memory TimeSeries is one block, and costs what it did.
+An in-memory TimeSeries is one block.
 
 The fast path prunes in rounds rather than one candidate at a time. Each
 candidate conflicts with those less than the minimum distance away (a

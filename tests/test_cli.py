@@ -977,6 +977,8 @@ def stream_outcome(reader, path, dt):
     "0,1,2\n1,3,-inf\n",
     "0,1,2\n5,3,4\n6,inf,4\n",     # ... wins over an earlier bad step
     "0,1,2\n1,inf,4\n2,x,4\n",     # a parse error wins over an earlier non-finite value
+    "0,1,2\n1,3,inf\n2,nan,4\n",   # the first row with a non-finite value wins ...
+    "0,1,2\n1,nan,inf\n",          # ... and within it the first channel
     "0,1,2\n1,3,4,5\n",            # stray field
     "0,1,2,9\n1,3,4,9\n",          # every row too wide
     "0,1_0,2\n1,3,4\n",            # float accepts, loadtxt not

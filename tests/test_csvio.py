@@ -103,14 +103,18 @@ def test_fallback_widens_the_slots(values):
 
 
 def test_integer_columns_match_percent_d():
+    # Integer columns (neuron indices, 0/1 codes) are %.12g fields, which
+    # print every integer below 10**12 in size as %d does.
     ints = np.array([0, 1, -1, 9, 10, 99, 100, 12345, -98765, 10**11, 10**12 - 1,
-                     10**12, -(10**12), 10**15 + 7, 2**63 - 1, -(2**63)])
-    assert formatted("%d,%.9g\n", ints, ints.astype(float)) == \
+                     -(10**12 - 1)])
+    assert formatted("%.12g,%.9g\n", ints, ints.astype(float)) == \
         reference("%d,%.9g\n", ints, ints.astype(float))
+    codes = np.array([0, 1, 1, 0], np.uint8)
+    assert formatted("%.12g,%.12g\n", codes, codes) == reference("%d,%d\n", codes, codes)
 
 
 @pytest.mark.parametrize("row_format, column", [
-    ("%d\n", np.array([1.5, -2.7, 3.0])),   # %d takes integer columns only
+    ("%d\n", np.arange(3)),                  # integer columns are %.12g fields
     ("%.6g\n", np.arange(3.0)),               # only the writers' precisions 9 and 12
     ("%f\n", np.arange(3.0)),
 ])
@@ -137,8 +141,8 @@ def test_block_edges(n):
     ints = rng.integers(-10**6, 10**6, n)
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
     values[::97] = np.nan
-    assert formatted("%d,%.9g;%.12g\n", ints, values, values) == \
-        reference("%d,%.9g;%.12g\n", ints, values, values)
+    assert formatted("%.12g,%.9g;%.12g\n", ints, values, values) == \
+        reference("%.12g,%.9g;%.12g\n", ints, values, values)
 
 
 @pytest.mark.parametrize("rows", [1, 3])

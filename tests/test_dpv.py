@@ -83,11 +83,12 @@ def test_equal_start_end_rejected():
 
 def test_generate_waveform_reference_protocol():
     w = dpv.generate_waveform(REFERENCE)
-    bases = [s for s in w.segments if s.phase == dpv.PHASE_BASE]
-    pulses = [s for s in w.segments if s.phase == dpv.PHASE_PULSE]
+    segments = tuple(w)
+    bases = [s for s in segments if s.phase == dpv.PHASE_BASE]
+    pulses = [s for s in segments if s.phase == dpv.PHASE_PULSE]
     assert len(bases) == len(pulses) == 16000
-    assert w.segments[0].phase == dpv.PHASE_EQUILIBRIUM
-    assert w.segments[0].duration == 100.0
+    assert segments[0].phase == dpv.PHASE_EQUILIBRIUM
+    assert segments[0].duration == 100.0
     assert dpv.scan_duration(REFERENCE) == pytest.approx(16000.0)
     assert w.total_duration == pytest.approx(16100.0)
     for b, p in zip(bases, pulses):
@@ -97,7 +98,7 @@ def test_generate_waveform_reference_protocol():
 
 def test_generate_waveform_two_step_enumeration():
     w = dpv.generate_waveform(two_step_params())
-    got = [(s.potential, s.duration, s.phase) for s in w.segments]
+    got = [(s.potential, s.duration, s.phase) for s in w]
     assert got[0] == (pytest.approx(0.001), pytest.approx(0.92), dpv.PHASE_BASE)
     assert got[1] == (pytest.approx(0.101), pytest.approx(0.08), dpv.PHASE_PULSE)
     assert got[2] == (pytest.approx(0.002), pytest.approx(0.92), dpv.PHASE_BASE)
@@ -110,7 +111,8 @@ def test_zero_amplitude_gives_pure_staircase():
                           step_size=0.001, pulse_amplitude=0.0, pulse_width=0.08,
                           scan_rate=0.001)
     w = dpv.generate_waveform(p)
-    for base, pulse in zip(w.segments[0::2], w.segments[1::2]):
+    segments = tuple(w)
+    for base, pulse in zip(segments[0::2], segments[1::2]):
         assert pulse.potential == base.potential
 
 
@@ -150,15 +152,16 @@ def test_waveform_invariants_random_params():
     for _ in range(50):
         p = _random_params(rng)
         w = dpv.generate_waveform(p)
+        segments = tuple(w)
         n = dpv.step_count(p)
-        bases = [s for s in w.segments if s.phase == dpv.PHASE_BASE]
-        pulses = [s for s in w.segments if s.phase == dpv.PHASE_PULSE]
+        bases = [s for s in segments if s.phase == dpv.PHASE_BASE]
+        pulses = [s for s in segments if s.phase == dpv.PHASE_PULSE]
         assert len(bases) == len(pulses) == n
 
         # contiguous, non-overlapping, durations telescope to the total
-        for a, b in zip(w.segments, w.segments[1:]):
-            assert b.start_time == pytest.approx(a.end_time, abs=1e-12)
-        assert sum(s.duration for s in w.segments) == pytest.approx(w.total_duration)
+        for a, b in zip(segments, segments[1:]):
+            assert b.start_time == pytest.approx(a.start_time + a.duration, abs=1e-12)
+        assert sum(s.duration for s in segments) == pytest.approx(w.total_duration)
 
         # base potentials strictly monotone from start toward end
         pots = [s.potential for s in bases]
@@ -190,14 +193,15 @@ def protocols(draw):
 @given(params=protocols())
 def test_waveform_pulses_start_and_end_at_the_sampling_instants(params):
     w = dpv.generate_waveform(params)
+    segments = tuple(w)
     instants = dpv.sample_instants(params)
-    ends = [s.start_time for s in w.segments[1:]] + [w.total_duration]
-    pulses = [(s, end) for s, end in zip(w.segments, ends) if s.phase == dpv.PHASE_PULSE]
+    ends = [s.start_time for s in segments[1:]] + [w.total_duration]
+    pulses = [(s, end) for s, end in zip(segments, ends) if s.phase == dpv.PHASE_PULSE]
     assert len(instants) == 2 * len(pulses) == 2 * dpv.step_count(params)
     for (pulse, end), before, after in zip(pulses, instants[::2], instants[1::2]):
         assert (pulse.start_time, dpv.BEFORE_PULSE) == before
         assert (end, dpv.AFTER_PULSE) == after
-    bases = [s.potential for s in w.segments if s.phase == dpv.PHASE_BASE]
+    bases = [s.potential for s in segments if s.phase == dpv.PHASE_BASE]
     step = params.direction * params.step_size
     assert np.diff([params.start_potential, *bases]) == pytest.approx(step, rel=1e-9)
 
@@ -205,20 +209,21 @@ def test_waveform_pulses_start_and_end_at_the_sampling_instants(params):
 def test_potential_at_matches_segments():
     p = two_step_params(equilibrium=2.0)
     w = dpv.generate_waveform(p)
-    for seg in w.segments:
+    segments = tuple(w)
+    for seg in segments:
         assert w.potential_at(seg.start_time) == seg.potential
         assert w.potential_at(seg.start_time + seg.duration / 2) == seg.potential
-    assert w.potential_at(w.total_duration) == w.segments[-1].potential
+    assert w.potential_at(w.total_duration) == segments[-1].potential
     with pytest.raises(ValidationError):
         w.potential_at(-0.1)
     with pytest.raises(ValidationError):
         w.potential_at(w.total_duration + 0.1)
 
 
-def segment_list_potential(w, t):
+def segment_list_potential(segments, t):
     """The lookup over the listed segments: the last one starting at or before ``t``."""
-    i = bisect_right(w.segments, t, key=lambda s: s.start_time) - 1
-    return w.segments[min(max(i, 0), len(w.segments) - 1)].potential
+    i = bisect_right(segments, t, key=lambda s: s.start_time) - 1
+    return segments[min(max(i, 0), len(segments) - 1)].potential
 
 
 @settings(max_examples=150, deadline=None)
@@ -231,11 +236,12 @@ def test_potential_at_agrees_with_bisecting_the_segment_list(params):
     # Every segment start and midpoint, and the end, with and without an
     # equilibrium hold, scanning either way.
     w = dpv.generate_waveform(params)
+    segments = tuple(w)
     times = [w.total_duration]
-    for s in w.segments:
+    for s in segments:
         times += [s.start_time, s.start_time + s.duration / 2]
     for t in times:
-        assert w.potential_at(t) == segment_list_potential(w, t)
+        assert w.potential_at(t) == segment_list_potential(segments, t)
 
 
 def test_potential_at_nan_rejected():
@@ -250,7 +256,7 @@ def test_waveform_csv_export(tmp_path):
     dpv.write_waveform_csv(w, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "time_s,potential_V,phase"
-    assert len(lines) == len(w.segments) + 2  # header + boundaries + terminal row
+    assert len(lines) == len(tuple(w)) + 2  # header + boundaries + terminal row
     assert lines[1].endswith(",base")
 
 
@@ -259,9 +265,9 @@ def csv_writer_waveform(waveform, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time_s", "potential_V", "phase"])
-        for seg in waveform.segments:
+        for seg in waveform:
             writer.writerow([f"{seg.start_time:.9g}", f"{seg.potential:.9g}", seg.phase])
-        last = waveform.segments[-1]
+        last = seg
         writer.writerow([f"{waveform.total_duration:.9g}", f"{last.potential:.9g}", last.phase])
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -62,6 +63,18 @@ def nan_rate(**kwargs):
 def test_parameters_reject_nan(build, field):
     with pytest.raises(ValidationError):
         build(**{field: math.nan})
+
+
+@pytest.mark.parametrize("build,field",
+                         [(LifParameters, f.name) for f in fields(LifParameters)]
+                         + [(nan_spiking, "tau_syn"), (nan_rate, "time_constant"),
+                            (nan_rate, "dt")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_network_constants_must_be_finite(build, field, value):
+    # An infinite tau_syn or time_constant would pass "> 0" and run to an
+    # all-zero readout; each constant is named before anything runs.
+    with pytest.raises(ValidationError, match=f"^{field} must be finite, got {value!r}$"):
+        build(**{field: value})
 
 
 def test_rest_is_a_fixed_point():

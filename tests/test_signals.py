@@ -195,8 +195,8 @@ def test_round_trip_relative_error_within_stated_precision(tmp_path):
 def test_waveform_export_round_trips_through_series(tmp_path):
     # A full-length scan exported as a series survives write -> read -> write.
     w = dpv.generate_waveform(dpv.DpvParameters())
-    times = np.array([s.start_time for s in w.segments])
-    pots = np.array([s.potential for s in w.segments])
+    times = np.array([s.start_time for s in w])
+    pots = np.array([s.potential for s in w])
     s = TimeSeries(times, pots, unit=signals.UNIT_VOLT, label="scan")
     assert len(s) > 16000
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -275,17 +275,25 @@ def test_spec_checks_the_placement_before_a_missing_duration():
         SyntheticSpikeSpec(duration=None, count=0)
 
 
+def stack_values(series, labels):
+    """The potential matrix of ``series``, added one at a time as ``pipeline`` adds them."""
+    stack = signals.ValueStack()
+    for one in series:
+        stack.add(one)
+    return stack.matrix(labels)
+
+
 def test_stack_values_cuts_to_the_shortest_and_zero_pads():
     a = TimeSeries(np.arange(4.0), np.array([1.0, 2.0, 3.0, 4.0]))
     b = TimeSeries(np.arange(3.0), np.array([5.0, 6.0, 7.0]))
-    matrix = signals.stack_values([a, b], ["a", "b", "c"])
+    matrix = stack_values([a, b], ["a", "b", "c"])
     assert matrix.dtype == np.float64
     assert matrix.tolist() == [[1.0, 2.0, 3.0], [5.0, 6.0, 7.0], [0.0, 0.0, 0.0]]
     late = TimeSeries(np.arange(3.0) + 1000, np.zeros(3))
     with pytest.raises(ValidationError, match="^late: time base differs"):
-        signals.stack_values([a, late], ["a", "late"])
+        stack_values([a, late], ["a", "late"])
     with pytest.raises(ValidationError, match="2 series for 1 labels"):
-        signals.stack_values([a, b], ["a"])
+        stack_values([a, b], ["a"])
 
 
 def reference_stack_values(series_list, labels):
@@ -329,9 +337,9 @@ def test_value_stack_fed_a_generator_is_the_list_based_matrix(drawn):
         expected = reference_stack_values(series, labels)
     except ValidationError as exc:
         with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
-            signals.ValueStack(s for s in series).matrix(labels)
+            stack_values((s for s in series), labels)
         return
-    matrix = signals.ValueStack(s for s in series).matrix(labels)
+    matrix = stack_values((s for s in series), labels)
     assert matrix.dtype == np.float64
     assert np.array_equal(matrix, expected)
 
@@ -340,11 +348,11 @@ def test_value_stack_accepts_times_that_differ_only_past_the_shortest_length():
     a = TimeSeries(np.arange(5.0), np.arange(5.0))
     b = TimeSeries(np.arange(3.0), np.arange(3.0) + 10)
     c = TimeSeries([0.0, 1.0, 2.0, 30.0, 40.0], np.arange(5.0) + 20)
-    matrix = signals.ValueStack([a, b, c]).matrix(["a", "b", "c"])
+    matrix = stack_values([a, b, c], ["a", "b", "c"])
     assert matrix.tolist() == [[0.0, 1.0, 2.0], [10.0, 11.0, 12.0], [20.0, 21.0, 22.0]]
     d = TimeSeries([0.0, 1.0, 2.5], np.zeros(3))
     with pytest.raises(ValidationError, match="^d: time base differs from the first input$"):
-        signals.ValueStack([a, b, d]).matrix(["a", "b", "d"])
+        stack_values([a, b, d], ["a", "b", "d"])
 
 
 def test_value_stack_keeps_no_part_of_the_readers_buffer(tmp_path):
@@ -355,7 +363,8 @@ def test_value_stack_keeps_no_part_of_the_readers_buffer(tmp_path):
     series = signals.read_timeseries_csv(path)
     rows = weakref.ref(series.times.base)
     assert series.values.base is rows()
-    stack = signals.ValueStack([series])
+    stack = signals.ValueStack()
+    stack.add(series)
     del series
     assert rows() is None
     assert stack.matrix(["a", "b"]).tolist() == [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]
