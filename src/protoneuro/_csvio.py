@@ -79,8 +79,9 @@ from .errors import ParseError
 
 #: Rows formatted per block: large enough to amortise the per-slot array
 #: calls, small enough that a block's arrays (under 100 bytes a row at
-#: their peak) stay a few megabytes.
-BLOCK_ROWS = 65536
+#: their peak) stay under two megabytes. A block only splits the same
+#: arithmetic, so the bytes do not depend on its size.
+BLOCK_ROWS = 16384
 #: Rows of a block laid out and written at a time: a few hundred kilobytes.
 _WRITE_ROWS = 4096
 #: Characters read per body chunk: the chunk's line strings stay well

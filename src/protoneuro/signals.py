@@ -35,7 +35,7 @@ a good file pays nothing for the line.
 Recorded traces the toolkit cannot obtain from hardware are synthesised as
 Gaussian bumps on a noisy baseline, sampled once per second to match the
 data-logger convention used throughout. ``SyntheticSeries`` makes the
-series 65,536 samples at a time, each block with the bumps that reach into
+series 16,384 samples at a time, each block with the bumps that reach into
 it and its share of the noise draw, so ``synth`` checks and then writes a
 block at a time and never holds the series.
 """
@@ -58,8 +58,9 @@ _UNITS = (UNIT_MICROAMPERE, UNIT_VOLT)
 HEADER = "time_s,value"
 
 #: Samples of a synthesised block, and cells of the (spikes x window) grid on
-#: which the synthesiser evaluates a block's bumps at once.
-_BUMP_GRID_CELLS = 1 << 16
+#: which the synthesiser evaluates a block's bumps at once. Blocks and grid
+#: rows only split the same sums, so the values do not depend on the size.
+_BUMP_GRID_CELLS = 1 << 14
 
 
 @dataclass(eq=False)

@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 from protoneuro import _csvio
 from protoneuro._csvio import BLOCK_ROWS
 
+# Rows at the edges of the writers' first block and of their fourth.
+BLOCK_EDGES = [k * BLOCK_ROWS + e for k in (1, 4) for e in (-1, 0, 1)]
+
 
 def formatted(row_format, *columns):
     fh = io.BytesIO()
@@ -135,7 +138,7 @@ def test_zeros_integers_and_carries_are_formatted_without_fallback():
     assert formatted("%.9g\n", carries) == reference("%.9g\n", carries)
 
 
-@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+@pytest.mark.parametrize("n", [0, 1, *BLOCK_EDGES])
 def test_block_edges(n):
     rng = np.random.default_rng(n)
     ints = rng.integers(-10**6, 10**6, n)

@@ -66,10 +66,11 @@ def synth_argv(path, samples):
 
 
 def test_synth_holds_one_block_not_the_series(tmp_path, capsys):
-    # synth makes, checks and writes the series a block of 65,536 samples at
+    # synth makes, checks and writes the series a block of 16,384 samples at
     # a time, so its peak does not grow with the series: 1e5 and 1e6
-    # samples peak within 0.2 MB of each other (about 5.6 MB). Made whole
-    # and then written, the 1e6-sample series peaked 14.5 MB higher.
+    # samples peak within 0.1 MB of each other (about 1.4 MB; 5.6 MB with
+    # blocks of 65,536). Made whole and then written, the 1e6-sample series
+    # peaked 14.5 MB higher.
     assert cli.main(synth_argv(tmp_path / "tiny.csv", 1000)) == 0
     small, code = traced_peak(cli.main, synth_argv(tmp_path / "small.csv", 100_000))
     assert code == 0
@@ -80,19 +81,29 @@ def test_synth_holds_one_block_not_the_series(tmp_path, capsys):
 
 
 def test_detect_holds_a_chunk_of_the_file_not_the_series(tmp_path, capsys):
-    # detect reads the file in blocks of rows and keeps only the candidates
-    # above the threshold: about 7 bytes a sample, well under the 16 the
-    # series takes. Reading the whole series first took about 23.
-    path = tmp_path / "s.csv"
-    signals.write_timeseries_csv(signals.synthesize_spiky_series(noisy_spec(N)), path)
-    argv = ["detect", str(path), "--threshold", "5e-4", "--min-distance", "5"]
+    # detect reads the file in blocks of rows and prunes the candidates a
+    # batch of 8,192 at a time, so what grows with the series is the kept
+    # train, 16 bytes a spike: 1e5 and 1e6 samples peak about 1.0 and 2.3
+    # MB (4,216 and 42,232 spikes). The 1 MB slack covers the larger run's
+    # full batches, where the smaller prunes its 4,938 candidates once
+    # (about 110 bytes a candidate in the kernel), and its kept buffers,
+    # grown by a quarter. Pruning every candidate at the end, 1e6 samples
+    # peaked 6.1 MB above 1e5 (7.1 MB).
     small = tmp_path / "small.csv"
     small.write_text("time_s,value\n0,0\n1,1\n2,0\n")
     assert cli.main(["detect", str(small)]) == 0
-    peak, code = traced_peak(cli.main, argv)
-    assert code == 0
-    assert capsys.readouterr().out.count("count=") == 2
-    assert peak / N < 10
+    capsys.readouterr()
+    peaks, counts = [], []
+    for samples in (100_000, 1_000_000):
+        path = tmp_path / f"s{samples}.csv"
+        signals.write_timeseries_csv(signals.synthesize_spiky_series(noisy_spec(samples)), path)
+        peak, code = traced_peak(cli.main, ["detect", str(path), "--threshold", "5e-4",
+                                            "--min-distance", "5"])
+        assert code == 0
+        peaks.append(peak)
+        counts.append(int(capsys.readouterr().out.split("count=")[1].split()[0]))
+    assert counts[1] > 40_000
+    assert peaks[1] - peaks[0] < 16 * (counts[1] - counts[0]) + 1e6
 
 
 def test_pipeline_reads_one_file_at_a_time(tmp_path, capsys):

@@ -428,14 +428,17 @@ def assert_trace_writers_agree(tmp_path, trace):
 
 
 def block_edge_steps(rows):
-    per_block = BLOCK_ROWS // rows
-    return [0, 1, per_block - 1, per_block, per_block + 1, 2 * per_block + 1]
+    """Steps around those that hold one block's rows and four blocks' rows."""
+    steps = [0, 1]
+    for per_span in (BLOCK_ROWS // rows, 4 * BLOCK_ROWS // rows):
+        steps += [per_span - 1, per_span, per_span + 1, 2 * per_span + 1]
+    return steps
 
 
 @pytest.mark.parametrize("rows,steps", [(1, s) for s in block_edge_steps(1)]
                          + [(50, s) for s in block_edge_steps(50)]
-                         # one step fills a block
-                         + [(r, 2) for r in (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1)])
+                         # one step fills a block, or four
+                         + [(k * BLOCK_ROWS + e, 2) for k in (1, 4) for e in (-1, 0, 1)])
 def test_trace_writers_match_per_row_writers_across_block_edges(tmp_path, rows, steps):
     rng = np.random.default_rng(rows * 100003 + steps)
     times = (np.arange(steps) + 1) * 1e-4

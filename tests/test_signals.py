@@ -13,6 +13,9 @@ from protoneuro._csvio import BLOCK_ROWS
 from protoneuro.errors import ParseError, ValidationError
 from protoneuro.signals import SyntheticSpikeSpec, TimeSeries
 
+# Rows at the edges of the writers' first block and of their fourth.
+BLOCK_EDGES = [k * BLOCK_ROWS + e for k in (1, 4) for e in (-1, 0, 1)]
+
 
 def test_timeseries_validation():
     with pytest.raises(ValidationError) as info:
@@ -507,7 +510,7 @@ def assert_series_writers_agree(series, tmp_path):
     assert new.read_bytes() == ref.read_bytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+@pytest.mark.parametrize("n", [1, 2, *BLOCK_EDGES])
 def test_series_writer_matches_per_row_writer_across_block_edges(tmp_path, n):
     rng = np.random.default_rng(n)
     times = np.cumsum(rng.uniform(1e-3, 10.0, n))

@@ -21,6 +21,9 @@ from protoneuro.spikes import (
 
 from oracles import detect_spikes_naive
 
+# Rows at the edges of the writers' first block and of their fourth.
+BLOCK_EDGES = [k * BLOCK_ROWS + e for k in (1, 4) for e in (-1, 0, 1)]
+
 DEFAULT = SpikeDetectionConfig()
 
 
@@ -230,6 +233,108 @@ def test_detection_finds_a_plateau_peak_that_spans_blocks():
         assert train.spike_times.tolist() == [1.0, 7.0]
 
 
+@st.composite
+def streamed_cases(draw):
+    n = draw(st.integers(3, 120))
+    # Integer levels make equal amplitudes common; repeated levels make
+    # plateaus that straddle block edges.
+    steps = draw(st.lists(st.sampled_from([-2, -1, 0, 1, 2]), min_size=n, max_size=n))
+    values = np.cumsum(steps, dtype=np.float64)
+    if draw(st.booleans()):
+        values = np.repeat(values, draw(st.integers(2, 5)))[:n]
+    # Gaps of half seconds put candidates exactly a minimum distance apart,
+    # unless the 1e6 + 0.3 offset rounds the differences.
+    gaps = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=n, max_size=n))
+    times = draw(st.sampled_from([0.0, 1e6 + 0.3])) + np.cumsum(gaps)
+    threshold = draw(st.sampled_from(sorted({values.min() - 1.0, *values.tolist()})))
+    distance = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 5.0]))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+    batch = draw(st.integers(1, 4))
+    return TimeSeries(times, values), SpikeDetectionConfig(threshold, distance), cuts, batch
+
+
+def detect_in_batches(series, cfg, batch, cuts=()):
+    """detect_spikes on ``series`` split at ``cuts``, pruning once ``batch``
+    candidates are held, and the candidate times of each kernel call."""
+    calls = []
+    prune = spikes._kernels.prune_min_distance
+
+    def spy(t, a, d):
+        calls.append(t.tolist())
+        return prune(t, a, d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spikes, "_PRUNE_BATCH", batch)
+        mp.setattr(spikes._kernels, "prune_min_distance", spy)
+        return spikes.detect_spikes(Split(series, cuts), cfg), calls
+
+
+def assert_same_train(got, want):
+    assert np.array_equal(got.spike_times, want.spike_times)
+    assert np.array_equal(got.spike_amplitudes, want.spike_amplitudes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=streamed_cases())
+def test_pruning_group_by_group_is_one_prune_over_all_candidates(case):
+    series, cfg, cuts, batch = case
+    streamed, calls = detect_in_batches(series, cfg, batch, cuts)
+    # The whole series is one block of at most 120 samples: one prune.
+    whole, whole_calls = detect_in_batches(series, cfg, spikes._PRUNE_BATCH)
+    assert len(whole_calls) == 1
+    assert_same_train(streamed, whole)
+    assert_same_train(streamed, detect_spikes_naive(series, cfg))
+    # Every candidate goes to the kernel once, in time order.
+    assert sum(calls, []) == whole_calls[0]
+
+
+def peaks_at(times, amplitudes, n=20):
+    """A series on 0, 1, ..., n - 1 s that is 0 but for the given samples."""
+    values = np.zeros(n)
+    values[list(times)] = amplitudes
+    return TimeSeries(np.arange(float(n)), values)
+
+
+def test_a_gap_of_exactly_the_minimum_distance_closes_a_group():
+    series = peaks_at([4, 9], [2.0, 1.0])
+    cfg = SpikeDetectionConfig(threshold=0.5, min_peak_distance=5.0)
+    train, calls = detect_in_batches(series, cfg, 1, [7])
+    assert train.spike_times.tolist() == [4.0, 9.0]
+    assert [4.0] in calls and calls[-1] == [9.0]  # pruned apart
+
+
+def test_zero_minimum_distance_prunes_all_but_the_last_candidate_of_each_batch():
+    series = peaks_at([2, 4, 6, 8, 10, 12], [1.0, 3.0, 2.0, 2.0, 1.0, 1.0])
+    cfg = SpikeDetectionConfig(threshold=0.5, min_peak_distance=0.0)
+    train, calls = detect_in_batches(series, cfg, 1, [3, 5, 7, 9, 11])
+    assert train.spike_times.tolist() == [2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
+    # Each candidate ends a group, so only the last one waits for the end.
+    assert sum(calls, []) == [2.0, 4.0, 6.0, 8.0, 10.0, 12.0] and calls[-1] == [12.0]
+
+
+@pytest.mark.parametrize("amplitudes, kept", [([1.0, 1.0], [4.0]), ([1.0, 2.0], [8.0])])
+def test_a_group_across_a_block_edge_is_pruned_whole(amplitudes, kept):
+    # Equal amplitudes 4 s apart on either side of the edge: the earlier
+    # wins, where pruning each block on its own would keep both.
+    series = peaks_at([4, 8], amplitudes)
+    cfg = SpikeDetectionConfig(threshold=0.5, min_peak_distance=5.0)
+    train, calls = detect_in_batches(series, cfg, 1, [6])
+    assert train.spike_times.tolist() == kept
+    assert [4.0, 8.0] in calls
+
+
+def test_a_plateau_across_a_block_edge_is_one_candidate():
+    values = np.zeros(20)
+    values[3:7] = 1.0  # samples 3 to 6; the block edge falls at 5
+    values[12] = 1.0
+    series = TimeSeries(np.arange(20.0), values)
+    cfg = SpikeDetectionConfig(threshold=0.5, min_peak_distance=2.0)
+    for cuts in ([5], [4, 5, 6], list(range(1, 20))):
+        train, calls = detect_in_batches(series, cfg, 1, cuts)
+        assert train.spike_times.tolist() == [3.0, 12.0]
+        assert sum(calls, []) == [3.0, 12.0]
+
+
 def test_output_invariants_on_random_signals():
     rng = np.random.default_rng(8)
     for _ in range(40):
@@ -347,7 +452,7 @@ def reference_write_spiketrain(train, path):
             fh.write(f"{t:.9g},{a:.9g}\n")
 
 
-@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, -1])
+@pytest.mark.parametrize("n", [0, 1, *BLOCK_EDGES, -1])
 def test_spiketrain_writer_matches_per_row_writer(tmp_path, n):
     if n >= 0:
         rng = np.random.default_rng(n)
