@@ -65,12 +65,20 @@ row`` per row (``%.9g`` and ``f"{x:.9g}"`` share one formatter). Each
 The writers' fields are ``%.9g`` and ``%.12g``, and anything else is a
 ValueError. Integer columns (neuron indices, 0/1 codes) are ``%.12g``
 fields, which print every integer below 10**12 in size as ``%d`` does.
+
+Replacing: ``replacing(path)`` is the one writer of whole output files
+that must not be left half-written. Its bytes go to a temporary file beside
+the target, which ``os.replace`` puts in place only when the writing ends
+without an error; an error removes it.
 """
 
+import contextlib
+import errno
 import functools
 import itertools
 import os
 import re
+import stat
 
 import numpy as np
 
@@ -110,6 +118,48 @@ def _read_text(fh):
         pending = text[cut:]
         if not chunk:
             return
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A binary file whose bytes replace the file at ``path`` when the ``with``
+    block ends without an error.
+
+    The bytes go to a new file in the directory of ``path`` (of its target,
+    for a symlink, which stays a link), made as ``open(path, "wb")`` makes a
+    file, with mode 0o666 less the umask, or given the mode of the file it
+    replaces. ``os.replace`` puts it in place; an error removes it and leaves
+    ``path`` as it was. A ``path`` that is not a regular file (a FIFO,
+    ``/dev/null``) is written in place, and a file ``open`` could not write
+    is a PermissionError naming ``path``, as ``open``'s would be.
+    """
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    if mode is not None and not os.access(target, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+    head, name = os.path.split(target)
+    temp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # named as open(path, "wb") names it
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with open(fd, "wb") as fh:
+            if mode is not None:
+                os.chmod(fd, stat.S_IMODE(mode))
+            yield fh
+        os.replace(temp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
+        raise
 
 
 def row_line(path, row):
@@ -234,18 +284,20 @@ def read_table(fh, check_header, comment=None):
 @functools.cache
 def _digit_table(width):
     """(width, 10**width) ASCII digits of every ``width``-digit number."""
-    n = np.arange(10 ** width, dtype=np.int32)
-    table = np.empty((width, n.size), np.uint8)
+    table = np.empty((width, 10 ** width), np.uint8)
+    digits = np.arange(48, 58, dtype=np.uint8)
     for j in range(width):
-        table[j] = n // 10 ** (width - 1 - j) % 10 + 48
+        table[j] = np.tile(np.repeat(digits, 10 ** (width - 1 - j)), 10 ** j)
     return table
 
 
 @functools.cache
 def _trailing_zeros(width):
     """Trailing zero digits of every ``width``-digit number (``width`` for 0)."""
-    n = np.arange(10 ** width, dtype=np.int32)
-    return sum((n % 10 ** j == 0).astype(np.int8) for j in range(1, width + 1))
+    zeros = np.zeros(10 ** width, np.int8)
+    for j in range(1, width + 1):
+        zeros[::10 ** j] += 1
+    return zeros
 
 
 @functools.cache
@@ -454,20 +506,29 @@ def write_rows(fh, row_format, *columns):
         _write_block(fh, parts)
 
 
+@functools.cache
+def _index_slots(n):
+    """The slot rows of the indices 0 .. n - 1 as ``%.12g`` fields, read-only."""
+    slots = _field_slots(np.arange(n), 12)
+    slots.flags.writeable = False
+    return slots
+
+
 def write_long_rows(fh, times, matrix):
     """``time,index,value`` rows, time-major, to the binary file ``fh``:
     ``f"{t:.9g},{i},{x:.9g}\\n"`` for each step's time ``t`` and each row
     ``i`` of ``matrix[:, step]``.
 
     Each step's time is formatted once and its slots repeated N times, and
-    the index column is formatted once for range(N) and tiled. A (steps, N)
-    buffer seen through ``.T`` hands over each block as one contiguous slice.
-    A matrix with no rows writes nothing.
+    the index column is formatted once for range(N) (``_index_slots``, kept
+    for a run written a block at a time) and tiled. A (steps, N) buffer seen
+    through ``.T`` hands over each block as one contiguous slice. A matrix
+    with no rows writes nothing.
     """
     n = matrix.shape[0]
     if n == 0:
         return
-    index = _field_slots(np.arange(n), 12)
+    index = _index_slots(n)
     steps_per_block = max(1, BLOCK_ROWS // n)
     for lo in range(0, len(times), steps_per_block):
         block = slice(lo, lo + steps_per_block)

@@ -10,10 +10,13 @@ sequential arithmetic needs: each writes into a preallocated array (the new
 state straight into the step's row of a (steps, N) buffer or of a block
 buffer), every constant operand is a length-N array rather than a Python
 float, and the work of a spike (the recurrent input, the reset, the
-refractory hold) is done only on the steps that have one. The steps run in
-blocks of ``_block_steps(N)``: a (steps, N) buffer is kept only for what the
-kernel returns, and what a step needs for itself (the LIF's ``dt * drive``,
-the rate units' pre-activation state) is held one block at a time.
+refractory hold) is done only on the steps that have one. Each call runs
+the steps of the drive it is given and carries its state (``LifState``,
+``RateState``) to the next, so a run is fed one block of its drive at a
+time and no (steps, N) array of the run exists. Within a call the steps run
+in blocks of ``_block_steps(N)``: a (steps, N) buffer is kept only for what
+the call returns, and what a step needs for itself (the LIF's ``dt *
+drive``, the rate units' pre-activation state) is held one block at a time.
 """
 
 import math
@@ -148,8 +151,44 @@ def _prune_sequential(t, a, min_distance):
     return np.flatnonzero(keep)
 
 
-def lif_run(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt, tau_syn):
-    """Forward-Euler leaky integrate-and-fire loop.
+class LifState:
+    """What ``lif_run`` carries from one block of a run to the next.
+
+    The potentials ``v`` and the filtered trains ``syn``, the steps run so
+    far, the last step's spikes, and the refractory holds: the neurons held
+    (``active`` is False for them), the step each held group fired on, and
+    the hold's length as far as it is counted (``count_hold``). A new run
+    starts from ``v0``.
+    """
+
+    def __init__(self, v0, refractory):
+        self.v = np.array(v0, dtype=np.float64, copy=True)
+        self.syn = np.zeros(self.v.size)
+        self.steps = 0
+        self.spikes_prev = None  # the last step's spikes as 0/1, None when it had none
+        self.active = np.ones(self.v.size, dtype=bool)
+        # (step, neurons) of each step whose spikes are still held, in step
+        # order: every spike is held equally long, so they release in turn.
+        self.held = deque()
+        self.hold, self.countdown = 0, float(refractory)
+
+    def count_hold(self, dt, steps):
+        """The refractory hold in steps, counted on to at most ``steps``.
+
+        The hold is the number of values the countdown ``r = max(r - dt, 0)``
+        from ``refractory`` takes before the first ``r <= 0``; a NaN or
+        infinite period holds for the whole run. A call that ends at step
+        ``steps`` needs no more: a hold that long releases no neuron before
+        the call ends, so the count goes on in a later call.
+        """
+        while self.hold < steps and not self.countdown <= 0.0:
+            self.hold += 1
+            self.countdown = max(self.countdown - dt, 0.0)
+        return self.hold
+
+
+def lif_run(state, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt, tau_syn):
+    """Forward-Euler leaky integrate-and-fire loop over the steps of ``drive``.
 
     Per step: V += (dt/tau_m)(v_rest - V) + dt*drive + weights @ spikes_prev,
     where a presynaptic spike is treated as a unit-area current impulse
@@ -159,12 +198,18 @@ def lif_run(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt, ta
     with tau_syn and jumps by 1/tau_syn on each spike, so one spike carries
     unit time-integral.
 
+    ``state`` is the initial potentials of a new run, or the ``LifState`` of
+    a run, which the call advances by the steps of ``drive``: a run fed one
+    block of its drive at a time gives the bits of one call on the whole
+    drive. The constants are the run's own on every call.
+
     Returns (potentials, filtered, spike_steps, spike_neurons) where
     potentials is (N, steps), filtered is the exponential synaptic
-    trace (N, steps), and the spike arrays give the 0-based step index and
-    neuron index of every spike in chronological order. The two traces are
-    recorded one step per row and returned as ``.T`` views of (steps, N)
-    buffers, so they are not C-contiguous.
+    trace (N, steps), and the spike arrays give the step index, counted
+    from 0 at the run's first step, and the neuron index of every spike in
+    chronological order. The two traces are recorded one step per row and
+    returned as ``.T`` views of (steps, N) buffers, so they are not
+    C-contiguous.
 
     The loop does the arithmetic of the per-step update above, in the same
     order, with fewer array operations per step, and gives the same bits (a
@@ -181,9 +226,9 @@ def lif_run(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt, ta
       any other step it is a vector of zeros, which leaves V unchanged.
     - The refractory countdown ``r = max(r - dt, 0)``, started at
       ``refractory`` on a spike, is the same for every neuron, so its length
-      is counted once (``_refractory_hold``), and the neurons that fire on a
-      step are released together, in the order of the steps they fired on.
-      A held neuron sits at v_reset and is left out of the update, so it
+      is counted once (``LifState.count_hold``), and the neurons that fire
+      on a step are released together, in the order of the steps they fired
+      on. A held neuron sits at v_reset and is left out of the update, so it
       cannot fire. The rows of potentials start filled with v_reset, so the
       add that skips held neurons leaves them at their value. While no
       neuron is held, the plain add gives the same bits for less: on the
@@ -193,14 +238,18 @@ def lif_run(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt, ta
     - ``V > v_th`` goes into a mask that is counted; only a step with a
       count looks for the neurons that fire. NaN never fires.
     """
+    if not isinstance(state, LifState):
+        state = LifState(state, refractory)
     N, steps = drive.shape
-    v = np.array(v0, dtype=np.float64, copy=True)
+    start, end = state.steps, state.steps + steps
+    v, syn, active, held = state.v, state.syn, state.active, state.held
+    spikes_prev = state.spikes_prev
     leak = np.full(N, dt / tau_m)
     rest = np.full(N, v_rest, dtype=np.float64)
     th = np.full(N, v_th, dtype=np.float64)
     syn_decay = np.full(N, math.exp(-dt / tau_syn))
     syn_jump = 1.0 / tau_syn
-    hold = _refractory_hold(refractory, dt, steps)
+    hold = state.count_hold(dt, end)
     block = _block_steps(N)
     dt_drive = np.empty((min(block, steps), N))
 
@@ -213,21 +262,16 @@ def lif_run(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt, ta
     spikes = 0
     dv = np.empty(N)
     above = np.empty(N, dtype=bool)
-    syn = np.zeros(N)
-    active = np.ones(N, dtype=bool)
-    # (release step, neurons) of each step whose spikes are still held, in
-    # step order: every spike is held equally long, so they release in turn.
-    held = deque()
-    wake = steps  # the release step of held[0]
-    spikes_prev = None  # the previous step's spikes as 0/1, None when it had none
+    wake = held[0][0] + 1 + hold if held else end  # the release step of held[0]
 
     for lo in range(0, steps, block):
         hi = min(lo + block, steps)
         np.multiply(dt, drive[:, lo:hi].T, out=dt_drive[:hi - lo])
-        for k, dt_drive_k in zip(range(lo, hi), dt_drive):
+        for k, dt_drive_k, v_k, syn_k in zip(range(start + lo, start + hi), dt_drive,
+                                             potentials[lo:hi], filtered[lo:hi]):
             if k == wake:
                 active[held.popleft()[1]] = True
-                wake = held[0][0] if held else steps
+                wake = held[0][0] + 1 + hold if held else end
             np.subtract(rest, v, out=dv)
             np.multiply(leak, dv, out=dv)
             dv += dt_drive_k
@@ -235,10 +279,10 @@ def lif_run(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt, ta
                 dv += weights @ spikes_prev
                 spikes_prev = None
             if held:
-                v = np.add(v, dv, out=potentials[k], where=active)
+                v = np.add(v, dv, out=v_k, where=active)
             else:
-                v = np.add(v, dv, out=potentials[k])
-            syn = np.multiply(syn, syn_decay, out=filtered[k])
+                v = np.add(v, dv, out=v_k)
+            syn = np.multiply(syn, syn_decay, out=syn_k)
             np.greater(v, th, out=above)
             if not np.count_nonzero(above):
                 continue
@@ -256,39 +300,42 @@ def lif_run(v0, drive, weights, tau_m, v_rest, v_th, v_reset, refractory, dt, ta
             spikes += fired.size
             if hold:
                 active[fired] = False
-                held.append((k + 1 + hold, fired))
-                wake = held[0][0]
+                held.append((k, fired))
+                wake = held[0][0] + 1 + hold
             spikes_prev = np.zeros(N)
             spikes_prev[fired] = 1.0
 
+    if steps:  # copies, so that the state keeps no returned buffer alive
+        state.v, state.syn = v.copy(), syn.copy()
+    state.steps, state.spikes_prev = end, spikes_prev
     spike_steps.resize(spikes, refcheck=False)
     spike_neurons.resize(spikes, refcheck=False)
     return potentials.T, filtered.T, spike_steps, spike_neurons
 
 
-def _refractory_hold(refractory, dt, steps):
-    """Steps a neuron stays held after a spike, at most ``steps``.
+class RateState:
+    """What ``rate_run`` carries from one block of a run to the next: the
+    pre-activation states ``x``, their tanh ``r`` and the steps run so far.
+    A new run starts from ``x0``."""
 
-    The number of values the countdown ``r = max(r - dt, 0)`` from
-    ``refractory`` takes before the first ``r <= 0``; a NaN or infinite
-    period holds for the whole run.
-    """
-    hold, r = 0, float(refractory)
-    while hold < steps and not r <= 0.0:
-        hold += 1
-        r = max(r - dt, 0.0)
-    return hold
+    def __init__(self, x0):
+        self.x = np.array(x0, dtype=np.float64, copy=True)
+        self.r = np.tanh(self.x)
+        self.steps = 0
 
 
-def rate_run(x0, drive, weights, tau, dt):
+def rate_run(state, drive, weights, tau, dt):
     """Forward-Euler tanh rate dynamics: tau * dx/dt = -x + weights@tanh(x) + drive.
 
     ``drive`` is the already-projected external input, shape (N, steps).
+    ``state`` is the initial x of a new run, or the ``RateState`` of a run,
+    which the call advances by the steps of ``drive``, as ``lif_run``'s.
     Returns (activities, first): r = tanh(x), (N, steps), as the ``.T`` view
     of a buffer recorded one step per row, and the (step, neuron) of the
-    first pre-activation x that is not finite (``first_nonfinite``), or None.
+    first pre-activation x of the call that is not finite
+    (``first_nonfinite``; the step counted from the run's first), or None.
     The states x are held one block of steps at a time and checked after
-    each block; the run goes on to its last step either way.
+    each block; the call goes on to its last step either way.
 
     A step is ``dx = weights @ r - x``, ``dx += drive``, ``dx *= dt/tau`` (a
     length-N array), and ``x + dx`` and its tanh written straight into the
@@ -297,18 +344,19 @@ def rate_run(x0, drive, weights, tau, dt):
     is ``np.dot`` into ``dx``, which copies ``weights`` on each step unless
     it is C-contiguous.
     """
+    if not isinstance(state, RateState):
+        state = RateState(state)
     N, steps = drive.shape
-    x = np.array(x0, dtype=np.float64, copy=True)
-    r = np.tanh(x)
+    x, r = state.x, state.r
     a = np.full(N, dt / tau)
     block = _block_steps(N)
-    state = np.empty((min(block, steps), N))
+    states = np.empty((min(block, steps), N))
     activities = np.empty((steps, N))
     dx = np.empty(N)
     first = None
     for lo in range(0, steps, block):
         hi = min(lo + block, steps)
-        for k, state_k in zip(range(lo, hi), state):
+        for k, state_k in zip(range(lo, hi), states):
             np.dot(weights, r, out=dx)
             dx -= x
             dx += drive[:, k]
@@ -316,9 +364,12 @@ def rate_run(x0, drive, weights, tau, dt):
             x = np.add(x, dx, out=state_k)
             r = np.tanh(x, out=activities[k])
         if first is None:
-            first = first_nonfinite(state[:hi - lo])
+            first = first_nonfinite(states[:hi - lo])
             if first is not None:
-                first = (lo + first[0], first[1])
+                first = (state.steps + lo + first[0], first[1])
+    if steps:  # copies, so that the state keeps no returned buffer alive
+        state.x, state.r = x.copy(), r.copy()
+    state.steps += steps
     return activities.T, first
 
 

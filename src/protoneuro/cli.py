@@ -23,7 +23,10 @@ file, and ``coding.weight_matrix`` for the weights, shared by ``encode``,
 ``weights`` and ``pipeline``; ``networks`` makes every simulation decision.
 ``synth`` and ``detect`` take the series as a stream of blocks
 (``signals.SyntheticSeries``, ``signals.SeriesFile``), so neither holds a
-whole recording.
+whole recording, and ``sim-*`` write each block of a run as
+``networks.simulate`` makes it. What ``synth`` and ``sim-*`` write goes
+through ``_csvio.replacing``, so a run that fails leaves its outputs as
+they were.
 """
 
 import argparse
@@ -78,10 +81,6 @@ def cmd_synth(args) -> int:
     seed = _resolve_seed(args, config)
     spec = signals.SyntheticSpikeSpec(**_given(args, signals.SyntheticSpikeSpec) | {"seed": seed})
     series = signals.SyntheticSeries(spec)
-    # Made once to check every value before --out is opened, so that a value
-    # that overflows in a late block exits 2 with --out as it was.
-    for _ in series.blocks():
-        pass
     signals.write_timeseries_csv(series, args.out)
     print(f"samples={len(series)} duration_s={series.duration:g}")
     return EXIT_OK
@@ -225,7 +224,8 @@ def _sample_stats(path, detection, stack):
 
 
 def _input_stream(args, dt, rows):
-    """A ``sim-*`` input: the ``--input`` stream or ``--steps`` columns of ``--drive``."""
+    """A ``sim-*`` input: the ``--input`` stream or ``--steps`` columns of ``--drive``,
+    a broadcast that the run makes a block at a time."""
     from . import networks
     if args.input is not None:
         if args.drive is not None:
@@ -237,17 +237,34 @@ def _input_stream(args, dt, rows):
     most = _inputs.max_items(8 * rows)  # steps of a (rows, steps) float64 drive
     if steps > most:
         raise ValidationError(f"--steps must be at most {most}, got {steps}")
-    return np.full((rows, steps), drive)
+    return np.broadcast_to(np.float64(drive), (rows, steps))
+
+
+def _write_run(blocks, prefix, writers):
+    """Write each of a run's blocks with each of ``writers``, (suffix, writer)
+    pairs, to the file ``prefix`` + suffix as the block is made; returns the
+    run's steps and spikes. A run that fails leaves every file as it was."""
+    from . import _csvio
+    steps = spikes = 0
+    with contextlib.ExitStack() as stack:
+        files = [(write, stack.enter_context(_csvio.replacing(prefix + suffix)))
+                 for suffix, write in writers]
+        for k, block in enumerate(blocks):
+            for write, fh in files:
+                write(block, fh, header=k == 0)
+            steps += block.times.size
+            spikes += block.spike_neurons.size
+    return steps, spikes
 
 
 def cmd_sim_spiking(args) -> int:
     from . import networks
     net = networks.load_network_json(args.net, "spiking")
-    trace = networks.run_spiking(net, _input_stream(args, net.lif.dt, net.input_dim))
-    networks.write_trace_csv(trace, args.out_prefix + "_trace.csv")
-    networks.write_raster_csv(trace, args.out_prefix + "_raster.csv")
-    networks.write_outputs_csv(trace, args.out_prefix + "_output.csv")
-    print(f"steps={trace.times.size} spikes={trace.spike_neurons.size}")
+    blocks = networks.simulate(net, _input_stream(args, net.lif.dt, net.input_dim))
+    steps, spikes = _write_run(blocks, args.out_prefix, [
+        ("_trace.csv", networks.write_trace_csv), ("_raster.csv", networks.write_raster_csv),
+        ("_output.csv", networks.write_outputs_csv)])
+    print(f"steps={steps} spikes={spikes}")
     return EXIT_OK
 
 
@@ -260,9 +277,9 @@ def cmd_sim_rate(args) -> int:
         if net.feedback_weights is None:
             raise ValidationError("network spec has no feedback weights")
         feedback = networks.read_stream_csv(args.feedback, net.dt, net.feedback_weights.shape[1])
-    trace = networks.run_rate(net, fin, output_feedback=feedback)
-    networks.write_trace_csv(trace, args.out_prefix + "_trace.csv")
-    print(f"steps={trace.times.size} units={net.n}")
+    blocks = networks.simulate(net, fin, output_feedback=feedback)
+    steps, _ = _write_run(blocks, args.out_prefix, [("_trace.csv", networks.write_trace_csv)])
+    print(f"steps={steps} units={net.n}")
     return EXIT_OK
 
 

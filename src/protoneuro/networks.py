@@ -19,12 +19,18 @@ output feedback stream:
 Both integrators live in the kernel layer (``protoneuro._kernels``) and are
 deterministic: every LIF neuron starts at rest and every rate unit at
 x = 0. External input units for the LIF are volts per second, so a
-constant drive I reaches the steady state V_rest + tau_m * I. A run that
+constant drive I reaches the steady state V_rest + tau_m * I.
+
+A run is made a block of steps at a time (``simulate``): each block's
+drive is projected from its columns of the inputs, run by the kernel from
+the state the block before left (``_kernels.LifState``,
+``_kernels.RateState``), read out and checked, and yielded as a
+SimulationTrace, so no (steps, n) array of the run exists. A run that
 overflows ends, without a NumPy warning, in a NonFiniteStateError naming
 the first step, then the lowest neuron, whose state is not finite
-(``_kernels.first_nonfinite``). The spiking run looks for it in the
-recorded potentials; the rate kernel keeps only the activities and checks
-its pre-activation states one block of steps at a time as it goes.
+(``_kernels.first_nonfinite``), raised at the block that holds it: the
+recorded potentials of a spiking run, the pre-activation states of a rate
+run. ``run_spiking`` and ``run_rate`` collect the blocks into one trace.
 
 The module also reads what a simulation takes: the network spec JSON
 (``load_network_json``) and the input and feedback stream CSVs
@@ -32,6 +38,7 @@ The module also reads what a simulation takes: the network spec JSON
 values and the time steps), and writes the trace, raster and readout CSVs.
 """
 
+import contextlib
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -153,73 +160,134 @@ class SimulationTrace:
     outputs: np.ndarray = None
 
 
-def _drive(net, inputs):
-    """``net.input_weights @ inputs``; ``inputs`` is (input_dim, steps) and finite."""
+#: A block of a run holds at most this many values per array (128 KiB of float64).
+_BLOCK_VALUES = 1 << 14
+
+
+def _block_steps(n):
+    """Steps per block of a run of ``n`` units: the largest multiple of 64
+    within ``_BLOCK_VALUES`` values, and at least 64.
+
+    The input projections and the readout are taken a block at a time.
+    With OpenBLAS, a product over a block whose length is not a multiple of
+    8 can round its last columns differently from the product over the
+    whole run. At multiples of 64 the projections keep the whole run's
+    bits; the readout of 32 or more neurons to 2 or more outputs may not,
+    where OpenBLAS sums over the neurons with its small-matrix kernel
+    (README: Performance). The length depends on ``n`` only, so a run's
+    bytes are the same on every call.
+    """
+    return 64 * max(1, _BLOCK_VALUES // (64 * n))
+
+
+def _columns(stream, lo, hi, error):
+    """Columns ``lo:hi`` of a (rows, steps) stream, which must be finite
+    (``error`` otherwise). A broadcast constant is made here, a block at a
+    time: a product does not hand an operand with a zero stride to BLAS."""
+    block = stream[:, lo:hi]
+    if 0 in block.strides:
+        block = block.copy()
+    if not np.all(np.isfinite(block)):
+        raise ValidationError(error)
+    return block
+
+
+def simulate(net, inputs, output_feedback=None):
+    """Integrate ``net`` over the columns of ``inputs``, a block of steps at a time.
+
+    Yields a SimulationTrace for each block of ``_block_steps(net.n)``
+    steps (fewer in the last, and one empty block for a run of no steps):
+    the times, potentials, spikes and readout of the block's steps for a
+    SpikingNetwork, or their activities for a RateNetwork, as one run over
+    the whole input gives them (``_block_steps`` says where a product may
+    round differently). ``inputs`` is (input_dim, steps); the
+    ``output_feedback`` of a RateNetwork with feedback weights is
+    (feedback_dim, steps), and its projection is added to the drive. A
+    non-finite input or feedback value is a ValidationError, and a state
+    that turns non-finite a NonFiniteStateError naming its first step and
+    then lowest neuron, each raised at the block that holds it.
+    """
     fin = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     if fin.shape[0] != net.input_dim:
         raise ShapeError(f"inputs have {fin.shape[0]} rows, expected {net.input_dim}")
-    if not np.all(np.isfinite(fin)):
-        raise ValidationError("inputs contain non-finite entries")
-    return net.input_weights @ fin
+    steps = fin.shape[1]
+    fb = None
+    if output_feedback is not None:
+        if getattr(net, "feedback_weights", None) is None:
+            raise ShapeError("network has no feedback weights")
+        fb = np.atleast_2d(np.asarray(output_feedback, dtype=np.float64))
+        expected = (net.feedback_weights.shape[1], steps)
+        if fb.shape != expected:
+            raise ShapeError(f"feedback must have shape {expected}, got {fb.shape}")
+    spiking = isinstance(net, SpikingNetwork)
+    if spiking:
+        lif, dt = net.lif, net.lif.dt
+        state = _kernels.LifState(np.full(net.n, lif.rest), lif.refractory)
+    else:
+        dt, state = net.dt, _kernels.RateState(np.zeros(net.n))
+    block = _block_steps(net.n)
+    for lo in range(0, max(steps, 1), block):
+        hi = min(lo + block, steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            drive = net.input_weights @ _columns(fin, lo, hi, "inputs contain non-finite entries")
+            if fb is not None:
+                drive += net.feedback_weights @ _columns(fb, lo, hi,
+                                                         "feedback contains non-finite entries")
+            if spiking:
+                potentials, filtered, spike_steps, spike_neurons = _kernels.lif_run(
+                    state, drive, net.recurrent_weights, lif.membrane_time_constant,
+                    lif.rest, lif.threshold, lif.reset, lif.refractory, dt, net.tau_syn)
+                outputs = net.output_weights @ filtered
+                first = _kernels.first_nonfinite(potentials.T)
+                if first is not None:
+                    first = (lo + first[0], first[1])
+            else:
+                activities, first = _kernels.rate_run(state, drive, net.recurrent_weights,
+                                                      net.time_constant, dt)
+        if first is not None:
+            step, neuron = first
+            what = "membrane potentials" if spiking else "unit state"
+            raise NonFiniteStateError(f"simulation produced non-finite {what}: first at step "
+                                      f"{step} (t={(step + 1) * dt:.9g} s), neuron {neuron}")
+        times = (np.arange(lo, hi) + 1) * dt
+        if spiking:
+            spike_steps += 1  # a spike at step k is at (k + 1) * dt, as in ``times``
+            yield SimulationTrace(times=times, membrane_potentials=potentials,
+                                  spike_neurons=spike_neurons, spike_times=spike_steps * dt,
+                                  outputs=outputs)
+        else:
+            yield SimulationTrace(times=times, unit_activities=activities)
 
 
-def _times(steps, dt, what, first):
-    """The times of a run's steps, or a NonFiniteStateError naming ``first``, the
-    (step, neuron) of the first value of its ``what`` that is not finite."""
-    if first is not None:
-        step, neuron = first
-        raise NonFiniteStateError(f"simulation produced non-finite {what}: first at step "
-                                  f"{step} (t={(step + 1) * dt:.9g} s), neuron {neuron}")
-    return (np.arange(steps) + 1) * dt
+def _collect(blocks):
+    """The SimulationTrace of a whole run from ``simulate``'s blocks."""
+    blocks = list(blocks)
+
+    def joined(name):
+        parts = [getattr(block, name) for block in blocks]
+        return None if parts[0] is None else np.concatenate(parts, axis=-1)
+
+    return SimulationTrace(**{f.name: joined(f.name) for f in fields(SimulationTrace)})
 
 
 def run_spiking(net: SpikingNetwork, inputs) -> SimulationTrace:
     """Integrate the spiking network over the columns of ``inputs``.
 
     ``inputs`` has shape (input_dim, steps); the readout is the output
-    weights applied to the exponentially filtered spike trains. The drive
-    and the filtered trains are dropped as soon as they have been used.
+    weights applied to the exponentially filtered spike trains: ``simulate``'s
+    blocks joined into one trace.
     """
-    lif = net.lif
-    with np.errstate(over="ignore", invalid="ignore"):
-        drive = _drive(net, inputs)
-        steps = drive.shape[1]
-        potentials, filtered, spike_steps, spike_neurons = _kernels.lif_run(
-            np.full(net.n, lif.rest), drive, net.recurrent_weights, lif.membrane_time_constant,
-            lif.rest, lif.threshold, lif.reset, lif.refractory, lif.dt, net.tau_syn)
-        del drive
-        outputs = net.output_weights @ filtered
-        del filtered
-    times = _times(steps, lif.dt, "membrane potentials",
-                   _kernels.first_nonfinite(potentials.T))
-    spike_steps += 1  # a spike at step k is at (k + 1) * dt, as in ``times``
-    return SimulationTrace(times=times, membrane_potentials=potentials,
-                           spike_neurons=spike_neurons, spike_times=spike_steps * lif.dt,
-                           outputs=outputs)
+    return _collect(simulate(net, inputs))
 
 
 def run_rate(net: RateNetwork, inputs, output_feedback=None) -> SimulationTrace:
     """Integrate the rate network; returns unit activities tanh(x) per step.
 
     ``output_feedback``, if given, is (feedback_dim, steps) and finite, like
-    ``inputs``; its projection is added to the drive in place.
+    ``inputs``; its projection is added to the drive. ``simulate``'s blocks
+    joined into one trace.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        drive = _drive(net, inputs)
-        if output_feedback is not None:
-            if net.feedback_weights is None:
-                raise ShapeError("network has no feedback weights")
-            fb = np.atleast_2d(np.asarray(output_feedback, dtype=np.float64))
-            expected = (net.feedback_weights.shape[1], drive.shape[1])
-            if fb.shape != expected:
-                raise ShapeError(f"feedback must have shape {expected}, got {fb.shape}")
-            if not np.all(np.isfinite(fb)):
-                raise ValidationError("feedback contains non-finite entries")
-            drive += net.feedback_weights @ fb
-        activities, first = _kernels.rate_run(np.zeros(net.n), drive, net.recurrent_weights,
-                                              net.time_constant, net.dt)
-    return SimulationTrace(times=_times(drive.shape[1], net.dt, "unit state", first),
-                           unit_activities=activities)
+    return _collect(simulate(net, inputs, output_feedback))
 
 
 #: The name of a spec key in error messages.
@@ -357,27 +425,35 @@ def read_stream_csv(path, dt, expected_rows=None):
     return arr
 
 
-def _write_long_csv(path, header, times, matrix):
-    with open(path, "wb") as fh:
-        fh.write(header)
-        if matrix is not None:
-            _csvio.write_long_rows(fh, times, np.atleast_2d(matrix))
+def _export(out, header, head, write_rows, *columns):
+    """``head`` if ``header``, then the rows ``write_rows`` makes of ``columns``,
+    to ``out``: a path, which ``_csvio.replacing`` writes, or a binary file
+    open for writing, which a run's earlier blocks went to."""
+    with contextlib.nullcontext(out) if hasattr(out, "write") else \
+            _csvio.replacing(out) as fh:
+        if header:
+            fh.write(head)
+        write_rows(fh, *columns)
 
 
-def write_trace_csv(trace: SimulationTrace, path) -> None:
-    """Long-format export: ``time_s,neuron,value`` rows."""
+def _long_rows(fh, times, matrix):
+    if matrix is not None:
+        _csvio.write_long_rows(fh, times, np.atleast_2d(matrix))
+
+
+def write_trace_csv(trace: SimulationTrace, out, header=True) -> None:
+    """Long-format export: ``time_s,neuron,value`` rows, to a path or binary file."""
     matrix = trace.membrane_potentials if trace.membrane_potentials is not None \
         else trace.unit_activities
-    _write_long_csv(path, b"time_s,neuron,value\n", trace.times, matrix)
+    _export(out, header, b"time_s,neuron,value\n", _long_rows, trace.times, matrix)
 
 
-def write_raster_csv(trace: SimulationTrace, path) -> None:
-    """Raster export: ``neuron,spike_time_s`` rows."""
-    with open(path, "wb") as fh:
-        fh.write(b"neuron,spike_time_s\n")
-        _csvio.write_rows(fh, "%.12g,%.9g\n", trace.spike_neurons, trace.spike_times)
+def write_raster_csv(trace: SimulationTrace, out, header=True) -> None:
+    """Raster export: ``neuron,spike_time_s`` rows, to a path or binary file."""
+    _export(out, header, b"neuron,spike_time_s\n", _csvio.write_rows, "%.12g,%.9g\n",
+            trace.spike_neurons, trace.spike_times)
 
 
-def write_outputs_csv(trace: SimulationTrace, path) -> None:
-    """Readout export: ``time_s,channel,value`` rows."""
-    _write_long_csv(path, b"time_s,channel,value\n", trace.times, trace.outputs)
+def write_outputs_csv(trace: SimulationTrace, out, header=True) -> None:
+    """Readout export: ``time_s,channel,value`` rows, to a path or binary file."""
+    _export(out, header, b"time_s,channel,value\n", _long_rows, trace.times, trace.outputs)

@@ -246,9 +246,11 @@ def write_timeseries_csv(series, path) -> None:
     ``series`` is a TimeSeries or a stream of one (``SyntheticSeries``): its
     ``unit`` and ``label`` go first, then the rows of each of its blocks.
     Values carry 9 significant digits (relative quantisation below 5e-9);
-    times carry 12 so long recordings keep sub-ulp-of-a-second stamps.
+    times carry 12 so long recordings keep sub-ulp-of-a-second stamps. The
+    file is written through ``_csvio.replacing``, so a block that fails (a
+    value that overflows) leaves ``path`` as it was.
     """
-    with open(path, "wb") as fh:
+    with _csvio.replacing(path) as fh:
         fh.write(f"{HEADER}\n# unit={series.unit}\n".encode())
         if series.label:
             fh.write(f"# label={series.label}\n".encode())
@@ -268,43 +270,48 @@ class ValueStack:
     series' times and each series' values, cut to the shortest length seen so
     far, and how many of each series' leading times equal the first's. (A
     column view would keep the reader's whole two-column buffer alive.) So a
-    caller that drops each series once it is added holds one at a time.
+    caller that drops each series once it is added holds one at a time. The
+    values are the rows of one buffer, grown a row at a time and cut in
+    place, which becomes the matrix: it is never held twice.
     """
 
     def __init__(self):
         self._base = None  # the first series' times
-        self._rows = []  # each series' values
+        self._values = None  # each series' values, one row each
         self._agree = []  # each series' count of leading times equal to _base
 
     def add(self, series):
         """Take the values of ``series``, and count its times that agree with the first's."""
         if self._base is None:
             self._base = series.times.copy()
-        n = min(len(series), self._base.size)
-        if n < self._base.size:
+            self._values = np.empty((0, self._base.size))
+        rows, width = self._values.shape
+        n = min(len(series), width)
+        if n < width:
             self._base = self._base[:n].copy()
-            for row, values in enumerate(self._rows):
-                self._rows[row] = values[:n].copy()
+            flat = self._values.reshape(-1)
+            for row in range(1, rows):  # each row to the front of its slot of n values
+                flat[row * n:(row + 1) * n] = flat[row * width:row * width + n]
+            del flat
+            self._values.resize((rows, n), refcheck=False)
         differ = series.times[:n] != self._base
         self._agree.append(int(differ.argmax()) if differ.any() else n)
-        self._rows.append(series.values[:n].copy())
+        self._values.resize((rows + 1, n), refcheck=False)
+        self._values[rows] = series.values[:n]
 
     def matrix(self, labels) -> np.ndarray:
-        """The ``(len(labels), n)`` matrix. It takes over the rows, so that they
-        are not held twice: the stack is empty afterwards."""
+        """The ``(len(labels), n)`` matrix: the stack's buffer, given zero rows
+        for the labels after the last series. The stack is empty afterwards."""
         if self._base is None:
             raise ValidationError("no series to stack")
-        if len(self._rows) > len(labels):
-            raise ValidationError(f"{len(self._rows)} series for {len(labels)} labels")
+        if len(self._values) > len(labels):
+            raise ValidationError(f"{len(self._values)} series for {len(labels)} labels")
         n = self._base.size
         for agree, label in zip(self._agree, labels):
             if agree < n:
                 raise ValidationError(f"{label}: time base differs from the first input")
-        rows, self._base, self._rows, self._agree = self._rows, None, [], []
-        matrix = np.zeros((len(labels), n))
-        for row in range(len(rows)):
-            matrix[row] = rows[row]
-            rows[row] = None
+        matrix, self._base, self._values, self._agree = self._values, None, None, []
+        matrix.resize((len(labels), n), refcheck=False)  # the rows it adds are zeros
         return matrix
 
 

@@ -897,6 +897,37 @@ def test_simulation_overflow_prints_only_the_numeric_error(tmp_path, command, ne
                            "first at step 100 (t=0.0101 s), neuron 1\n")
 
 
+@pytest.mark.parametrize("command, what", [("sim-spiking", "membrane potentials"),
+                                           ("sim-rate", "unit state")])
+def test_simulation_that_overflows_in_a_late_block_leaves_existing_outputs(tmp_path, capsys,
+                                                                          command, what):
+    # Two units run in blocks of 8,192 steps: the first block's rows are
+    # written before the second block overflows, and are then dropped.
+    steps, late = 10_000, 9_000
+    assert networks._block_steps(2) < late
+    spec = tmp_path / "net.json"
+    spec.write_text(json.dumps({"n": 2, "recurrent_weights": [[0, 0], [0, 0]],
+                                "input_weights": [[2, 0], [0, 2]], "output_weights": [[1, 1]]}
+                               if command == "sim-spiking" else
+                               {"n": 2, "recurrent_weights": [[0, 0], [0, 0]],
+                                "input_weights": [[2, 0], [0, 2]]}))
+    stream = tmp_path / "fin.csv"
+    with open(stream, "wb") as fh:
+        fh.write(b"time_s,ch0,ch1\n")
+        _csvio.write_rows(fh, "%.9g,%.9g,%.9g\n", (np.arange(steps) + 1) * 1e-4,
+                          np.zeros(steps), np.where(np.arange(steps) < late, 0.0, -1e308))
+    old = {f"r_{name}.csv": f"old {name}\n".encode() for name in ("trace", "raster", "output")}
+    for name, data in old.items():
+        (tmp_path / name).write_bytes(data)
+    code, stdout, stderr = run(capsys, command, "--net", str(spec), "--input", str(stream),
+                               "--out-prefix", str(tmp_path / "r"))
+    assert (code, stdout) == (3, "")
+    assert stderr == (f"numeric error: simulation produced non-finite {what}: "
+                      f"first at step {late} (t=0.9001 s), neuron 1\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*old, "fin.csv", "net.json"])
+    assert {name: (tmp_path / name).read_bytes() for name in old} == old
+
+
 def test_readme_sim_spiking_example_fires(tmp_path, capsys, monkeypatch):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     [command] = [line for line in readme.read_text().splitlines()

@@ -1,10 +1,15 @@
-"""The array formatter of ``protoneuro._csvio`` against the ``%`` operator.
+"""The array formatter of ``protoneuro._csvio`` against the ``%`` operator,
+and the replace-on-success writer ``replacing``.
 
-Every test formats columns with ``write_rows`` (or ``write_long_rows``) and
-compares the text with ``row_format % row`` per row, which is the contract.
+Every formatter test formats columns with ``write_rows`` (or
+``write_long_rows``) and compares the text with ``row_format % row`` per
+row, which is the contract.
 """
 
 import io
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -164,3 +169,81 @@ def test_long_rows_of_an_empty_matrix_write_nothing():
     fh = io.BytesIO()
     _csvio.write_long_rows(fh, np.arange(4.0), np.empty((0, 4)))
     assert fh.getvalue() == b""
+
+
+# --- replacing: the bytes replace the file only when the writing succeeds ------
+
+def write_through(path, data, fail=False):
+    with _csvio.replacing(path) as fh:
+        fh.write(data)
+        if fail:
+            raise RuntimeError("failed mid-write")
+
+
+def test_replacing_keeps_an_existing_files_mode(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old\n")
+    path.chmod(0o640)
+    write_through(path, b"new\n")
+    assert path.read_bytes() == b"new\n"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_replacing_gives_a_new_file_the_mode_open_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "by_open.csv", "wb"):
+            pass
+        write_through(tmp_path / "new.csv", b"x\n")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "new.csv").stat().st_mode)
+    assert mode == 0o666 & ~umask == stat.S_IMODE((tmp_path / "by_open.csv").stat().st_mode)
+
+
+def test_replacing_writes_through_a_symlink(tmp_path):
+    (tmp_path / "real").mkdir()
+    target = tmp_path / "real" / "data.csv"
+    target.write_bytes(b"old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    write_through(link, b"new\n")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == b"new\n"
+    assert sorted(os.listdir(tmp_path / "real")) == ["data.csv"]
+
+
+def test_replacing_writes_a_fifo_in_place(tmp_path):
+    # A target that is not a regular file (a FIFO, /dev/null) is opened and
+    # written as it is; replaced, the reader would wait on a pipe no one opens.
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_through(fifo, b"through the pipe\n")
+    reader.join(timeout=30)
+    assert received == [b"through the pipe\n"]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
+
+
+@pytest.mark.parametrize("existing", [b"old\n", None], ids=["existing", "new"])
+def test_replacing_that_fails_leaves_the_file_as_it_was(tmp_path, existing):
+    path = tmp_path / "out.csv"
+    if existing is not None:
+        path.write_bytes(existing)
+    with pytest.raises(RuntimeError, match="failed mid-write"):
+        write_through(path, b"partial", fail=True)
+    assert os.listdir(tmp_path) == ([] if existing is None else ["out.csv"])
+    if existing is not None:
+        assert path.read_bytes() == existing
+
+
+def test_replacing_in_a_missing_directory_names_the_path(tmp_path):
+    path = tmp_path / "missing" / "out.csv"
+    with pytest.raises(FileNotFoundError) as info:
+        write_through(path, b"x")
+    assert info.value.filename == str(path)

@@ -418,3 +418,64 @@ def test_rate_has_the_bits_of_the_per_step_update_on_any_drive(small_blocks, dat
     with np.errstate(all="ignore"):
         assert_same_rate_bits(pure.rate_run(np.zeros(n), drive, weights, 0.01, 1e-4),
                               vectorised_rate(np.zeros(n), drive, weights, 0.01, 1e-4))
+
+
+# --- a run fed in pieces, its state carried, gives the bits of one call --------
+
+def run_in_pieces(kernel, state, drive, cuts, *constants):
+    """``kernel`` on the pieces of ``drive`` between the steps ``cuts``, in order,
+    each call carrying ``state`` on from the one before."""
+    bounds = [0, *sorted(cuts), drive.shape[1]]
+    return [kernel(state, drive[:, lo:hi], *constants) for lo, hi in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), steps=st.integers(0, 60),
+       refractory=st.sampled_from([0.0, 1e-4, 0.00035, 0.002]))
+def test_kernels_split_anywhere_give_the_bits_of_one_call(data, n, steps, refractory):
+    # Besides cuts anywhere, a run that spikes is cut on the step right after
+    # a spike (its recurrent input is the first thing the next call adds)
+    # and a few steps later, inside the spike's refractory hold (1, 4 or 20
+    # steps here), so the hold is released by a later call than the one that
+    # started it.
+    cells = st.one_of(st.floats(-2e3, 2e3), st.floats(allow_nan=True, allow_infinity=True))
+    drive = np.array(data.draw(st.lists(cells, min_size=n * steps, max_size=n * steps)),
+                     dtype=np.float64).reshape(n, steps)
+    cuts = data.draw(st.lists(st.integers(0, steps), max_size=5))
+    weights = np.linspace(-0.02, 0.03, n * n).reshape(n, n)
+    v0 = np.full(n, -0.065)
+    constants = (weights, 0.020, -0.065, -0.050, -0.065, refractory, 1e-4, 0.005)
+    with np.errstate(all="ignore"):
+        whole = pure.lif_run(v0, drive, *constants)
+        if whole[2].size:
+            spike = data.draw(st.sampled_from(whole[2].tolist()))
+            cuts += [c for c in (spike + 1, spike + 1 + data.draw(st.integers(1, 20)))
+                     if c <= steps]
+        parts = run_in_pieces(pure.lif_run, pure.LifState(v0, refractory), drive, cuts,
+                              *constants)
+    assert_same_bits(tuple(np.concatenate([p[k] for p in parts], axis=-1) for k in range(4)),
+                     whole)
+
+    rate_drive = np.where(np.isfinite(drive), drive / 200, drive)
+    x0 = np.linspace(-0.5, 0.5, n)
+    rate_weights = np.linspace(-0.5, 0.6, n * n).reshape(n, n)
+    with np.errstate(all="ignore"):
+        activities, first = pure.rate_run(x0, rate_drive, rate_weights, 0.01, 1e-4)
+        parts = run_in_pieces(pure.rate_run, pure.RateState(x0), rate_drive, cuts,
+                              rate_weights, 0.01, 1e-4)
+    assert_same_bits((np.concatenate([p[0] for p in parts], axis=-1),), (activities,))
+    assert next((p[1] for p in parts if p[1] is not None), None) == first
+
+
+def test_a_refractory_hold_longer_than_a_call_is_counted_on():
+    # The hold of a refractory period of 500 steps is counted only as far as
+    # the calls reach, so a run fed 7 steps at a time releases the neuron on
+    # the step one call on the whole drive does.
+    args = list(lif_case(n=1, steps=1200, low=1e3, high=1e4, refractory=0.05, weights=False))
+    whole = pure.lif_run(*args)
+    assert whole[2].tolist() == [0, 501, 1002]
+    state = pure.LifState(args[0], args[7])
+    parts = run_in_pieces(pure.lif_run, state, args[1], range(7, 1200, 7), *args[2:])
+    assert_same_bits(tuple(np.concatenate([p[k] for p in parts], axis=-1) for k in range(4)),
+                     whole)
+    assert state.steps == 1200

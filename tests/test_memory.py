@@ -1,6 +1,7 @@
-"""Peak memory of the series path, the simulation kernels, the block writer
-and the DPV waveform: in bytes per sample (a neuron-step for the kernels, a
-spike for the raster, a row for the writer), and in bytes for the waveform.
+"""Peak memory of the series path, the simulation kernels and commands, the
+block writer and the DPV waveform: in bytes per sample (a neuron-step for
+the kernels, a spike for the raster, a row for the writer, a step for
+``sim-rate``), and in bytes for the waveform and ``sim-spiking``.
 
 ``tracemalloc`` traces NumPy's array buffers as well as Python objects, so
 the peak over a call counts every copy of the data the call holds at once.
@@ -187,9 +188,10 @@ def test_rate_run_holds_one_step_buffer():
 
 
 def test_rate_network_with_feedback_holds_two_step_buffers():
-    # The drive with the feedback projection (16 bytes a unit-step at once,
-    # the sum of the two), then the drive and the activities; the
-    # kernel's states of every step (24 bytes in all) fail.
+    # The activities of each block and then of the run, joined: 16 bytes a
+    # unit-step at once, as the whole drive and the activities took before
+    # the run was made a block at a time; the kernel's states of every step
+    # (24 bytes in all) fail.
     rng = np.random.default_rng(4)
     net = networks.RateNetwork(50, rate_weights(rng, 50), rng.uniform(-1, 1, (50, 2)),
                                feedback_weights=rng.uniform(-1, 1, (50, 1)))
@@ -199,12 +201,62 @@ def test_rate_network_with_feedback_holds_two_step_buffers():
     assert peak_bytes_per_sample(networks.run_rate, net, inputs, feedback) < 20
 
 
+def sim_peak(tmp_path, argv):
+    peak, code = traced_peak(cli.main, [*argv, "--out-prefix", str(tmp_path / "r")])
+    assert code == 0
+    return peak
+
+
+def test_sim_spiking_holds_a_block_not_the_run(tmp_path, capsys):
+    # sim-spiking runs, checks and writes a block of 1,600 steps at a time,
+    # raster included, so its peak does not grow with the steps: 5e4 and 5e5
+    # steps of 10 neurons (about 9,700 spikes in the longer run) both peak
+    # at about 1.46 MB. With the drive, potentials and filtered trains held
+    # whole (24 bytes a neuron-step), 5e4 steps peaked at 12.7 MB.
+    (tmp_path / "net.json").write_text(json.dumps({"n": 10}))
+    argv = ["sim-spiking", "--net", str(tmp_path / "net.json"), "--drive", "3", "--steps"]
+    sim_peak(tmp_path, [*argv, "100"])
+    small = sim_peak(tmp_path, [*argv, "50000"])
+    large = sim_peak(tmp_path, [*argv, "500000"])
+    assert "steps=500000 " in capsys.readouterr().out
+    assert abs(large - small) < 1e6
+
+
+def write_stream(path, steps, channels, seed):
+    rng = np.random.default_rng(seed)
+    with open(path, "wb") as fh:
+        fh.write(("time_s," + ",".join(f"ch{c}" for c in range(channels)) + "\n").encode())
+        _csvio.write_rows(fh, ",".join(["%.9g"] * (channels + 1)) + "\n",
+                          (np.arange(steps) + 1) * 1e-4, *rng.uniform(-1, 1, (channels, steps)))
+
+
+def test_sim_rate_grows_by_its_stream_files_only(tmp_path, capsys):
+    # The input and feedback streams are read whole (their documented error
+    # order needs every value parsed first); the run itself is held a block
+    # at a time. From 2e4 to 2e5 steps the peak grows by about 52 bytes a
+    # step, the two stream files, whatever the units: the activities of 10
+    # units held whole add 80, and with the drive and the feedback
+    # projection held whole too the peak grew by about 200.
+    (tmp_path / "net.json").write_text(json.dumps({"n": 10, "input_dim": 2, "feedback_dim": 1,
+                                                   "seed": 3}))
+    peaks = []
+    for steps in (100, 20_000, 200_000):
+        write_stream(tmp_path / f"in{steps}.csv", steps, 2, steps)
+        write_stream(tmp_path / f"fb{steps}.csv", steps, 1, steps + 1)
+        peaks.append(sim_peak(tmp_path, ["sim-rate", "--net", str(tmp_path / "net.json"),
+                                         "--input", str(tmp_path / f"in{steps}.csv"),
+                                         "--feedback", str(tmp_path / f"fb{steps}.csv")]))
+    assert "steps=200000 " in capsys.readouterr().out
+    assert (peaks[2] - peaks[1]) / 180_000 < 64
+
+
 def test_spike_raster_holds_two_arrays():
     # All 100,000 neuron-steps of the dense run spike; its peak over that of
-    # a silent run of the same size is the raster's: the kernel's int64 step
-    # and neuron buffers (doubled when full) and then the neurons and float64
-    # times, about 21 bytes a spike. Held as a list of (int, float) tuples,
-    # with the kernel's lists of ints, it took about 87.
+    # a silent run of the same size is the raster's: each block's int64
+    # neurons and float64 times, and then the run's, joined, about 32 bytes
+    # a spike (21 when the kernel ran the whole drive in one call). Held as a
+    # list of (int, float) tuples, with the kernel's lists of ints, it took
+    # about 87.
     spikes = 100_000
     net = networks.SpikingNetwork(10, np.zeros((10, 10)), np.ones((10, 1)), np.ones((1, 10)),
                                   lif=networks.LifParameters(refractory=0.0))
